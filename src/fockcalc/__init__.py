@@ -59,7 +59,6 @@ from .functional import (
     ZERO,
     basis_element,
     check_strong_convergence,
-    coefficient,
     dual_norm_bound,
     dual_pair,
     fit_envelope,
@@ -76,7 +75,6 @@ from .gamma import (
     GAMMA_HARD_CAP,
     GammaCursor,
     SubsetIndex,
-    canonical_subset,
     enumerate_gamma,
     gamma_weight_sum,
     gamma_weight_sum_limit,

@@ -36,7 +36,7 @@ def partial_sum(phi: FockFunctional, n: int) -> FockFunctional:
     """Sum of the site terms up to n: the nonempty terms with max <= n."""
     if n < 0:
         raise ValueError(f"partial-sum level must be >= 0, got {n}")
-    return sum_functionals(co_term(phi, k) for k in range(n + 1))
+    return sum_functionals(co_term(phi, k) for k in phi.sites() if k <= n)
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,28 @@ def decompose(
 
     The residual table probes every level n from 0 to the termination index;
     at the termination index it is exactly zero because the per-site terms
-    are verbatim coefficient selections from phi.
+    are verbatim coefficient selections from phi.  Only the occupied sites
+    are computed; a level without a term repeats the previous level's row.
     """
     mean = expect(phi)
     termination = phi.support_max
     terms: Dict[int, FockFunctional] = {}
-    for k in range(termination + 1):
+    for k in phi.sites():
         t = co_term(phi, k)
         if t:
             terms[k] = t
-    centered = linear_combine(1.0, phi, -1.0, mean)
     residuals: Dict[Tuple[int, float], float] = {}
     # Per-site terms have pairwise disjoint supports, so peeling them off the
     # centered remainder one at a time reproduces each partial-sum residual
     # exactly.
-    remainder = centered
+    remainder = linear_combine(1.0, phi, -1.0, mean)
+    row = [norm_dual(remainder, q) for q in q_probe]
     for n in range(termination + 1):
         if n in terms:
             remainder = linear_combine(1.0, remainder, -1.0, terms[n])
-        for q in q_probe:
-            residuals[(n, float(q))] = norm_dual(remainder, q)
+            row = [norm_dual(remainder, q) for q in q_probe]
+        for q, value in zip(q_probe, row):
+            residuals[(n, float(q))] = value
     return DecompositionReport(
         mean=mean,
         terms=terms,
@@ -122,11 +124,10 @@ class PredictableSequence:
 def predictable_sequence(phi: FockFunctional) -> PredictableSequence:
     """The canonical predictable integrand: u_k = E_{k-1}[annihilate(phi, k)].
 
-    Only sites up to the largest support index can contribute; zero entries
-    are dropped.
+    Only the occupied sites can contribute; zero entries are dropped.
     """
     out: Dict[int, FockFunctional] = {}
-    for k in range(phi.support_max + 1):
+    for k in phi.sites():
         u = cond_expect(annihilate(phi, k), k - 1)
         if u:
             out[k] = u
@@ -170,7 +171,8 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
     )
     excess = 0.0
     running = FockFunctional({})
-    for n in range(smax + 1):
+    # At an unoccupied site the running sum, and so its excess, is unchanged.
+    for n in phi.sites():
         running = linear_combine(1.0, running, 1.0, co_term(phi, n))
         for s in probes:
             excess = max(excess, abs(running.coefficient(s)) - abs(phi.coefficient(s)))
@@ -191,7 +193,7 @@ def reconstruct_check(phi: FockFunctional) -> float:
         linear_combine(1.0, linear_combine(1.0, phi, -1.0, mean), -1.0, integral), 0.0
     )
     form_gap = 0.0
-    for k in range(phi.support_max + 1):
+    for k in phi.sites():
         via_truncation = co_term(phi, k)
         via_integrand = create(cond_expect(annihilate(phi, k), k - 1), k)
         gap = norm_dual(linear_combine(1.0, via_truncation, -1.0, via_integrand), 0.0)

@@ -36,7 +36,7 @@ from .serialization import (
     parse_functional,
     parse_subset,
 )
-from .suite import SUITE_NAMES, SuiteConfig, run_suite
+from .suite import BRIDGE_TOLERANCE, SUITE_NAMES, SuiteConfig, run_suite
 
 
 def _read_text(path: str) -> str:
@@ -51,7 +51,7 @@ def _load_functional(path: str) -> FockFunctional:
 
 
 def _emit(payload, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")
@@ -122,7 +122,6 @@ def _cmd_verify(args) -> int:
         p_grid=tuple(args.p) if args.p else (0.0, 1.0, 2.0),
         tolerance=args.tolerance,
         horizon=args.horizon,
-        threads=args.threads,
     )
     report = run_suite(cfg)
     _emit(report, args.out)
@@ -159,20 +158,14 @@ def _cmd_bridge(args) -> int:
             "k": args.k,
             "trials": len(corpus),
             "max_gap": gap,
-            "tolerance": 1e-10,
-            "pass": bool(gap <= 1e-10),
+            "tolerance": BRIDGE_TOLERANCE,
+            "pass": bool(gap <= BRIDGE_TOLERANCE),
         }
         report = {"suite": "bridge", "checks": [record], "pass": record["pass"]}
         _emit(report, args.out)
         return 0 if record["pass"] else 1
 
-    cfg = SuiteConfig(
-        suite="bridge",
-        trials=args.trials,
-        seed=args.seed,
-        horizon=args.horizon,
-        threads=args.threads,
-    )
+    cfg = SuiteConfig(suite="bridge", trials=args.trials, seed=args.seed, horizon=args.horizon)
     report = run_suite(cfg)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
@@ -231,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=1e-12,
                           help="identity tolerance; 0 invites spurious float-rounding failures")
     p_verify.add_argument("--horizon", type=int, default=8, help="bridge-suite horizon")
-    p_verify.add_argument("--threads", type=int, default=1,
-                          help="worker threads; results are identical for any value")
     p_verify.add_argument("--out", help="write report JSON here instead of stdout")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -240,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bridge.add_argument("--horizon", type=int, default=8)
     p_bridge.add_argument("--trials", type=int, default=200)
     p_bridge.add_argument("--seed", type=int, default=0)
-    p_bridge.add_argument("--threads", type=int, default=1)
     p_bridge.add_argument("--k", type=int, help="restrict to the intertwining check at this site")
     p_bridge.add_argument("--eval", help="evaluate this functional JSON on the path space")
     p_bridge.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
@@ -257,13 +247,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FockCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FockCalcError, FileNotFoundError, ValueError, OverflowError) as exc:
+        # Exit 1 is reserved for a failed identity; bad or extreme input is 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,15 +50,17 @@ class CovarianceReport:
 def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> CovarianceReport:
     """Evaluate the covariance both directly and as the per-site series.
 
-    The series runs over every site up to the larger support maximum; the
-    per-site entries pair matching decomposition terms.  The gap vanishes in
-    exact arithmetic for finitely supported inputs.
+    ``per_site`` covers every site up to the larger support maximum; the
+    entries pair matching decomposition terms, and a site missing from
+    either support pairs an empty term, so its entry is 0j without being
+    computed.  The gap vanishes in exact arithmetic for finitely supported
+    inputs.
     """
     direct = cov_p(phi, psi, p)
     top = max(phi.support_max, psi.support_max)
-    per_site: Dict[int, complex] = {}
+    per_site: Dict[int, complex] = dict.fromkeys(range(top + 1), 0j)
     total = 0j
-    for k in range(top + 1):
+    for k in sorted(set(phi.sites()).intersection(psi.sites())):
         contribution = inner_dual(co_term(phi, k), co_term(psi, k), p)
         per_site[k] = contribution
         total += contribution
@@ -77,7 +79,7 @@ def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
     """
     lhs = var_p(phi, p)
     rhs = 0.0
-    for k in range(phi.support_max + 1):
+    for k in phi.sites():
         rhs += norm_dual(create(annihilate(phi, k), k), p) ** 2
     if lhs > rhs + 1e-12 * (1.0 + rhs):
         # Mathematically unreachable; a failure here means corrupted state.

@@ -69,6 +69,14 @@ class FockFunctional:
         """Largest index appearing in any support set; -1 if none do."""
         return max((s.max_element for s in self._terms), default=-1)
 
+    def sites(self) -> List[int]:
+        """Ascending indices that appear in some support set.
+
+        Annihilation at any other index gives zero, so the decomposition and
+        covariance site loops visit only these.
+        """
+        return sorted({k for s in self._terms for k in s.elements})
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -106,10 +114,6 @@ def basis_element(sigma: SubsetIndex) -> FockFunctional:
 
 
 ZERO = FockFunctional({})
-
-
-def coefficient(phi: FockFunctional, sigma: SubsetIndex) -> complex:
-    return phi.coefficient(sigma)
 
 
 def linear_combine(

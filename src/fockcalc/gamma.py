@@ -67,14 +67,13 @@ class SubsetIndex:
         """Build the subset whose members are the set bits of ``mask``."""
         if mask < 0:
             raise NegativeIndexError("bit-mask must be nonnegative")
+        # Walk only the set bits: isolate the lowest, record it, clear it.
         elems = []
-        k = 0
         m = mask
         while m:
-            if m & 1:
-                elems.append(k)
-            m >>= 1
-            k += 1
+            low = m & -m
+            elems.append(low.bit_length() - 1)
+            m ^= low
         return cls._from_sorted(tuple(elems), mask)
 
     @property
@@ -134,14 +133,6 @@ class SubsetIndex:
 
 #: The empty subset (weight 1; the index of the constant chaos term).
 EMPTY_SET = SubsetIndex(())
-
-
-def canonical_subset(indices: Iterable[int]) -> SubsetIndex:
-    """Sort and deduplicate ``indices`` into a canonical subset.
-
-    Raises NegativeIndexError on any entry below zero.
-    """
-    return SubsetIndex(indices)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ reproduces phi bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from .clark_ocone import DecompositionReport
@@ -26,7 +27,13 @@ from .gamma import SubsetIndex
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def parse_subset(raw: Any, where: str = "subset") -> SubsetIndex:
@@ -115,7 +122,7 @@ def functional_to_obj(
 def serialize_functional(
     phi: FockFunctional, envelope: Optional[GrowthEnvelope] = None, indent: Optional[int] = None
 ) -> str:
-    return json.dumps(functional_to_obj(phi, envelope), indent=indent)
+    return json.dumps(functional_to_obj(phi, envelope), indent=indent, allow_nan=False)
 
 
 def decomposition_to_obj(report: DecompositionReport) -> Dict[str, Any]:

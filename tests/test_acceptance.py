@@ -17,7 +17,6 @@ from fockcalc import (
     ZERO,
     annihilate,
     basis_element,
-    canonical_subset,
     check_orthonormality,
     check_intertwining,
     check_strong_convergence,
@@ -111,9 +110,9 @@ def test_c03_operator_norm_bounds(corpus1000):
     # tightness witnesses saturate the annihilation and creation ceilings
     for k in range(13):
         for p in (0.0, 1.0, 2.0):
-            ann = verify_norm_bounds(basis_element(canonical_subset([k])), k, p)
+            ann = verify_norm_bounds(basis_element(SubsetIndex([k])), k, p)
             assert abs(ann.annihilate_ratio - ann.annihilate_bound) <= TOL * ann.annihilate_bound
-            cre = verify_norm_bounds(basis_element(canonical_subset([])), k, p)
+            cre = verify_norm_bounds(basis_element(SubsetIndex([])), k, p)
             assert abs(cre.create_ratio - cre.create_bound) <= TOL * cre.create_bound
     announce(3, "operator norm bounds", f"worst excess {worst_excess:.2e}")
 
@@ -183,12 +182,12 @@ def test_c06_covariance_identity_and_variance_bound():
 
     # equality witness: every support set a singleton
     singletons = make_functional(
-        [(canonical_subset([]), 1.0), (canonical_subset([0]), 2.0), (canonical_subset([1]), 1.0)]
+        [(SubsetIndex([]), 1.0), (SubsetIndex([0]), 2.0), (SubsetIndex([1]), 1.0)]
     )
     lhs, rhs = var_bound(singletons, 0.0)
     assert lhs == pytest.approx(5.0) and rhs == pytest.approx(5.0)
     # strict witness: a two-element support set
-    pair_set = basis_element(canonical_subset([0, 1]))
+    pair_set = basis_element(SubsetIndex([0, 1]))
     lhs, rhs = var_bound(pair_set, 0.0)
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(2.0)
     assert lhs < rhs
@@ -252,14 +251,12 @@ def test_c09_envelope_bound():
     announce(9, "growth-envelope dual bound", f"q=1 bound {bound:.6f}")
 
 
-def test_c10_thread_determinism():
+def test_c10_report_determinism():
     reports = []
-    for threads in (1, 4):
-        cfg = SuiteConfig(suite="all", trials=40, seed=31, threads=threads)
-        report = run_suite(cfg)
+    for _ in range(2):
+        report = run_suite(SuiteConfig(suite="all", trials=40, seed=31))
         report.pop("created")
-        report["config"].pop("threads")
         reports.append(report)
     assert reports[0] == reports[1]
     gaps = [c["max_gap"] for c in reports[0]["checks"]]
-    announce(10, "thread-count determinism", f"{len(gaps)} checks bit-identical")
+    announce(10, "repeat-run determinism", f"{len(gaps)} checks bit-identical")

@@ -13,11 +13,11 @@ import pytest
 
 from fockcalc import (
     RequiresExhaustiveError,
+    SubsetIndex,
     SupportExceedsHorizonError,
     annihilate,
     basis_element,
     build_space,
-    canonical_subset,
     check_intertwining,
     check_orthonormality,
     classical_clark_ocone_check,
@@ -35,7 +35,7 @@ from fockcalc import (
 
 
 def F(*pairs):
-    return make_functional([(canonical_subset(s), c) for s, c in pairs])
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
 
 
 MIXED = F(([], 2), ([0, 2], 3))
@@ -83,11 +83,11 @@ class TestBuildSpace:
 class TestEvaluate:
     def test_constant(self):
         space = build_space(3)
-        assert np.all(evaluate(basis_element(canonical_subset([])), space).values == 1)
+        assert np.all(evaluate(basis_element(SubsetIndex([])), space).values == 1)
 
     def test_product_on_one_path(self):
         space = build_space(3)
-        obs = evaluate(basis_element(canonical_subset([0, 2])), space)
+        obs = evaluate(basis_element(SubsetIndex([0, 2])), space)
         # path (+1, -1, -1) is index 0b001 = 1
         assert obs.values[1] == -1
 
@@ -104,11 +104,11 @@ class TestPathExpectation:
     def test_nonconstant_basis_means_vanish(self):
         space = build_space(5)
         for elems in ([0], [3], [0, 2], [1, 2, 4]):
-            obs = evaluate(basis_element(canonical_subset(elems)), space)
+            obs = evaluate(basis_element(SubsetIndex(elems)), space)
             assert path_expectation(obs) == 0
 
     def test_constant(self):
-        assert path_expectation(evaluate(basis_element(canonical_subset([])), build_space(2))) == 1
+        assert path_expectation(evaluate(basis_element(SubsetIndex([])), build_space(2))) == 1
 
     def test_mean_kills_fluctuations(self):
         assert path_expectation(evaluate(MIXED, build_space(4))) == 2
@@ -117,12 +117,12 @@ class TestPathExpectation:
 class TestPathConditioning:
     def test_averaging_out_future_coordinates(self):
         space = build_space(3)
-        obs = evaluate(basis_element(canonical_subset([0, 2])), space)
+        obs = evaluate(basis_element(SubsetIndex([0, 2])), space)
         assert np.all(path_cond_expect(obs, 1).values == 0)
 
     def test_measurable_observable_unchanged(self):
         space = build_space(3)
-        obs = evaluate(basis_element(canonical_subset([0, 2])), space)
+        obs = evaluate(basis_element(SubsetIndex([0, 2])), space)
         assert np.array_equal(path_cond_expect(obs, 2).values, obs.values)
 
     def test_conditioning_on_everything(self):
@@ -163,7 +163,7 @@ class TestOrthonormality:
         space = build_space(n)
         worst = 0.0
         subsets = [
-            canonical_subset(c)
+            SubsetIndex(c)
             for r in range(n + 1)
             for c in itertools.combinations(range(n), r)
         ]
@@ -185,10 +185,10 @@ class TestOrthonormality:
 
 class TestClassicalClarkOcone:
     def test_two_site_basis(self):
-        assert classical_clark_ocone_check(basis_element(canonical_subset([0, 2])), 3) == 0.0
+        assert classical_clark_ocone_check(basis_element(SubsetIndex([0, 2])), 3) == 0.0
 
     def test_pure_mean(self):
-        assert classical_clark_ocone_check(basis_element(canonical_subset([])), 2) == 0.0
+        assert classical_clark_ocone_check(basis_element(SubsetIndex([])), 2) == 0.0
 
     def test_random_corpus(self):
         for phi in random_functionals(50, seed=52, support_max=5, max_terms=12):
@@ -201,14 +201,14 @@ class TestClassicalClarkOcone:
 
 class TestIntertwining:
     def test_two_site_basis(self):
-        assert check_intertwining(basis_element(canonical_subset([0, 2])), 2, 3) == (
+        assert check_intertwining(basis_element(SubsetIndex([0, 2])), 2, 3) == (
             0.0,
             0.0,
             0.0,
         )
 
     def test_constant(self):
-        z = basis_element(canonical_subset([]))
+        z = basis_element(SubsetIndex([]))
         for k in range(3):
             assert check_intertwining(z, k, 3) == (0.0, 0.0, 0.0)
 
@@ -251,7 +251,7 @@ class TestPlancherel:
 class TestMonteCarlo:
     def test_constant_is_exact(self):
         space = build_space(4, "sampled", M=500, seed=3)
-        mean, stderr = mc_estimate(basis_element(canonical_subset([])), space)
+        mean, stderr = mc_estimate(basis_element(SubsetIndex([])), space)
         assert mean == 1.0
         assert stderr == 0.0
 
@@ -264,7 +264,7 @@ class TestMonteCarlo:
 
     def test_single_site_clt_band(self):
         space = build_space(4, "sampled", M=100_000, seed=12)
-        mean, stderr = mc_estimate(basis_element(canonical_subset([0])), space)
+        mean, stderr = mc_estimate(basis_element(SubsetIndex([0])), space)
         assert stderr == pytest.approx(1 / math.sqrt(100_000), rel=1e-2)
         assert abs(mean) <= 4 * stderr
 

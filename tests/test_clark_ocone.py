@@ -6,9 +6,9 @@ from fockcalc import (
     GammaCursor,
     PredictabilityViolatedError,
     PredictableSequence,
+    SubsetIndex,
     ZERO,
     basis_element,
-    canonical_subset,
     check_strong_convergence,
     co_term,
     decompose,
@@ -27,7 +27,7 @@ from fockcalc import (
 
 
 def F(*pairs):
-    return make_functional([(canonical_subset(s), c) for s, c in pairs])
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
 
 
 MIXED = F(([], 2), ([0, 2], 3))
@@ -43,7 +43,7 @@ class TestCoTerm:
 
     def test_constant_contributes_nothing(self):
         for k in range(4):
-            assert co_term(basis_element(canonical_subset([])), k) == ZERO
+            assert co_term(basis_element(SubsetIndex([])), k) == ZERO
 
     def test_terms_partition_by_peak(self):
         for phi in random_functionals(15, seed=21, support_max=8, max_terms=16):
@@ -97,7 +97,7 @@ class TestDecompose:
         assert report.residual_norms[(2, 0.0)] == 0.0
 
     def test_constant_terminates_at_minus_one(self):
-        report = decompose(basis_element(canonical_subset([])))
+        report = decompose(basis_element(SubsetIndex([])))
         assert report.termination_index == -1
         assert report.terms == {}
         assert report.residual_norms == {}
@@ -120,16 +120,16 @@ class TestDecompose:
 
 class TestPredictableSequence:
     def test_two_site_basis(self):
-        u = predictable_sequence(basis_element(canonical_subset([0, 2])))
+        u = predictable_sequence(basis_element(SubsetIndex([0, 2])))
         assert set(u.terms) == {2}
         assert u.terms[2] == F(([0], 1))  # the site-0 entry died at the mean level
 
     def test_constant_has_no_integrand(self):
-        assert predictable_sequence(basis_element(canonical_subset([]))).terms == {}
+        assert predictable_sequence(basis_element(SubsetIndex([]))).terms == {}
 
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_single_site(self, k):
-        u = predictable_sequence(basis_element(canonical_subset([k])))
+        u = predictable_sequence(basis_element(SubsetIndex([k])))
         assert set(u.terms) == {k}
         assert u.terms[k] == F(([], 1))
 

@@ -49,6 +49,11 @@ class TestLambdaCommand:
         code, _, err = run_cli(capsys, "lambda")
         assert code == 2
 
+    def test_overflowing_bound_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "lambda", "--bound", "--p", "1.0000001")
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestNormCommand:
     def test_plain_norm(self, capsys, phi_file):
@@ -76,6 +81,21 @@ class TestNormCommand:
         code, _, err = run_cli(capsys, "norm", str(bad))
         assert code == 2
 
+    def test_nan_coefficient_is_schema_error(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"terms":[{"set":[0],"coef":[NaN,0]}]}')
+        code, out, err = run_cli(capsys, "norm", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_overflowing_norm_is_usage_error(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"terms": [{"set": list(range(60)), "coef": [1, 0]}]}))
+        code, _, err = run_cli(capsys, "norm", str(big), "--p", "10")
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestApplyCommand:
     def test_site_round_trip(self, capsys, phi_file):
@@ -98,6 +118,14 @@ class TestApplyCommand:
     def test_bad_tag_is_usage_error(self, capsys, phi_file):
         code, _, err = run_cli(capsys, "apply", phi_file, "--pipeline", "explode:3")
         assert code == 2
+
+    def test_create_at_far_site(self, capsys, phi_file):
+        code, out, _ = run_cli(capsys, "apply", phi_file, "--pipeline", "create:100000000")
+        assert code == 0
+        assert [t["set"] for t in json.loads(out)["terms"]] == [
+            [100000000],
+            [0, 2, 100000000],
+        ]
 
 
 class TestDecomposeCommand:
@@ -138,21 +166,18 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
-    def test_reports_identical_across_threads(self, capsys, tmp_path):
-        paths = []
-        for threads in ("1", "3"):
-            out_file = tmp_path / f"r{threads}.json"
-            code, _, _ = run_cli(
-                capsys, "verify", "--suite", "all", "--trials", "15", "--seed", "2",
-                "--threads", threads, "--out", str(out_file),
-            )
-            assert code == 0
-            paths.append(out_file)
-        a, b = (json.loads(p.read_text()) for p in paths)
-        for r in (a, b):
-            r.pop("created")
-            r["config"].pop("threads")
-        assert a == b
+    def test_threads_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_unsampleable_support_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--suite", "car", "--trials", "2", "--support-max", "70"
+        )
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_repeat_runs_identical_modulo_timestamp(self, capsys):
         reports = []

@@ -3,9 +3,9 @@
 import pytest
 
 from fockcalc import (
+    SubsetIndex,
     ZERO,
     basis_element,
-    canonical_subset,
     cov_identity,
     cov_p,
     linear_combine,
@@ -17,7 +17,7 @@ from fockcalc import (
 
 
 def F(*pairs):
-    return make_functional([(canonical_subset(s), c) for s, c in pairs])
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
 
 
 TRIPLE = F(([], 1), ([0], 2), ([1], 1))  # weights 1 and 2 on the singletons
@@ -34,7 +34,7 @@ class TestCovariance:
 
     def test_constants_are_centered_away(self):
         constant = F(([], 7))
-        for psi in (TRIPLE, ZERO, basis_element(canonical_subset([2]))):
+        for psi in (TRIPLE, ZERO, basis_element(SubsetIndex([2]))):
             assert cov_p(constant, psi, 1.0) == 0
 
     def test_hand_value(self):
@@ -64,10 +64,10 @@ class TestVariance:
 
     def test_constant_has_no_variance(self):
         for p in (0.0, 2.0):
-            assert var_p(basis_element(canonical_subset([])), p) == 0.0
+            assert var_p(basis_element(SubsetIndex([])), p) == 0.0
 
     def test_basis_dual_weight(self):
-        assert var_p(basis_element(canonical_subset([1, 3])), 1.0) == pytest.approx(1 / 64)
+        assert var_p(basis_element(SubsetIndex([1, 3])), 1.0) == pytest.approx(1 / 64)
 
 
 class TestCovarianceIdentity:
@@ -95,7 +95,7 @@ class TestCovarianceIdentity:
 
 class TestVarianceBound:
     def test_strict_for_a_pair_set(self):
-        lhs, rhs = var_bound(basis_element(canonical_subset([0, 1])), 0.0)
+        lhs, rhs = var_bound(basis_element(SubsetIndex([0, 1])), 0.0)
         assert lhs == pytest.approx(1.0)
         assert rhs == pytest.approx(2.0)  # each member of {0,1} counts once
 

@@ -12,9 +12,9 @@ from fockcalc import (
     FockFunctional,
     GammaCursor,
     GrowthEnvelope,
+    SubsetIndex,
     ZERO,
     basis_element,
-    canonical_subset,
     check_strong_convergence,
     dual_norm_bound,
     dual_pair,
@@ -29,14 +29,14 @@ from fockcalc import (
     random_functionals,
 )
 
-E = canonical_subset([])
-S02 = canonical_subset([0, 2])
-S13 = canonical_subset([1, 3])
+E = SubsetIndex([])
+S02 = SubsetIndex([0, 2])
+S13 = SubsetIndex([1, 3])
 SINH_PI_OVER_PI = 3.676077910374978  # closed form of the full weight sum at exponent 2
 
 
 def F(*pairs):
-    return make_functional([(canonical_subset(s), c) for s, c in pairs])
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
 
 
 class TestConstruction:
@@ -90,11 +90,11 @@ class TestLinearCombine:
 
 class TestInnerProductsAndNorms:
     def test_inner_p_basis_weight(self):
-        z1 = basis_element(canonical_subset([1]))
+        z1 = basis_element(SubsetIndex([1]))
         assert inner_p(z1, z1, 1.0) == 4  # weight({1})**2
 
     def test_inner_p_disjoint(self):
-        z0, z1 = basis_element(canonical_subset([0])), basis_element(canonical_subset([1]))
+        z0, z1 = basis_element(SubsetIndex([0])), basis_element(SubsetIndex([1]))
         for p in (0.0, 1.0, 2.5):
             assert inner_p(z0, z1, p) == 0
 
@@ -165,7 +165,7 @@ class TestDualPairings:
         assert dual_pair(phi, basis_element(S02)) == 3 + 1j
 
     def test_dual_pair_is_bilinear_not_hermitian(self):
-        sigma = canonical_subset([1])
+        sigma = SubsetIndex([1])
         phi = make_functional([(sigma, 1j)])
         assert dual_pair(phi, make_functional([(sigma, 1j)])) == pytest.approx(-1)
 

@@ -17,7 +17,6 @@ from fockcalc import (
     NegativeIndexError,
     SubsetIndex,
     WeightOverflowError,
-    canonical_subset,
     enumerate_gamma,
     gamma_weight_sum,
     gamma_weight_sum_limit,
@@ -41,66 +40,66 @@ def brute_weight_sum(p, max_index):
 
 class TestCanonicalSubset:
     def test_sorts_and_dedups(self):
-        assert canonical_subset([2, 0, 2]).elements == (0, 2)
+        assert SubsetIndex([2, 0, 2]).elements == (0, 2)
 
     def test_empty(self):
-        assert canonical_subset([]).elements == ()
+        assert SubsetIndex([]).elements == ()
 
     def test_rejects_negative(self):
         with pytest.raises(NegativeIndexError):
-            canonical_subset([0, -1])
+            SubsetIndex([0, -1])
 
     def test_equality_by_elements(self):
-        assert canonical_subset([3, 1]) == canonical_subset([1, 3, 3])
-        assert canonical_subset([1]) != canonical_subset([2])
+        assert SubsetIndex([3, 1]) == SubsetIndex([1, 3, 3])
+        assert SubsetIndex([1]) != SubsetIndex([2])
 
     def test_mask_round_trip(self):
-        s = canonical_subset([0, 2, 5])
+        s = SubsetIndex([0, 2, 5])
         assert SubsetIndex.from_mask(s.mask) == s
         assert s.mask == 0b100101
 
     def test_set_operations(self):
-        s = canonical_subset([1, 3])
+        s = SubsetIndex([1, 3])
         assert s.with_element(2).elements == (1, 2, 3)
         assert s.with_element(3) is s
         assert s.without_element(3).elements == (1,)
         assert s.without_element(7) is s
         assert 1 in s and 0 not in s
         assert s.max_element == 3
-        assert canonical_subset([]).max_element == -1
+        assert SubsetIndex([]).max_element == -1
 
 
 class TestLambdaWeight:
     def test_empty_set_weighs_one(self):
-        assert lambda_weight(canonical_subset([])) == 1.0
+        assert lambda_weight(SubsetIndex([])) == 1.0
 
     def test_singleton_zero(self):
-        assert lambda_weight(canonical_subset([0])) == 1.0
+        assert lambda_weight(SubsetIndex([0])) == 1.0
 
     def test_hand_product(self):
         # {1, 3} -> 2 * 4
-        assert lambda_weight(canonical_subset([1, 3])) == 8.0
+        assert lambda_weight(SubsetIndex([1, 3])) == 8.0
 
     def test_overflow_reported(self):
         with pytest.raises(WeightOverflowError):
-            lambda_weight(canonical_subset(range(200)))
+            lambda_weight(SubsetIndex(range(200)))
 
     @given(st.sets(st.integers(0, 30), max_size=8), st.integers(0, 30))
     def test_adding_element_scales_weight(self, elems, k):
-        sigma = canonical_subset(elems)
+        sigma = SubsetIndex(elems)
         if k not in sigma:
             assert lambda_weight(sigma.with_element(k)) == (k + 1) * lambda_weight(sigma)
 
     @given(st.sets(st.integers(0, 30), max_size=8), st.sets(st.integers(0, 30), max_size=8))
     def test_monotone_under_inclusion(self, a, b):
-        sigma = canonical_subset(a)
-        tau = canonical_subset(a | b)
+        sigma = SubsetIndex(a)
+        tau = SubsetIndex(a | b)
         assert lambda_weight(sigma) <= lambda_weight(tau)
 
 
 class TestEnumeration:
     def test_horizon_zero_gives_only_empty(self):
-        assert list(enumerate_gamma(GammaCursor(0))) == [canonical_subset([])]
+        assert list(enumerate_gamma(GammaCursor(0))) == [SubsetIndex([])]
 
     def test_horizon_two(self):
         got = [s.elements for s in enumerate_gamma(GammaCursor(2))]

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from fockcalc import (
     BadTagError,
     NegativeIndexError,
+    SubsetIndex,
     ZERO,
     annihilate,
     apply_pipeline,
     basis_element,
-    canonical_subset,
     cond_expect,
     create,
     expect,
@@ -25,7 +25,7 @@ from fockcalc import (
 
 
 def F(*pairs):
-    return make_functional([(canonical_subset(s), c) for s, c in pairs])
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
 
 
 # hypothesis strategy: small random functionals with complex coefficients
@@ -34,7 +34,7 @@ coeffs = st.complex_numbers(
 )
 subsets = st.sets(st.integers(0, 8), max_size=5).map(frozenset)
 functionals = st.dictionaries(subsets, coeffs, min_size=0, max_size=20).map(
-    lambda d: make_functional([(canonical_subset(s), c) for s, c in d.items()])
+    lambda d: make_functional([(SubsetIndex(s), c) for s, c in d.items()])
 )
 
 
@@ -46,8 +46,8 @@ class TestAnnihilate:
         assert annihilate(F(([], 2), ([1], 5)), 3) == ZERO
 
     def test_basis_action(self):
-        sigma = canonical_subset([0, 2])
-        assert annihilate(basis_element(sigma), 2) == basis_element(canonical_subset([0]))
+        sigma = SubsetIndex([0, 2])
+        assert annihilate(basis_element(sigma), 2) == basis_element(SubsetIndex([0]))
         assert annihilate(basis_element(sigma), 1) == ZERO
 
     def test_rejects_negative_site(self):
@@ -60,11 +60,11 @@ class TestCreate:
         assert create(F(([0], 3)), 2) == F(([0, 2], 3))
 
     def test_basis_action(self):
-        sigma = canonical_subset([0])
-        assert create(basis_element(sigma), 2) == basis_element(canonical_subset([0, 2]))
+        sigma = SubsetIndex([0])
+        assert create(basis_element(sigma), 2) == basis_element(SubsetIndex([0, 2]))
 
     def test_kills_terms_already_containing_site(self):
-        assert create(basis_element(canonical_subset([0, 2])), 2) == ZERO
+        assert create(basis_element(SubsetIndex([0, 2])), 2) == ZERO
 
 
 class TestConditionalExpectation:
@@ -80,8 +80,8 @@ class TestConditionalExpectation:
 
     def test_expect_examples(self):
         assert expect(F(([], 2), ([0, 2], 3))) == F(([], 2))
-        assert expect(basis_element(canonical_subset([3]))) == ZERO
-        z_empty = basis_element(canonical_subset([]))
+        assert expect(basis_element(SubsetIndex([3]))) == ZERO
+        z_empty = basis_element(SubsetIndex([]))
         assert expect(z_empty) == z_empty
 
     @pytest.mark.parametrize("j", [-1, 0, 2, 5])
@@ -125,14 +125,14 @@ class TestNormBounds:
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
     def test_annihilation_witness_is_tight(self, k, p):
-        report = verify_norm_bounds(basis_element(canonical_subset([k])), k, p)
+        report = verify_norm_bounds(basis_element(SubsetIndex([k])), k, p)
         assert report.annihilate_ratio == pytest.approx(report.annihilate_bound, rel=1e-12)
         assert report.all_ok
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
     def test_creation_witness_is_tight(self, k, p):
-        report = verify_norm_bounds(basis_element(canonical_subset([])), k, p)
+        report = verify_norm_bounds(basis_element(SubsetIndex([])), k, p)
         assert report.create_ratio == pytest.approx(report.create_bound, rel=1e-12)
         assert report.all_ok
 
@@ -156,7 +156,7 @@ class TestNormBounds:
 
 class TestCommutation:
     def test_basis_hand_case(self):
-        assert verify_commutation(basis_element(canonical_subset([0, 2])), 2) == (0.0, 0.0)
+        assert verify_commutation(basis_element(SubsetIndex([0, 2])), 2) == (0.0, 0.0)
 
     def test_zero(self):
         assert verify_commutation(ZERO, 3) == (0.0, 0.0)

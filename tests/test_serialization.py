@@ -10,8 +10,8 @@ from fockcalc import (
     GrowthEnvelope,
     NegativeIndexError,
     SchemaError,
+    SubsetIndex,
     ZERO,
-    canonical_subset,
     cov_identity,
     covariance_to_obj,
     decompose,
@@ -25,7 +25,7 @@ from fockcalc import (
 
 
 def F(*pairs):
-    return make_functional([(canonical_subset(s), c) for s, c in pairs])
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
 
 
 class TestParsing:
@@ -74,6 +74,19 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_functional('{"terms":[{"set":[0],"coef":[true,0]}]}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"terms":[{"set":[0],"coef":[NaN,0]}]}',
+            '{"terms":[{"set":[0],"coef":[0,-Infinity]}]}',
+            '{"terms":[{"set":[0],"coef":[1%s,0]}]}' % ("0" * 400),
+            '{"terms":[],"envelope":{"C":Infinity,"p":0}}',
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(SchemaError, match="finite"):
+            parse_document(text)
+
     def test_envelope_parsed(self):
         phi, env = parse_document(
             '{"terms":[{"set":[0],"coef":[1,0]}],"envelope":{"C":2.5,"p":1.0}}'
@@ -91,6 +104,10 @@ class TestSerialization:
         phi = F(([2], 1), ([0, 1], 2), ([1], 3))
         obj = json.loads(serialize_functional(phi))
         assert [t["set"] for t in obj["terms"]] == [[1], [0, 1], [2]]
+
+    def test_non_finite_coefficient_not_emitted(self):
+        with pytest.raises(ValueError):
+            serialize_functional(F(([0], complex(float("inf"), 0.0))))
 
     def test_envelope_included_when_given(self):
         text = serialize_functional(F(([0], 1)), GrowthEnvelope(1.0, 0.0))
@@ -112,7 +129,7 @@ class TestSerialization:
     )
     def test_round_trip_arbitrary_floats(self, raw):
         phi = make_functional(
-            [(canonical_subset(s), complex(re, im)) for s, (re, im) in raw.items()]
+            [(SubsetIndex(s), complex(re, im)) for s, (re, im) in raw.items()]
         )
         assert parse_functional(serialize_functional(phi)) == phi
 
