@@ -39,6 +39,7 @@ from .covariance import CovarianceReport, cov_identity, cov_p, var_bound, var_p
 from .errors import (
     BadTagError,
     CapExceededError,
+    ConfigError,
     DivergentSeriesError,
     DuplicateKeyError,
     EmptySupportError,
@@ -46,6 +47,7 @@ from .errors import (
     FockCalcError,
     HorizonTooLargeError,
     NegativeIndexError,
+    NonFiniteResultError,
     PredictabilityViolatedError,
     RequiresExhaustiveError,
     SchemaError,

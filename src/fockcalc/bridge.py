@@ -111,9 +111,10 @@ def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
             f"support reaches index {phi.support_max}, horizon is {space.horizon}"
         )
     values = np.zeros(space.num_paths, dtype=np.complex128)
-    for sigma, coef in phi.items():
-        if sigma.elements:
-            prod = np.prod(space.signs[:, list(sigma.elements)], axis=1)
+    for mask, coef in sorted(phi._terms.items()):
+        if mask:
+            members = [k for k in range(mask.bit_length()) if mask >> k & 1]
+            prod = np.prod(space.signs[:, members], axis=1)
             values += coef * prod
         else:
             values += coef
@@ -129,6 +130,11 @@ def path_expectation(obs: PathObservable) -> complex:
     return complex(np.sum(obs.values) / obs.space.num_paths)
 
 
+def _require_exhaustive(space: PathSpace) -> None:
+    if space.mode != "exhaustive":
+        raise RequiresExhaustiveError("pathwise conditioning needs the exhaustive space")
+
+
 def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
     """Average over the paths sharing coordinates 0..k (exhaustive only).
 
@@ -136,8 +142,7 @@ def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
     conditions on everything and returns the values unchanged.
     """
     space = obs.space
-    if space.mode != "exhaustive":
-        raise RequiresExhaustiveError("pathwise conditioning needs the exhaustive space")
+    _require_exhaustive(space)
     if k < -1:
         raise ValueError(f"conditioning level must be >= -1, got {k}")
     if k >= space.horizon - 1:
@@ -169,9 +174,9 @@ def check_orthonormality(N: int) -> float:
         raise HorizonTooLargeError(
             f"all-pairs sweep at horizon {N} exceeds cap {MAX_ORTHONORMALITY_HORIZON}"
         )
-    space = build_space(N, "exhaustive")
-    # means[mask] = weighted path mean of the product of the mask's signs.
-    means = space.weights.astype(np.float64).copy()
+    # means[mask] = weighted path mean of the product of the mask's signs,
+    # starting from the uniform weight of every path.
+    means = np.full(1 << N, 2.0 ** (-N))
     for bit in range(N):
         h = 1 << bit
         view = means.reshape(-1, 2, h)
@@ -181,39 +186,41 @@ def check_orthonormality(N: int) -> float:
     return max(abs(means[0] - 1.0), float(np.max(np.abs(means[1:]))))
 
 
-def classical_clark_ocone_check(phi: FockFunctional, N: int) -> float:
+def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
     """Pathwise residual of the classical predictable representation.
 
     Rebuilds the functional as its mean plus, per coordinate k, the k-th sign
     times the conditional mean (given coordinates before k) of the site-k
-    annihilation — all realized pathwise on the exhaustive space.  Returns
-    the max path deviation from the direct realization.
+    annihilation — all realized pathwise on the exhaustive ``space``.
+    Returns the max path deviation from the direct realization.
     """
-    if N > MAX_ORTHONORMALITY_HORIZON:
+    _require_exhaustive(space)
+    if space.horizon > MAX_ORTHONORMALITY_HORIZON:
         raise HorizonTooLargeError(
-            f"horizon {N} exceeds cap {MAX_ORTHONORMALITY_HORIZON}"
+            f"horizon {space.horizon} exceeds cap {MAX_ORTHONORMALITY_HORIZON}"
         )
-    space = build_space(N, "exhaustive")
-    direct = evaluate(phi, space).values
-    rebuilt = np.full(space.num_paths, path_expectation(evaluate(phi, space)))
-    for k in range(N):
+    direct = evaluate(phi, space)
+    rebuilt = np.full(space.num_paths, path_expectation(direct))
+    for k in range(space.horizon):
         gradient = evaluate(annihilate(phi, k), space)
         predictable = path_cond_expect(gradient, k - 1).values
         rebuilt = rebuilt + space.signs[:, k] * predictable
-    return float(np.max(np.abs(direct - rebuilt)))
+    return float(np.max(np.abs(direct.values - rebuilt)))
 
 
-def check_intertwining(phi: FockFunctional, k: int, N: int) -> tuple[float, float, float]:
+def check_intertwining(
+    phi: FockFunctional, k: int, space: PathSpace
+) -> tuple[float, float, float]:
     """Crosswise gaps between coefficient operators and their path actions.
 
-    Returns max-over-path gaps for (a) site-k annihilation versus the
-    sign-flip finite difference (value at coordinate k forced to +1 minus
-    forced to -1, halved), (b) the mean part versus the pathwise mean, and
-    (c) level-k conditioning versus pathwise conditioning.
+    Returns max-over-path gaps on the exhaustive ``space`` for (a) site-k
+    annihilation versus the sign-flip finite difference (value at coordinate
+    k forced to +1 minus forced to -1, halved), (b) the mean part versus the
+    pathwise mean, and (c) level-k conditioning versus pathwise conditioning.
     """
-    if not 0 <= k < N:
-        raise ValueError(f"site {k} outside horizon {N}")
-    space = build_space(N, "exhaustive")
+    _require_exhaustive(space)
+    if not 0 <= k < space.horizon:
+        raise ValueError(f"site {k} outside horizon {space.horizon}")
     values = evaluate(phi, space).values
 
     index = np.arange(space.num_paths)

@@ -21,7 +21,6 @@ from typing import Dict, Sequence, Tuple
 
 from .errors import PredictabilityViolatedError
 from .functional import FockFunctional, linear_combine, norm_dual, sum_functionals
-from .gamma import EMPTY_SET
 from .operators import annihilate, cond_expect, create, expect
 
 DEFAULT_Q_PROBE = (0.0, 1.0, 2.0)
@@ -162,20 +161,20 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
     """
     smax = phi.support_max
     centered = linear_combine(1.0, phi, -1.0, expect(phi))
-    probes = phi.support()
-    if EMPTY_SET not in set(probes):
-        probes.append(EMPTY_SET)
-    terminal = partial_sum(phi, smax) if smax >= 0 else FockFunctional({})
-    pointwise = max(
-        abs(terminal.coefficient(s) - centered.coefficient(s)) for s in probes
-    )
+    # Probe masks: phi's support plus the empty set (mask 0).
+    probes = list(phi._terms)
+    if 0 not in phi._terms:
+        probes.append(0)
+    source = phi._terms
+    terminal = (partial_sum(phi, smax) if smax >= 0 else FockFunctional({}))._terms
+    pointwise = max(abs(terminal.get(m, 0j) - centered._terms.get(m, 0j)) for m in probes)
     excess = 0.0
     running = FockFunctional({})
     # At an unoccupied site the running sum, and so its excess, is unchanged.
     for n in phi.sites():
         running = linear_combine(1.0, running, 1.0, co_term(phi, n))
-        for s in probes:
-            excess = max(excess, abs(running.coefficient(s)) - abs(phi.coefficient(s)))
+        for m in probes:
+            excess = max(excess, abs(running._terms.get(m, 0j)) - abs(source.get(m, 0j)))
     return pointwise, excess
 
 

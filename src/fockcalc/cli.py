@@ -35,6 +35,7 @@ from .serialization import (
     functional_to_obj,
     parse_functional,
     parse_subset,
+    to_json,
 )
 from .suite import BRIDGE_TOLERANCE, SUITE_NAMES, SuiteConfig, run_suite
 
@@ -51,7 +52,7 @@ def _load_functional(path: str) -> FockFunctional:
 
 
 def _emit(payload, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    text = to_json(payload, indent=2)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")
@@ -147,11 +148,12 @@ def _cmd_bridge(args) -> int:
         return 0
 
     if args.k is not None:
-        # Single-site intertwining sweep over a fresh corpus.
+        # Single-site intertwining sweep over a fresh corpus on one space.
+        space = build_space(args.horizon, "exhaustive")
         corpus = random_functionals(
             args.trials, args.seed, support_max=args.horizon - 1
         )
-        gap = max(max(check_intertwining(phi, args.k, args.horizon)) for phi in corpus)
+        gap = max(max(check_intertwining(phi, args.k, space)) for phi in corpus)
         record = {
             "check": "intertwining",
             "N": args.horizon,

@@ -12,8 +12,10 @@ from typing import List
 
 import numpy as np
 
-from .functional import FockFunctional, make_functional
-from .gamma import SubsetIndex
+from .functional import FockFunctional
+
+#: Largest ``support_max``: masks are drawn below 2**(support_max + 1) as int64.
+SUPPORT_MAX_LIMIT = 61
 
 
 def random_functional(
@@ -25,9 +27,9 @@ def random_functional(
     n_terms = min(n_terms, population)
     masks = rng.choice(population, size=n_terms, replace=False)
     coefs = rng.uniform(-1.0, 1.0, size=(n_terms, 2))
-    return make_functional(
-        (SubsetIndex.from_mask(int(m)), complex(c[0], c[1]))
-        for m, c in zip(masks, coefs)
+    # The masks are distinct, so they key the coefficient map directly.
+    return FockFunctional._of_masks(
+        {int(m): z for m, c in zip(masks, coefs) if (z := complex(c[0], c[1]))}
     )
 
 

@@ -17,6 +17,10 @@ class WeightOverflowError(FockCalcError):
     """The subset weight product left the representable floating-point range."""
 
 
+class NonFiniteResultError(FockCalcError, ValueError):
+    """A result the inputs determine lies beyond the floating-point range."""
+
+
 class DivergentSeriesError(FockCalcError):
     """The requested exponent makes the underlying series diverge."""
 
@@ -51,6 +55,10 @@ class PredictabilityViolatedError(FockCalcError):
 
 class SchemaError(FockCalcError):
     """JSON input does not conform to the documented schema."""
+
+
+class ConfigError(FockCalcError, ValueError):
+    """A run option lies outside the range the suites support."""
 
 
 class BadTagError(FockCalcError):

@@ -8,6 +8,10 @@ generalized (dual-space) element it holds the coefficient function that
 uniquely determines the functional.  The coefficient arrays coincide under
 the Riesz identification, so one type suffices.
 
+The map is stored keyed by subset bit-masks (plain ints), so the operators,
+norms and pairings run on integers; ``SubsetIndex`` values appear only at
+the boundary, in ``items``, ``support``, ``coefficient`` and the builders.
+
 Pairing conventions, fixed here once for the whole package:
 
 * ``inner_p``      conjugates its FIRST argument (Hermitian inner product of
@@ -23,51 +27,69 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import DuplicateKeyError, EmptySupportError, ExponentTooSmallError
+from .errors import (
+    DuplicateKeyError,
+    EmptySupportError,
+    ExponentTooSmallError,
+    NonFiniteResultError,
+    WeightOverflowError,
+)
 from .gamma import (
-    EMPTY_SET,
     GammaCursor,
     SubsetIndex,
     enumerate_gamma,
     gamma_weight_sum_limit,
     lambda_weight,
+    mask_weight,
 )
 
 
 class FockFunctional:
-    """Immutable finite map from SubsetIndex to complex coefficient.
+    """Immutable finite map from subsets to complex coefficients.
 
-    Exact zeros are dropped on construction, so the stored support is the
-    true support.  Use ``make_functional`` / ``basis_element`` to build one.
+    The terms are stored as a dict from subset bit-mask to coefficient;
+    ``SubsetIndex`` is the boundary type of the accessors.  Exact zeros are
+    dropped on construction, so the stored support is the true support.  Use
+    ``make_functional`` / ``basis_element`` to build one.
     """
 
     __slots__ = ("_terms",)
 
-    _terms: Dict[SubsetIndex, complex]
+    _terms: Dict[int, complex]
 
     def __init__(self, terms: Dict[SubsetIndex, complex]):
         object.__setattr__(
-            self, "_terms", {s: complex(c) for s, c in terms.items() if complex(c) != 0}
+            self,
+            "_terms",
+            {s.mask: complex(c) for s, c in terms.items() if complex(c) != 0},
         )
+
+    @classmethod
+    def _of_masks(cls, terms: Dict[int, complex]) -> "FockFunctional":
+        # Takes ownership of a mask-keyed map of nonzero complex coefficients,
+        # as the operators produce by selecting and re-keying existing terms.
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FockFunctional is immutable")
 
     def coefficient(self, sigma: SubsetIndex) -> complex:
         """Stored coefficient at ``sigma``, or 0 when absent."""
-        return self._terms.get(sigma, 0j)
+        return self._terms.get(sigma.mask, 0j)
 
     def items(self) -> List[Tuple[SubsetIndex, complex]]:
         """Term list in ascending bit-mask order (deterministic)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].mask)
+        return [(SubsetIndex.from_mask(m), c) for m, c in sorted(self._terms.items())]
 
     def support(self) -> List[SubsetIndex]:
-        return sorted(self._terms.keys(), key=lambda s: s.mask)
+        return [SubsetIndex.from_mask(m) for m in sorted(self._terms)]
 
     @property
     def support_max(self) -> int:
         """Largest index appearing in any support set; -1 if none do."""
-        return max((s.max_element for s in self._terms), default=-1)
+        return max(self._terms, default=0).bit_length() - 1
 
     def sites(self) -> List[int]:
         """Ascending indices that appear in some support set.
@@ -75,7 +97,10 @@ class FockFunctional:
         Annihilation at any other index gives zero, so the decomposition and
         covariance site loops visit only these.
         """
-        return sorted({k for s in self._terms for k in s.elements})
+        union = 0
+        for m in self._terms:
+            union |= m
+        return list(SubsetIndex.from_mask(union).elements)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -95,44 +120,48 @@ class FockFunctional:
         return f"FockFunctional({{{parts}}})"
 
 
+def _nonzero(terms: Dict[int, complex]) -> FockFunctional:
+    return FockFunctional._of_masks({m: c for m, c in terms.items() if c != 0})
+
+
 def make_functional(terms: Iterable[Tuple[SubsetIndex, complex]]) -> FockFunctional:
     """Build a functional from (subset, coefficient) pairs.
 
     Zero coefficients are dropped; a repeated subset raises DuplicateKeyError.
     """
-    out: Dict[SubsetIndex, complex] = {}
+    out: Dict[int, complex] = {}
     for sigma, coef in terms:
-        if sigma in out:
+        if sigma.mask in out:
             raise DuplicateKeyError(f"subset {list(sigma.elements)} appears twice")
-        out[sigma] = complex(coef)
-    return FockFunctional(out)
+        out[sigma.mask] = complex(coef)
+    return _nonzero(out)
 
 
 def basis_element(sigma: SubsetIndex) -> FockFunctional:
     """The canonical basis functional carrying coefficient 1 at ``sigma``."""
-    return FockFunctional({sigma: 1.0 + 0j})
+    return FockFunctional._of_masks({sigma.mask: 1.0 + 0j})
 
 
-ZERO = FockFunctional({})
+ZERO = FockFunctional._of_masks({})
 
 
 def linear_combine(
     a: complex, phi: FockFunctional, b: complex, psi: FockFunctional
 ) -> FockFunctional:
     """Coefficient-wise a*phi + b*psi; exact cancellations drop the key."""
-    out = {s: a * c for s, c in phi._terms.items()}
-    for s, c in psi._terms.items():
-        out[s] = out.get(s, 0j) + b * c
-    return FockFunctional(out)
+    out = {m: a * c for m, c in phi._terms.items()}
+    for m, c in psi._terms.items():
+        out[m] = out.get(m, 0j) + b * c
+    return _nonzero(out)
 
 
 def sum_functionals(phis: Iterable[FockFunctional]) -> FockFunctional:
     """Coefficient-wise sum, accumulated in the given order."""
-    out: Dict[SubsetIndex, complex] = {}
+    out: Dict[int, complex] = {}
     for phi in phis:
-        for s, c in phi._terms.items():
-            out[s] = out.get(s, 0j) + c
-    return FockFunctional(out)
+        for m, c in phi._terms.items():
+            out[m] = out.get(m, 0j) + c
+    return _nonzero(out)
 
 
 def _fsum_complex(parts: Sequence[complex]) -> complex:
@@ -146,28 +175,76 @@ def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
     Conjugate-linear in the first argument, linear in the second.
     """
     parts = []
-    for s, c in xi._terms.items():
-        other = eta._terms.get(s)
+    for m, c in xi._terms.items():
+        other = eta._terms.get(m)
         if other is not None:
-            parts.append(lambda_weight(s) ** (2.0 * p) * c.conjugate() * other)
+            parts.append(mask_weight(m) ** (2.0 * p) * c.conjugate() * other)
     return _fsum_complex(parts)
+
+
+def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
+    """(m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e.
+
+    Each term's magnitude |coef| * weight**exponent is kept as a mantissa
+    times a power of two: the coefficient's binary exponent is split off
+    exactly (``math.frexp``) and the weight factor enters through
+    exponent * log2(weight).  The sum is shifted by the largest power, so
+    ``m`` is finite and nonzero for every nonzero functional even where the
+    norm itself overflows or underflows; (0.0, 0) for the zero functional.
+    ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
+    """
+    terms = []
+    for m, c in phi._terms.items():
+        _, c_exp = math.frexp(max(abs(c.real), abs(c.imag)))
+        c_mant = abs(complex(math.ldexp(c.real, -c_exp), math.ldexp(c.imag, -c_exp)))
+        log2_weight = math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
+        w_log = exponent * log2_weight
+        w_exp = math.floor(w_log)
+        terms.append((c_mant * 2.0 ** (w_log - w_exp), c_exp + w_exp))
+    if not terms:
+        return 0.0, 0
+    top = max(e for _, e in terms)
+    total = math.fsum(math.ldexp(mant, e - top) ** 2 for mant, e in terms)
+    return math.sqrt(total), top
+
+
+def _weighted_norm(phi: FockFunctional, exponent: float) -> float:
+    try:
+        value = math.sqrt(
+            math.fsum(
+                mask_weight(m) ** (2.0 * exponent) * abs(c) ** 2
+                for m, c in phi._terms.items()
+            )
+        )
+    except (OverflowError, WeightOverflowError):
+        value = math.inf
+    if 0.0 < value < math.inf or not phi:
+        return value
+    # A squared term left the double range although the norm may not have.
+    mant, exp2 = norm_parts(phi, exponent)
+    try:
+        return math.ldexp(mant, exp2)
+    except OverflowError:
+        magnitude = exp2 * math.log10(2.0) + math.log10(mant)
+        raise NonFiniteResultError(
+            f"norm of about 1e{magnitude:.0f} overflows a double"
+        ) from None
 
 
 def norm_p(xi: FockFunctional, p: float) -> float:
     """Weighted norm sqrt(sum(weight**(2p) * |coef|**2)).
 
-    A basis element at sigma has norm weight(sigma)**p.
+    A basis element at sigma has norm weight(sigma)**p.  When squaring a term
+    leaves the double range the norm is evaluated through ``norm_parts``; a
+    norm beyond the range raises NonFiniteResultError, and one below the
+    smallest subnormal rounds to 0.0.
     """
-    return math.sqrt(
-        math.fsum(lambda_weight(s) ** (2.0 * p) * abs(c) ** 2 for s, c in xi._terms.items())
-    )
+    return _weighted_norm(xi, p)
 
 
 def norm_dual(phi: FockFunctional, p: float) -> float:
-    """Dual-chain norm sqrt(sum(weight**(-2p) * |coef|**2))."""
-    return math.sqrt(
-        math.fsum(lambda_weight(s) ** (-2.0 * p) * abs(c) ** 2 for s, c in phi._terms.items())
-    )
+    """Dual-chain norm sqrt(sum(weight**(-2p) * |coef|**2)), ranged as ``norm_p``."""
+    return _weighted_norm(phi, -p)
 
 
 def inner_dual(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
@@ -177,10 +254,10 @@ def inner_dual(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
     ``inner_p``;  inner_dual(phi, phi, p) equals norm_dual(phi, p)**2.
     """
     parts = []
-    for s, c in phi._terms.items():
-        other = psi._terms.get(s)
+    for m, c in phi._terms.items():
+        other = psi._terms.get(m)
         if other is not None:
-            parts.append(lambda_weight(s) ** (-2.0 * p) * c * other.conjugate())
+            parts.append(mask_weight(m) ** (-2.0 * p) * c * other.conjugate())
     return _fsum_complex(parts)
 
 
@@ -191,8 +268,8 @@ def dual_pair(phi: FockFunctional, xi: FockFunctional) -> complex:
     basis element this picks out phi's coefficient at that subset.
     """
     parts = []
-    for s, c in xi._terms.items():
-        other = phi._terms.get(s)
+    for m, c in xi._terms.items():
+        other = phi._terms.get(m)
         if other is not None:
             parts.append(c * other)
     return _fsum_complex(parts)
@@ -217,7 +294,7 @@ class GrowthEnvelope:
         own functional exactly rather than up to a rounding ulp.
         """
         return all(
-            abs(c) / lambda_weight(s) ** self.p <= self.C for s, c in phi._terms.items()
+            abs(c) / mask_weight(m) ** self.p <= self.C for m, c in phi._terms.items()
         )
 
 
@@ -229,7 +306,7 @@ def fit_envelope(phi: FockFunctional, p: float) -> GrowthEnvelope:
     """
     if not phi:
         raise EmptySupportError("cannot fit an envelope to an empty support")
-    c = max(abs(v) / lambda_weight(s) ** p for s, v in phi._terms.items())
+    c = max(abs(v) / mask_weight(m) ** p for m, v in phi._terms.items())
     return GrowthEnvelope(C=c, p=p)
 
 

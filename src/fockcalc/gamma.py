@@ -9,10 +9,16 @@ which generates the whole chain of weighted norms used elsewhere.  This module
 owns the subset encoding, deterministic enumeration of all subsets below a
 bound, and the weight-sum evaluations (truncated, and certified upper bounds
 for the untruncated series).
+
+The coefficient core stores a subset as its bit-mask, a plain int with bit k
+set iff k is a member, and ``mask_weight`` weighs it directly.
+``SubsetIndex`` is the boundary type: it wraps a mask with its element tuple
+for the callers that see subsets (term listings, lookups and JSON I/O).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -27,6 +33,9 @@ GAMMA_HARD_CAP = 24
 #: Number of leading terms summed before switching to the integral tail bound.
 SERIES_CUTOFF = 10**6
 
+#: Distinct masks whose weights ``mask_weight`` keeps memoised.
+WEIGHT_CACHE_SIZE = 1 << 14
+
 
 class SubsetIndex:
     """An immutable finite subset of the nonnegative integers.
@@ -36,7 +45,7 @@ class SubsetIndex:
     their element tuples are identical.
     """
 
-    __slots__ = ("elements", "_mask", "_hash", "_weight")
+    __slots__ = ("elements", "_mask", "_hash")
 
     elements: tuple[int, ...]
 
@@ -50,7 +59,6 @@ class SubsetIndex:
             mask |= 1 << k
         object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "_hash", hash(elems))
-        object.__setattr__(self, "_weight", None)
 
     @classmethod
     def _from_sorted(cls, elems: tuple[int, ...], mask: int) -> "SubsetIndex":
@@ -59,7 +67,6 @@ class SubsetIndex:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "_hash", hash(elems))
-        object.__setattr__(self, "_weight", None)
         return self
 
     @classmethod
@@ -172,23 +179,36 @@ def enumerate_gamma(cursor: GammaCursor) -> Iterator[SubsetIndex]:
         yield SubsetIndex.from_mask(mask)
 
 
+@functools.lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def mask_weight(mask: int) -> float:
+    """Weight of the subset encoded by ``mask``: the product of (k + 1) over its bits.
+
+    The factors are multiplied in ascending bit order.  The empty mask weighs
+    1; every weight is >= 1.  Raises WeightOverflowError instead of returning
+    infinity.
+    """
+    if mask < 0:
+        raise NegativeIndexError("bit-mask must be nonnegative")
+    w = 1.0
+    m = mask
+    while m:
+        low = m & -m
+        w *= float(low.bit_length())
+        m ^= low
+    if math.isinf(w):
+        raise WeightOverflowError(
+            f"weight of {SubsetIndex.from_mask(mask)!r} overflows a double"
+        )
+    return w
+
+
 def lambda_weight(sigma: SubsetIndex) -> float:
     """Weight of a subset: the product of (k + 1) over its members.
 
     The empty set weighs 1; every weight is >= 1.  Computed in floating point;
-    raises WeightOverflowError instead of returning infinity.  The value is
-    memoized on the subset (subsets are immutable and shared across maps).
+    raises WeightOverflowError instead of returning infinity.
     """
-    cached = sigma._weight
-    if cached is not None:
-        return cached
-    w = 1.0
-    for k in sigma.elements:
-        w *= float(k + 1)
-    if math.isinf(w):
-        raise WeightOverflowError(f"weight of {sigma!r} overflows a double")
-    object.__setattr__(sigma, "_weight", w)
-    return w
+    return mask_weight(sigma.mask)
 
 
 def gamma_weight_sum(p: float, max_index: int) -> float:

@@ -19,27 +19,30 @@ measures as a residual norm.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import BadTagError, NegativeIndexError
-from .functional import FockFunctional, linear_combine, norm_dual
+from .errors import BadTagError, NegativeIndexError, NonFiniteResultError
+from .functional import FockFunctional, linear_combine, norm_dual, norm_parts
 
 
 def annihilate(phi: FockFunctional, k: int) -> FockFunctional:
     """Remove site ``k``: terms containing k shift to their k-less subset."""
     if k < 0:
         raise NegativeIndexError(f"site index must be >= 0, got {k}")
-    return FockFunctional(
-        {s.without_element(k): c for s, c in phi._terms.items() if k in s}
-    )
+    bit = 1 << k
+    return FockFunctional._of_masks({m ^ bit: c for m, c in phi._terms.items() if m & bit})
 
 
 def create(phi: FockFunctional, k: int) -> FockFunctional:
     """Insert site ``k``: terms missing k shift to their k-extended subset."""
     if k < 0:
         raise NegativeIndexError(f"site index must be >= 0, got {k}")
-    return FockFunctional(
-        {s.with_element(k): c for s, c in phi._terms.items() if k not in s}
+    bit = 1 << k
+    return FockFunctional._of_masks(
+        {m | bit: c for m, c in phi._terms.items() if not m & bit}
     )
 
 
@@ -47,11 +50,13 @@ def cond_expect(phi: FockFunctional, k: int) -> FockFunctional:
     """Truncate to the terms measurable at level ``k`` (max of support <= k).
 
     ``k = -1`` keeps only the constant term, matching ``expect``; the empty
-    set (max taken as -1) survives every level.
+    set (max taken as -1) survives every level.  On masks this keeps exactly
+    those below 2**(k+1).
     """
     if k < -1:
         raise ValueError(f"conditioning level must be >= -1, got {k}")
-    return FockFunctional({s: c for s, c in phi._terms.items() if s.max_element <= k})
+    limit = 1 << (k + 1)
+    return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m < limit})
 
 
 def expect(phi: FockFunctional) -> FockFunctional:
@@ -95,6 +100,18 @@ class NormBoundReport:
         return self.annihilate_ok and self.create_ok and self.cond_expect_ok
 
 
+def _dual_norm_in_range(phi: FockFunctional, p: float) -> Optional[float]:
+    # The dual norm when it is 0 for a zero functional or a normal double,
+    # else None: there a ratio of plain norms would read 0/0, x/0 or x/inf.
+    try:
+        value = norm_dual(phi, p)
+    except NonFiniteResultError:
+        return None
+    if value >= sys.float_info.min or not phi:
+        return value
+    return None
+
+
 def verify_norm_bounds(
     phi: FockFunctional, k: int, p: float, slack: float = 1e-12
 ) -> NormBoundReport:
@@ -104,14 +121,22 @@ def verify_norm_bounds(
     rounding.  Basis witnesses make the first two ceilings tight: the
     single-site element {k} for annihilation, the constant for creation.
     """
-    base = norm_dual(phi, p)
+    base = _dual_norm_in_range(phi, p)
 
-    def ratio(value: float) -> float:
-        return value / base if base > 0.0 else 0.0
+    def ratio(image: FockFunctional) -> float:
+        value = _dual_norm_in_range(image, p)
+        if base is not None and value is not None:
+            return value / base if base > 0.0 else 0.0
+        # A norm beyond the normal double range; the ratio may still be within it.
+        if not image:
+            return 0.0
+        mant, exp2 = norm_parts(image, -p)
+        base_mant, base_exp2 = norm_parts(phi, -p)
+        return math.ldexp(mant / base_mant, exp2 - base_exp2)
 
-    ann = ratio(norm_dual(annihilate(phi, k), p))
-    cre = ratio(norm_dual(create(phi, k), p))
-    cnd = ratio(norm_dual(cond_expect(phi, k), p))
+    ann = ratio(annihilate(phi, k))
+    cre = ratio(create(phi, k))
+    cnd = ratio(cond_expect(phi, k))
     ann_bound = (1.0 + k) ** p
     cre_bound = (1.0 + k) ** (-p)
     return NormBoundReport(

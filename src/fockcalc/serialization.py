@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .clark_ocone import DecompositionReport
 from .covariance import CovarianceReport
-from .errors import DuplicateKeyError, NegativeIndexError, SchemaError
+from .errors import DuplicateKeyError, NegativeIndexError, NonFiniteResultError, SchemaError
 from .functional import FockFunctional, GrowthEnvelope, make_functional
 from .gamma import SubsetIndex
 
@@ -119,10 +119,40 @@ def functional_to_obj(
     return obj
 
 
+def _non_finite_field(value: Any, where: str) -> Optional[str]:
+    # Path of the first non-finite float in a JSON-ready payload, if any.
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        children = ((f"{where}.{k}" if where else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for path, child in children:
+        found = _non_finite_field(child, path)
+        if found is not None:
+            return found
+    return None
+
+
+def to_json(payload: Any, indent: Optional[int] = None) -> str:
+    """Strict JSON text; a non-finite number raises NonFiniteResultError naming its field."""
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError:
+        field = _non_finite_field(payload, "")
+        if field is None:
+            raise
+        raise NonFiniteResultError(
+            f"output field {field} is not a finite number"
+        ) from None
+
+
 def serialize_functional(
     phi: FockFunctional, envelope: Optional[GrowthEnvelope] = None, indent: Optional[int] = None
 ) -> str:
-    return json.dumps(functional_to_obj(phi, envelope), indent=indent, allow_nan=False)
+    return to_json(functional_to_obj(phi, envelope), indent=indent)
 
 
 def decomposition_to_obj(report: DecompositionReport) -> Dict[str, Any]:

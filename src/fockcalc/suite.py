@@ -20,8 +20,9 @@ from .bridge import (
     plancherel_check,
 )
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
-from .corpus import random_functionals
+from .corpus import SUPPORT_MAX_LIMIT, random_functionals
 from .covariance import cov_identity, var_bound, var_p
+from .errors import ConfigError
 from .functional import (
     FockFunctional,
     basis_element,
@@ -59,9 +60,16 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
+            raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.support_max <= SUPPORT_MAX_LIMIT:
+            raise ConfigError(
+                f"support_max must lie in 0..{SUPPORT_MAX_LIMIT} (supports are drawn as "
+                f"int64 bit-masks), got {self.support_max}"
+            )
+        if self.max_terms < 1:
+            raise ConfigError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 def _scale(phi: FockFunctional) -> float:
@@ -211,16 +219,17 @@ def _check_covariance(cfg: SuiteConfig) -> Dict[str, Any]:
 
 def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
     n = cfg.horizon
+    # Built first, so an unsupported horizon fails on the space's own limit.
+    space = build_space(n, "exhaustive")
     corpus = random_functionals(
         cfg.trials, cfg.seed, support_max=n - 1, max_terms=cfg.max_terms
     )
-    space = build_space(n, "exhaustive")
 
     ortho_gap = check_orthonormality(n)
 
-    co_gaps = [classical_clark_ocone_check(phi, n) for phi in corpus]
+    co_gaps = [classical_clark_ocone_check(phi, space) for phi in corpus]
     twine_gaps = [
-        max(max(check_intertwining(phi, k, n)) for k in range(n)) for phi in corpus
+        max(max(check_intertwining(phi, k, space)) for k in range(n)) for phi in corpus
     ]
     plancherel_gaps = [
         plancherel_check(phi, space) / (1.0 + norm_p(phi, 0.0) ** 2) for phi in corpus

@@ -214,11 +214,11 @@ def test_c08_bridge_exactness(bridge_corpus200):
     space = build_space(n, "exhaustive")
     worst_co = worst_twine = worst_plancherel = 0.0
     for phi in bridge_corpus200:
-        co_gap = classical_clark_ocone_check(phi, n)
+        co_gap = classical_clark_ocone_check(phi, space)
         assert co_gap <= BRIDGE_TOL
         worst_co = max(worst_co, co_gap)
         for k in range(n):
-            gaps = check_intertwining(phi, k, n)
+            gaps = check_intertwining(phi, k, space)
             assert max(gaps) <= BRIDGE_TOL
             worst_twine = max(worst_twine, *gaps)
         pgap = plancherel_check(phi, space)

@@ -185,23 +185,47 @@ class TestOrthonormality:
 
 class TestClassicalClarkOcone:
     def test_two_site_basis(self):
-        assert classical_clark_ocone_check(basis_element(SubsetIndex([0, 2])), 3) == 0.0
+        assert classical_clark_ocone_check(basis_element(SubsetIndex([0, 2])), build_space(3)) == 0.0
 
     def test_pure_mean(self):
-        assert classical_clark_ocone_check(basis_element(SubsetIndex([])), 2) == 0.0
+        assert classical_clark_ocone_check(basis_element(SubsetIndex([])), build_space(2)) == 0.0
 
     def test_random_corpus(self):
+        space = build_space(6)
         for phi in random_functionals(50, seed=52, support_max=5, max_terms=12):
-            assert classical_clark_ocone_check(phi, 6) <= 1e-10
+            assert classical_clark_ocone_check(phi, space) <= 1e-10
 
     def test_support_must_fit(self):
         with pytest.raises(SupportExceedsHorizonError):
-            classical_clark_ocone_check(F(([4], 1)), 3)
+            classical_clark_ocone_check(F(([4], 1)), build_space(3))
+
+
+class TestSpaceArguments:
+    def test_sampled_space_rejected(self):
+        space = build_space(3, "sampled", M=10, seed=1)
+        with pytest.raises(RequiresExhaustiveError):
+            classical_clark_ocone_check(MIXED, space)
+        with pytest.raises(RequiresExhaustiveError):
+            check_intertwining(MIXED, 0, space)
+
+    def test_bridge_suite_builds_one_space(self, monkeypatch):
+        import fockcalc.suite as suite
+
+        built = []
+
+        def counting_build_space(*args, **kwargs):
+            built.append(args)
+            return build_space(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "build_space", counting_build_space)
+        report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=3, horizon=5))
+        assert report["pass"]
+        assert built == [(5, "exhaustive")]
 
 
 class TestIntertwining:
     def test_two_site_basis(self):
-        assert check_intertwining(basis_element(SubsetIndex([0, 2])), 2, 3) == (
+        assert check_intertwining(basis_element(SubsetIndex([0, 2])), 2, build_space(3)) == (
             0.0,
             0.0,
             0.0,
@@ -209,13 +233,15 @@ class TestIntertwining:
 
     def test_constant(self):
         z = basis_element(SubsetIndex([]))
+        space = build_space(3)
         for k in range(3):
-            assert check_intertwining(z, k, 3) == (0.0, 0.0, 0.0)
+            assert check_intertwining(z, k, space) == (0.0, 0.0, 0.0)
 
     def test_random_corpus(self):
+        space = build_space(6)
         for phi in random_functionals(20, seed=53, support_max=5, max_terms=10):
             for k in range(6):
-                gaps = check_intertwining(phi, k, 6)
+                gaps = check_intertwining(phi, k, space)
                 assert max(gaps) <= 1e-10
 
     def test_flip_difference_matches_annihilation(self):

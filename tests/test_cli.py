@@ -97,6 +97,15 @@ class TestNormCommand:
         assert err.startswith("error: ")
 
 
+    def test_huge_coefficient_norm_is_exact(self, capsys, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"terms":[{"set":[0],"coef":[1e300,0]}]}')
+        for extra in ((), ("--dual", "--p", "3")):
+            code, out, _ = run_cli(capsys, "norm", str(doc), *extra)
+            assert code == 0
+            assert float(out) == 1e300
+
+
 class TestApplyCommand:
     def test_site_round_trip(self, capsys, phi_file):
         code, out, _ = run_cli(capsys, "apply", phi_file, "--pipeline", "annihilate:2,create:2")
@@ -145,6 +154,27 @@ class TestCovCommand:
         assert obj["lhs"] == [9.0, 0.0]
         assert obj["gap"] == 0.0
 
+    def test_non_finite_field_is_named(self, capsys, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"terms":[{"set":[],"coef":[1e300,0]},{"set":[1],"coef":[1e300,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: output field lhs")
+
+
+class TestDecomposeHugeCoefficient:
+    def test_residuals_stay_finite(self, capsys, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"terms":[{"set":[0],"coef":[1e300,0]},{"set":[1],"coef":[1e300,0]}]}')
+        code, out, _ = run_cli(capsys, "decompose", str(doc), "--q", "0")
+        assert code == 0
+        residuals = json.loads(out)["residuals"]
+        assert residuals == [
+            {"n": 0, "q": 0.0, "residual": 1e300},
+            {"n": 1, "q": 0.0, "residual": 0.0},
+        ]
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys, tmp_path):
@@ -178,6 +208,19 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "option, value, limit",
+        [("--support-max", "62", "0..61"), ("--support-max", "-1", "0..61"),
+         ("--max-terms", "0", ">= 1")],
+    )
+    def test_option_out_of_range_names_option_and_limit(self, capsys, option, value, limit):
+        code, out, err = run_cli(capsys, "verify", "--suite", "car", "--trials", "2", option, value)
+        assert code == 2
+        assert out == ""
+        name = option[2:].replace("-", "_")
+        assert err.startswith(f"error: {name} must ")
+        assert limit in err and f"got {value}" in err
 
     def test_repeat_runs_identical_modulo_timestamp(self, capsys):
         reports = []

@@ -12,6 +12,7 @@ from fockcalc import (
     FockFunctional,
     GammaCursor,
     GrowthEnvelope,
+    NonFiniteResultError,
     SubsetIndex,
     ZERO,
     basis_element,
@@ -254,3 +255,27 @@ class TestStrongConvergenceDiagnostic:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             check_strong_convergence([], ZERO, GammaCursor(2))
+
+
+class TestNormRange:
+    """Norms whose squared terms leave the double range."""
+
+    def test_huge_coefficient(self):
+        phi = F(([0], 1e300))
+        assert norm_p(phi, 0.0) == 1e300
+        assert norm_dual(phi, 2.0) == 1e300
+        assert norm_p(F(([], complex(1e308, 1e308))), 0.0) == pytest.approx(math.sqrt(2) * 1e308)
+
+    def test_underflowing_squares_keep_a_representable_norm(self):
+        sigma = SubsetIndex(range(40))
+        value = norm_dual(basis_element(sigma), 6.0)
+        assert value > 0.0
+        assert value == pytest.approx(lambda_weight(sigma) ** -6.0, rel=1e-12)
+
+    def test_overflowing_weight_with_small_coefficient(self):
+        sigma = SubsetIndex(range(200))  # the weight alone overflows a double
+        assert norm_dual(make_functional([(sigma, 1.0), (E, 1.0)]), 1.0) == 1.0
+
+    def test_unrepresentable_norm_is_typed_error(self):
+        with pytest.raises(NonFiniteResultError):
+            norm_p(basis_element(SubsetIndex(range(60))), 10.0)

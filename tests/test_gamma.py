@@ -23,6 +23,7 @@ from fockcalc import (
     lambda_weight,
     weight_sum_bound,
 )
+from fockcalc.gamma import mask_weight
 
 EXP_PI_SQ_OVER_6 = 5.180668317897116  # exp(pi**2 / 6)
 EXP_ZETA_3 = 3.3269531100024996  # exp(zeta(3)), zeta(3) from scipy.special.zeta
@@ -83,6 +84,10 @@ class TestLambdaWeight:
     def test_overflow_reported(self):
         with pytest.raises(WeightOverflowError):
             lambda_weight(SubsetIndex(range(200)))
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(NegativeIndexError):
+            mask_weight(-1)
 
     @given(st.sets(st.integers(0, 30), max_size=8), st.integers(0, 30))
     def test_adding_element_scales_weight(self, elems, k):

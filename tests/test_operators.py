@@ -1,5 +1,7 @@
 """Shift/truncation operator identities, norm bounds, and pipeline parsing."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +154,25 @@ class TestNormBounds:
         report = verify_norm_bounds(ZERO, 2, 1.0)
         assert report.annihilate_ratio == report.create_ratio == 0.0
         assert report.all_ok
+
+
+class TestNormBoundsBeyondRange:
+    @pytest.mark.parametrize("size", [40, 41])
+    def test_underflowing_norms_give_real_ratios(self, size):
+        # Every dual norm here underflows to 0.0; the ratios must not read 0/0.
+        phi = basis_element(SubsetIndex(range(size)))
+        assert norm_dual(phi, 12.0) == 0.0
+        rep = verify_norm_bounds(phi, 3, 12.0)
+        assert rep.annihilate_ratio == pytest.approx(4.0**12, rel=1e-12)
+        assert rep.create_ratio == 0.0 and rep.cond_expect_ratio == 0.0
+        assert rep.all_ok
+
+    def test_overflowing_norm_ratio(self):
+        phi = make_functional([(SubsetIndex([0]), 1e300), (SubsetIndex([]), 1e300)])
+        rep = verify_norm_bounds(phi, 0, 0.0)
+        assert rep.annihilate_ratio == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert rep.cond_expect_ratio == pytest.approx(1.0, rel=1e-15)
+        assert rep.all_ok
 
 
 class TestCommutation:
