@@ -47,6 +47,7 @@ from .errors import (
     FockCalcError,
     HorizonTooLargeError,
     NegativeIndexError,
+    NonFiniteCoefficientError,
     NonFiniteResultError,
     PredictabilityViolatedError,
     RequiresExhaustiveError,

@@ -21,6 +21,10 @@ class NonFiniteResultError(FockCalcError, ValueError):
     """A result the inputs determine lies beyond the floating-point range."""
 
 
+class NonFiniteCoefficientError(FockCalcError, ValueError):
+    """A coefficient handed to a builder is infinite or NaN."""
+
+
 class DivergentSeriesError(FockCalcError):
     """The requested exponent makes the underlying series diverge."""
 

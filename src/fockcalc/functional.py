@@ -31,6 +31,7 @@ from .errors import (
     DuplicateKeyError,
     EmptySupportError,
     ExponentTooSmallError,
+    NonFiniteCoefficientError,
     NonFiniteResultError,
     WeightOverflowError,
 )
@@ -49,7 +50,8 @@ class FockFunctional:
 
     The terms are stored as a dict from subset bit-mask to coefficient;
     ``SubsetIndex`` is the boundary type of the accessors.  Exact zeros are
-    dropped on construction, so the stored support is the true support.  Use
+    dropped on construction, so the stored support is the true support, and
+    an infinite or NaN coefficient raises ``NonFiniteCoefficientError``.  Use
     ``make_functional`` / ``basis_element`` to build one.
     """
 
@@ -58,11 +60,8 @@ class FockFunctional:
     _terms: Dict[int, complex]
 
     def __init__(self, terms: Dict[SubsetIndex, complex]):
-        object.__setattr__(
-            self,
-            "_terms",
-            {s.mask: complex(c) for s, c in terms.items() if complex(c) != 0},
-        )
+        coefs = {s.mask: _finite(s, c) for s, c in terms.items()}
+        object.__setattr__(self, "_terms", {m: c for m, c in coefs.items() if c != 0})
 
     @classmethod
     def _of_masks(cls, terms: Dict[int, complex]) -> "FockFunctional":
@@ -120,6 +119,15 @@ class FockFunctional:
         return f"FockFunctional({{{parts}}})"
 
 
+def _finite(sigma: SubsetIndex, coef: complex) -> complex:
+    value = complex(coef)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise NonFiniteCoefficientError(
+            f"coefficient of subset {list(sigma.elements)} is not finite: {value}"
+        )
+    return value
+
+
 def _nonzero(terms: Dict[int, complex]) -> FockFunctional:
     return FockFunctional._of_masks({m: c for m, c in terms.items() if c != 0})
 
@@ -127,13 +135,14 @@ def _nonzero(terms: Dict[int, complex]) -> FockFunctional:
 def make_functional(terms: Iterable[Tuple[SubsetIndex, complex]]) -> FockFunctional:
     """Build a functional from (subset, coefficient) pairs.
 
-    Zero coefficients are dropped; a repeated subset raises DuplicateKeyError.
+    Zero coefficients are dropped; a repeated subset raises DuplicateKeyError
+    and an infinite or NaN coefficient raises NonFiniteCoefficientError.
     """
     out: Dict[int, complex] = {}
     for sigma, coef in terms:
         if sigma.mask in out:
             raise DuplicateKeyError(f"subset {list(sigma.elements)} appears twice")
-        out[sigma.mask] = complex(coef)
+        out[sigma.mask] = _finite(sigma, coef)
     return _nonzero(out)
 
 

@@ -9,16 +9,12 @@ of its config (apart from the ``created`` timestamp).
 from __future__ import annotations
 
 import datetime
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
-from .bridge import (
-    build_space,
-    check_intertwining,
-    check_orthonormality,
-    classical_clark_ocone_check,
-    plancherel_check,
-)
+from .bridge import bridge_gaps, build_space, check_orthonormality
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
 from .covariance import cov_identity, var_bound, var_p
@@ -70,6 +66,30 @@ class SuiteConfig:
             )
         if self.max_terms < 1:
             raise ConfigError(f"max_terms must be >= 1, got {self.max_terms}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ConfigError(
+                f"tolerance must be a finite number >= 0, got {self.tolerance}"
+            )
+        for p in self.p_grid:
+            _require_ceiling_in_range(p, self.support_max)
+
+
+def _require_ceiling_in_range(p: float, support_max: int) -> None:
+    # The bounds suite's ceilings (1 + k) ** p and (1 + k) ** -p, for k up to
+    # support_max, must be finite doubles.
+    base = 1.0 + support_max
+    try:
+        finite = math.isfinite(p) and math.isfinite(base ** abs(p))
+    except OverflowError:
+        finite = False
+    if not finite:
+        limit = "finite" if support_max == 0 else (
+            f"at most {math.log(sys.float_info.max) / math.log(base):.6g} in magnitude"
+        )
+        raise ConfigError(
+            f"p must be {limit} at support_max {support_max} (the norm-bound ceiling "
+            f"(1 + support_max) ** |p| must be a finite double), got {p}"
+        )
 
 
 def _scale(phi: FockFunctional) -> float:
@@ -227,13 +247,12 @@ def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
 
     ortho_gap = check_orthonormality(n)
 
-    co_gaps = [classical_clark_ocone_check(phi, space) for phi in corpus]
-    twine_gaps = [
-        max(max(check_intertwining(phi, k, space)) for k in range(n)) for phi in corpus
-    ]
-    plancherel_gaps = [
-        plancherel_check(phi, space) / (1.0 + norm_p(phi, 0.0) ** 2) for phi in corpus
-    ]
+    co_gaps, twine_gaps, plancherel_gaps = [], [], []
+    for phi in corpus:
+        co_gap, twine_gap, plancherel_gap = bridge_gaps(phi, space)
+        co_gaps.append(co_gap)
+        twine_gaps.append(twine_gap)
+        plancherel_gaps.append(plancherel_gap / (1.0 + norm_p(phi, 0.0) ** 2))
 
     return [
         _check_record("orthonormality", ortho_gap, cfg.tolerance, N=n),

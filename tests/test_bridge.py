@@ -1,8 +1,9 @@
 """Pathwise oracle: enumeration, conditioning, and the coefficient bridge.
 
 Where the implementation takes a shortcut (the transform inside the
-orthonormality sweep), a direct per-pair loop re-derives the same numbers at
-small horizons.
+orthonormality sweep, the popcount parity inside ``evaluate``, the shared
+site sweep of the bridge suite), a direct computation re-derives the same
+numbers at small horizons.
 """
 
 import itertools
@@ -10,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
+    HorizonTooLargeError,
     RequiresExhaustiveError,
     SubsetIndex,
     SupportExceedsHorizonError,
@@ -41,6 +44,44 @@ def F(*pairs):
 MIXED = F(([], 2), ([0, 2], 3))
 
 
+def product_reference(phi, space):
+    """Sum over terms, in ascending mask order, of coef times the product of
+    the member columns of the sign matrix."""
+    values = np.zeros(space.num_paths, dtype=np.complex128)
+    for sigma, coef in phi.items():
+        if sigma.elements:
+            values += coef * np.prod(space.signs[:, list(sigma.elements)], axis=1)
+        else:
+            values += coef
+    return values
+
+
+def bitwise_equal(a, b):
+    # Real and imaginary parts compared separately; equal NaNs count as equal.
+    return np.array_equal(a.view(np.float64), b.view(np.float64), equal_nan=True)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def functional_and_space(draw):
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        space = build_space(n)
+    else:
+        space = build_space(
+            n, "sampled", M=draw(st.integers(1, 64)), seed=draw(st.integers(0, 2**32))
+        )
+    # The empty set and a set holding the top site are always present.
+    masks = {0, draw(st.integers(0, (1 << (n - 1)) - 1)) | 1 << (n - 1)}
+    masks |= set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)))
+    terms = [
+        (SubsetIndex.from_mask(m), complex(draw(finite), draw(finite))) for m in sorted(masks)
+    ]
+    return make_functional(terms), space
+
+
 class TestBuildSpace:
     def test_two_paths_at_horizon_one(self):
         space = build_space(1)
@@ -67,9 +108,21 @@ class TestBuildSpace:
         c = build_space(4, "sampled", M=1000, seed=8)
         assert not np.array_equal(a.signs, c.signs)
 
-    def test_caps_and_argument_errors(self):
-        from fockcalc import HorizonTooLargeError
+    def test_codes_hold_the_up_coordinates(self):
+        for space in (build_space(5), build_space(7, "sampled", M=300, seed=4)):
+            bits = (space.codes[:, None] >> np.arange(space.horizon)) & 1
+            assert space.codes.dtype == np.int64
+            assert np.array_equal(bits == 1, space.signs > 0)
+        assert np.array_equal(build_space(4).codes, np.arange(16))
 
+    def test_sampled_horizon_fits_a_path_code(self):
+        space = build_space(63, "sampled", M=50, seed=2)
+        top = evaluate(basis_element(SubsetIndex([62])), space).values
+        assert np.array_equal(top, space.signs[:, 62])
+        with pytest.raises(HorizonTooLargeError, match="63"):
+            build_space(64, "sampled", M=50, seed=2)
+
+    def test_caps_and_argument_errors(self):
         with pytest.raises(HorizonTooLargeError):
             build_space(21)
         with pytest.raises(ValueError):
@@ -98,6 +151,21 @@ class TestEvaluate:
     def test_support_must_fit(self):
         with pytest.raises(SupportExceedsHorizonError):
             evaluate(F(([5], 1)), build_space(3))
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 14])
+    def test_random_corpus_matches_product_reference(self, n):
+        space = build_space(n)
+        for phi in random_functionals(20, seed=57 + n, support_max=n - 1, max_terms=24):
+            assert bitwise_equal(evaluate(phi, space).values, product_reference(phi, space))
+
+
+@settings(max_examples=80, deadline=None)
+@given(functional_and_space())
+def test_evaluate_matches_product_of_signs(drawn):
+    phi, space = drawn
+    # Sums of coefficients near the double limit may overflow, in both alike.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert bitwise_equal(evaluate(phi, space).values, product_reference(phi, space))
 
 
 class TestPathExpectation:
@@ -177,8 +245,6 @@ class TestOrthonormality:
         assert worst == check_orthonormality(n) == 0.0
 
     def test_horizon_cap(self):
-        from fockcalc import HorizonTooLargeError
-
         with pytest.raises(HorizonTooLargeError):
             check_orthonormality(17)
 
@@ -221,6 +287,59 @@ class TestSpaceArguments:
         report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=3, horizon=5))
         assert report["pass"]
         assert built == [(5, "exhaustive")]
+
+
+def count_evaluations(monkeypatch):
+    import fockcalc.bridge as bridge
+
+    calls = []
+    original = bridge.evaluate
+
+    def counting_evaluate(phi, space):
+        calls.append(len(phi))
+        return original(phi, space)
+
+    monkeypatch.setattr(bridge, "evaluate", counting_evaluate)
+    return calls
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize("n, trials", [(1, 2), (5, 3), (7, 4)])
+    def test_bridge_suite_realizes_each_functional_once(self, monkeypatch, n, trials):
+        # Per trial: phi and its mean part, then per site its gradient and
+        # its conditioning, each realized exactly once.
+        import fockcalc.suite as suite
+
+        calls = count_evaluations(monkeypatch)
+        report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=trials, horizon=n))
+        assert report["pass"]
+        assert len(calls) == trials * (2 * n + 2)
+
+    def test_single_site_command_makes_four_per_trial(self, monkeypatch, capsys):
+        from fockcalc.cli import main
+
+        calls = count_evaluations(monkeypatch)
+        assert main(["bridge", "--horizon", "5", "--trials", "6", "--k", "2"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 6 * 4
+
+    def test_gaps_equal_the_separate_checks(self):
+        from fockcalc.bridge import bridge_gaps
+
+        space = build_space(6)
+        for phi in random_functionals(15, seed=58, support_max=5, max_terms=16):
+            co_gap, twine_gap, plancherel_gap = bridge_gaps(phi, space)
+            assert co_gap == classical_clark_ocone_check(phi, space)
+            assert twine_gap == max(max(check_intertwining(phi, k, space)) for k in range(6))
+            assert plancherel_gap == plancherel_check(phi, space)
+
+    def test_gaps_need_the_capped_exhaustive_space(self):
+        from fockcalc.bridge import bridge_gaps
+
+        with pytest.raises(RequiresExhaustiveError):
+            bridge_gaps(MIXED, build_space(3, "sampled", M=10, seed=1))
+        with pytest.raises(HorizonTooLargeError):
+            bridge_gaps(MIXED, build_space(17))
 
 
 class TestIntertwining:

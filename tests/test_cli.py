@@ -212,7 +212,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "option, value, limit",
         [("--support-max", "62", "0..61"), ("--support-max", "-1", "0..61"),
-         ("--max-terms", "0", ">= 1")],
+         ("--max-terms", "0", ">= 1"),
+         ("--tolerance", "nan", ">= 0"), ("--tolerance", "inf", ">= 0"),
+         ("--tolerance", "-1", ">= 0"),
+         ("--p", "1000", "296.002"), ("--p", "-1000", "296.002"), ("--p", "nan", "296.002")],
     )
     def test_option_out_of_range_names_option_and_limit(self, capsys, option, value, limit):
         code, out, err = run_cli(capsys, "verify", "--suite", "car", "--trials", "2", option, value)
@@ -221,6 +224,26 @@ class TestVerifyCommand:
         name = option[2:].replace("-", "_")
         assert err.startswith(f"error: {name} must ")
         assert limit in err and f"got {value}" in err
+
+    def test_overflowing_bound_ceiling_rejected_before_any_trial(self, capsys, monkeypatch):
+        import fockcalc.suite as suite
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("a corpus was drawn before the config was checked")
+
+        monkeypatch.setattr(suite, "random_functionals", no_corpus)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "bounds", "--trials", "1", "--p", "1000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: p must be at most 296.002 ") and "got 1000.0" in err
+        code, _, err = run_cli(
+            capsys, "verify", "--suite", "bounds", "--trials", "1", "--p", "inf",
+            "--support-max", "0",
+        )
+        assert code == 2
+        assert err.startswith("error: p must be finite ") and "got inf" in err
 
     def test_repeat_runs_identical_modulo_timestamp(self, capsys):
         reports = []

@@ -12,6 +12,7 @@ from fockcalc import (
     FockFunctional,
     GammaCursor,
     GrowthEnvelope,
+    NonFiniteCoefficientError,
     NonFiniteResultError,
     SubsetIndex,
     ZERO,
@@ -53,6 +54,16 @@ class TestConstruction:
     def test_duplicate_subset_rejected(self):
         with pytest.raises(DuplicateKeyError):
             F(([1], 1), ([1], 2))
+
+    @pytest.mark.parametrize(
+        "coef", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)]
+    )
+    def test_non_finite_coefficient_rejected(self, coef):
+        with pytest.raises(NonFiniteCoefficientError, match=r"subset \[1\]") as exc:
+            make_functional([(SubsetIndex([]), 1.0), (SubsetIndex([1]), coef)])
+        assert isinstance(exc.value, ValueError)
+        with pytest.raises(NonFiniteCoefficientError, match=r"subset \[0, 2\]"):
+            FockFunctional({S02: coef})
 
     def test_support_max(self):
         assert F(([], 2), ([0, 2], 3)).support_max == 2
