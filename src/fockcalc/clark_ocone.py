@@ -45,7 +45,8 @@ class DecompositionReport:
     ``termination_index`` is the largest support index (-1 when only the
     constant term is present: the term map is then empty, no fictitious
     zero term is emitted).  ``residual_norms[(n, q)]`` is the level-q dual
-    norm of (phi - mean - partial_sum(phi, n)).
+    norm of (phi - mean - partial_sum(phi, n)); its keys run in ascending
+    (n, q) order.
     """
 
     mean: FockFunctional
@@ -82,12 +83,13 @@ def decompose(
     # centered remainder one at a time reproduces each partial-sum residual
     # exactly.
     remainder = linear_combine(1.0, phi, -1.0, mean)
-    row = [norm_dual(remainder, q) for q in q_probe]
+    q_sorted = sorted(q_probe)
+    row = [norm_dual(remainder, q) for q in q_sorted]
     for n in range(termination + 1):
         if n in terms:
             remainder = linear_combine(1.0, remainder, -1.0, terms[n])
-            row = [norm_dual(remainder, q) for q in q_probe]
-        for q, value in zip(q_probe, row):
+            row = [norm_dual(remainder, q) for q in q_sorted]
+        for q, value in zip(q_sorted, row):
             residuals[(n, float(q))] = value
     return DecompositionReport(
         mean=mean,

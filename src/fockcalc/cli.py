@@ -10,22 +10,39 @@ Subcommands::
     verify      randomized identity suites -> JSON report, exit 1 on violation
     bridge      pathwise oracle checks, observable evaluation and CSV export
 
-Functional arguments name JSON files ('-' reads stdin).  Exit codes: 0 all
-checks passed, 1 an identity check failed, 2 usage or schema error.
+Functional arguments name JSON files ('-' reads stdin).  Exit codes:
+
+    0   success; every identity check passed
+    1   an identity check failed
+    2   usage, schema, range or file error (``error: ...`` on stderr)
+    3   internal error, a fault of the program (``internal error: ...``)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
 
-from .bridge import build_space, check_intertwining, evaluate, mc_estimate, path_expectation, write_observable_csv
+import numpy as np
+
+from . import __version__
+from .bridge import (
+    PathObservable,
+    PathSpace,
+    build_space,
+    check_intertwining,
+    evaluate,
+    mc_estimate,
+    path_expectation,
+    write_observable_csv,
+)
 from .clark_ocone import decompose
 from .corpus import random_functionals
 from .covariance import cov_identity
-from .errors import FockCalcError
+from .errors import FockCalcError, NonFiniteResultError
 from .functional import FockFunctional, norm_dual, norm_p
 from .gamma import gamma_weight_sum, lambda_weight, weight_sum_bound
 from .operators import apply_pipeline
@@ -129,20 +146,34 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _realize(phi: FockFunctional, space: PathSpace) -> PathObservable:
+    # Finite coefficients can still sum past the double range on a path; that
+    # is reported here, before any mean is taken or any CSV row written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs = evaluate(phi, space)
+    finite = np.isfinite(obs.values)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise NonFiniteResultError(
+            f"the realized value at path index {index} is not a finite number"
+        )
+    return obs
+
+
 def _cmd_bridge(args) -> int:
     if args.eval is not None:
         phi = _load_functional(args.eval)
+        space = build_space(args.horizon, args.mode, M=args.paths, seed=args.seed)
+        obs = _realize(phi, space)
         if args.mode == "sampled":
-            space = build_space(args.horizon, "sampled", M=args.paths, seed=args.seed)
             mean, stderr = mc_estimate(phi, space)
             payload = {"mean": [mean.real, mean.imag], "stderr": stderr,
                        "paths": space.num_paths, "seed": args.seed}
         else:
-            space = build_space(args.horizon, "exhaustive")
-            mean = path_expectation(evaluate(phi, space))
+            mean = path_expectation(obs)
             payload = {"expectation": [mean.real, mean.imag], "paths": space.num_paths}
         if args.csv:
-            write_observable_csv(evaluate(phi, space), args.csv)
+            write_observable_csv(obs, args.csv)
             payload["csv"] = args.csv
         _emit(payload, args.out)
         return 0
@@ -178,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fockcalc",
         description="Chaotic calculus on sparse Fock coefficients with an exhaustive path oracle.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lambda = sub.add_parser("lambda", help="subset weights and weight sums")
@@ -244,15 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call of ``main`` and reused by every later call in
+    # the process; parsing leaves no state behind in the parser.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FockCalcError, FileNotFoundError, ValueError, OverflowError) as exc:
+    except (FockCalcError, OSError, ValueError, OverflowError) as exc:
         # Exit 1 is reserved for a failed identity; bad or extreme input is 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

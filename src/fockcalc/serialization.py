@@ -136,10 +136,111 @@ def _non_finite_field(value: Any, where: str) -> Optional[str]:
     return None
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_INF = math.inf
+
+
+def _scalar_text(value: Any) -> Optional[str]:
+    """JSON text of an exact str, float, int, bool or None; None for anything else."""
+    kind = type(value)
+    if kind is float:
+        if not -_INF < value < _INF:
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return _float_repr(value)
+    if kind is int:
+        return _int_repr(value)
+    if kind is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return None
+
+
+def _indented(payload: Any, indent: int) -> str:
+    """``json.dumps(payload, indent=indent, allow_nan=False)``, byte for byte.
+
+    The stdlib writes indented JSON with its pure-Python encoder; this is the
+    same output from one recursion appending to one list.  Exact str, float,
+    int, bool, None, list, tuple and str-keyed dict values are written here;
+    any other value (a subclass, a non-str key, an unserializable object)
+    goes to the stdlib, its lines shifted to the current depth.  There is no
+    circular-reference check: payloads are trees.
+    """
+    step = " " * indent
+    out: List[str] = []
+    append = out.append
+
+    def write(value: Any, newline: str) -> None:
+        # ``newline`` is a line break and the indentation of value's own depth.
+        kind = type(value)
+        if kind is dict:
+            if not value:
+                append("{}")
+                return
+            start = len(out)
+            inner = newline + step
+            comma = "," + inner
+            sep = "{" + inner
+            for key, item in value.items():
+                if type(key) is not str:
+                    del out[start:]
+                    break
+                head = sep + _encode_str(key) + ": "
+                text = _scalar_text(item)
+                if text is None:
+                    append(head)
+                    write(item, inner)
+                else:
+                    append(head + text)
+                sep = comma
+            else:
+                append(newline + "}")
+                return
+        elif kind is list or kind is tuple:
+            if not value:
+                append("[]")
+                return
+            inner = newline + step
+            comma = "," + inner
+            sep = "[" + inner
+            for item in value:
+                text = _scalar_text(item)
+                if text is None:
+                    append(sep)
+                    write(item, inner)
+                else:
+                    append(sep + text)
+                sep = comma
+            append(newline + "]")
+            return
+        else:
+            text = _scalar_text(value)
+            if text is not None:
+                append(text)
+                return
+        # Any other value, or a dict with a non-str key, is the stdlib's.  Its
+        # strings hold no raw line break, so each one starts an indented line.
+        append(json.dumps(value, indent=indent, allow_nan=False).replace("\n", newline))
+
+    write(payload, "\n")
+    return "".join(out)
+
+
 def to_json(payload: Any, indent: Optional[int] = None) -> str:
-    """Strict JSON text; a non-finite number raises NonFiniteResultError naming its field."""
+    """Strict JSON text; a non-finite number raises NonFiniteResultError naming its field.
+
+    Equal to ``json.dumps(payload, indent=indent, allow_nan=False)``.
+    """
     try:
-        return json.dumps(payload, indent=indent, allow_nan=False)
+        if indent is None:
+            return json.dumps(payload, allow_nan=False)
+        return _indented(payload, indent)
     except ValueError:
         field = _non_finite_field(payload, "")
         if field is None:
@@ -162,8 +263,8 @@ def decomposition_to_obj(report: DecompositionReport) -> Dict[str, Any]:
         "terms": {str(k): functional_to_obj(report.terms[k]) for k in sorted(report.terms)},
         "termination_index": report.termination_index,
         "residuals": [
-            {"n": n, "q": q, "residual": report.residual_norms[(n, q)]}
-            for n, q in sorted(report.residual_norms)
+            {"n": n, "q": q, "residual": residual}
+            for (n, q), residual in report.residual_norms.items()
         ],
     }
 

@@ -72,6 +72,9 @@ class SuiteConfig:
             )
         for p in self.p_grid:
             _require_ceiling_in_range(p, self.support_max)
+            for suite in ("clark", "covariance"):
+                if self.suite in (suite, "all"):
+                    _require_dual_level_in_range(p, self.support_max, self.max_terms, suite)
 
 
 def _require_ceiling_in_range(p: float, support_max: int) -> None:
@@ -89,6 +92,34 @@ def _require_ceiling_in_range(p: float, support_max: int) -> None:
         raise ConfigError(
             f"p must be {limit} at support_max {support_max} (the norm-bound ceiling "
             f"(1 + support_max) ** |p| must be a finite double), got {p}"
+        )
+
+
+def _require_dual_level_in_range(p: float, support_max: int, max_terms: int, suite: str) -> None:
+    # At a negative level p the clark suite's dual norms reach
+    # sqrt(2 * terms) * W ** -p, and the covariance suite's pairings, squared
+    # norms and per-site sums reach (support_max + 1) * 2 * terms * W ** -2p,
+    # where W = (support_max + 1)! is the largest weight a corpus can draw,
+    # terms the most terms a functional holds and 2 the largest |coef| ** 2.
+    # Both must be finite doubles.  p is finite here.  The limit is cut to
+    # four decimals toward zero, so the printed value is accepted.
+    log_weight = math.log(math.factorial(support_max + 1))
+    if log_weight == 0.0:
+        return
+    terms = min(max_terms, 1 << (support_max + 1))
+    if suite == "clark":
+        power, largest = 1, f"sqrt(2 * {terms}) * W ** -p"
+        log_factor = 0.5 * math.log(2 * terms)
+    else:
+        power, largest = 2, f"{support_max + 1} * 2 * {terms} * W ** -2p"
+        log_factor = math.log((support_max + 1) * 2 * terms)
+    room = (math.log(sys.float_info.max) - log_factor) / (power * log_weight)
+    limit = -math.floor(room * 1e4) / 1e4
+    if p < limit:
+        raise ConfigError(
+            f"p must be at least {limit} for the {suite} suite at support_max "
+            f"{support_max} and max_terms {max_terms} ({largest}, with W = "
+            f"(support_max + 1)! the largest weight, must be a finite double), got {p}"
         )
 
 

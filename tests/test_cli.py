@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from fockcalc.cli import main
+import fockcalc
+from fockcalc.cli import build_parser, main
 
 PHI_JSON = '{"terms":[{"set":[],"coef":[2,0]},{"set":[0,2],"coef":[3,0]}]}'
 
@@ -96,6 +98,13 @@ class TestNormCommand:
         assert code == 2
         assert err.startswith("error: ")
 
+
+    def test_directory_is_file_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "norm", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert len(err.splitlines()) == 1
 
     def test_huge_coefficient_norm_is_exact(self, capsys, tmp_path):
         doc = tmp_path / "huge.json"
@@ -225,6 +234,30 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {name} must ")
         assert limit in err and f"got {value}" in err
 
+    @pytest.mark.parametrize(
+        "suite, limit", [("clark", "-40.443"), ("covariance", "-20.0977")]
+    )
+    def test_negative_p_limit_of_dual_suites(self, capsys, monkeypatch, suite, limit):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--trials", "3", f"--p={limit}")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+        import fockcalc.suite as suite_module
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("a corpus was drawn before the config was checked")
+
+        monkeypatch.setattr(suite_module, "random_functionals", no_corpus)
+        past = limit + "1"
+        for chosen in (suite, "all"):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", chosen, "--trials", "2", f"--p={past}"
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: p must be at least {limit} for the {suite} suite ")
+            assert f"got {past}" in err
+
     def test_overflowing_bound_ceiling_rejected_before_any_trial(self, capsys, monkeypatch):
         import fockcalc.suite as suite
 
@@ -295,6 +328,82 @@ class TestBridgeCommand:
         payload = json.loads(out)
         mean = complex(*payload["mean"])
         assert abs(mean - 2.0) <= 5 * payload["stderr"]
+
+
+    @pytest.mark.parametrize(
+        "mode, first", [(["--mode", "exhaustive"], 1), (["--mode", "sampled", "--paths", "8"], 5)]
+    )
+    def test_eval_overflow_is_typed_and_writes_nothing(self, capsys, tmp_path, mode, first):
+        # Both terms add +1e308 exactly on the paths whose coordinate 0 is +1;
+        # with seed 15 the first sampled one is path 5.
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"terms":[{"set":[],"coef":[1e308,0]},{"set":[0],"coef":[1e308,0]}]}')
+        csv_path = tmp_path / "obs.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "bridge", "--horizon", "2", "--eval", str(doc), "--csv", str(csv_path),
+                "--seed", "15", *mode,
+            )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the realized value at path index {first} is not a finite number\n"
+        assert not csv_path.exists()
+
+
+class TestExitCodes:
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"fockcalc {fockcalc.__version__}\n"
+        assert fockcalc.__version__ == "0.1.0"
+
+    def test_internal_error_has_its_own_code(self, capsys, monkeypatch, phi_file):
+        import fockcalc.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(cli, "norm_p", broken)
+        code, out, err = run_cli(capsys, "norm", phi_file)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: invariant broken\n"
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no call may leak options into the next."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_decompose_q_grid_resets(self, capsys, phi_file):
+        code, out, _ = run_cli(capsys, "decompose", phi_file, "--q", "2")
+        assert code == 0
+        assert {r["q"] for r in json.loads(out)["residuals"]} == {2.0}
+        code, out, _ = run_cli(capsys, "decompose", phi_file)
+        assert code == 0
+        assert {r["q"] for r in json.loads(out)["residuals"]} == {0.0, 1.0, 2.0}
+
+    def test_verify_p_grid_resets(self, capsys):
+        argv = ["verify", "--suite", "car", "--trials", "2"]
+        code, out, _ = run_cli(capsys, *argv, "--p", "1")
+        assert code == 0
+        assert json.loads(out)["config"]["p_grid"] == [1.0]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"]["p_grid"] == [0.0, 1.0, 2.0]
+
+    def test_usage_error_leaves_no_trace(self, capsys, phi_file):
+        code, expected, _ = run_cli(capsys, "apply", phi_file, "--pipeline", "expect")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", phi_file, "--pipeline", "expect", "--out"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "apply", phi_file, "--pipeline", "expect")
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestInstalledEntryPoint:

@@ -1,6 +1,8 @@
 """Wire-format parsing, canonical output, and bit-exact round trips."""
 
+import collections
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from fockcalc import (
     DuplicateKeyError,
     GrowthEnvelope,
     NegativeIndexError,
+    NonFiniteResultError,
     SchemaError,
     SubsetIndex,
     ZERO,
@@ -22,6 +25,7 @@ from fockcalc import (
     random_functionals,
     serialize_functional,
 )
+from fockcalc.serialization import to_json
 
 
 def F(*pairs):
@@ -146,6 +150,15 @@ class TestReportSerializers:
         assert [r["n"] for r in rows] == sorted(r["n"] for r in rows)
         json.dumps(obj)  # must be JSON-ready as is
 
+    def test_residual_rows_in_n_then_q_order(self):
+        phi = F(([], 2), ([0], 1), ([1, 3], 3j), ([4], -1))
+        report = decompose(phi, (2.0, -0.0, 1.0, 0.0, 2.0))
+        rows = [(r["n"], r["q"], r["residual"]) for r in decomposition_to_obj(report)["residuals"]]
+        table = report.residual_norms
+        assert rows == [(n, q, table[(n, q)]) for n, q in sorted(table)]
+        assert [(n, q) for n, q, _ in rows[:3]] == [(0, -0.0), (0, 1.0), (0, 2.0)]
+        assert math.copysign(1.0, rows[0][1]) == -1.0
+
     def test_covariance_shape(self):
         report = cov_identity(F(([0], 2j)), F(([0], 1)), 0.0)
         obj = covariance_to_obj(report)
@@ -153,3 +166,74 @@ class TestReportSerializers:
         assert obj["per_k"]["0"] == [0.0, 2.0]
         assert obj["gap"] == 0.0
         json.dumps(obj)
+
+
+#: JSON-ready payloads: every leaf type the writer handles itself, with keys
+#: that need escaping and floats from the whole finite range.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+    | st.text()
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestToJson:
+    @given(JSON_PAYLOADS, st.sampled_from([0, 1, 2, 4]))
+    def test_equals_stdlib_indent(self, payload, indent):
+        assert to_json(payload, indent=indent) == json.dumps(
+            payload, indent=indent, allow_nan=False
+        )
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_escaped_and_empty_values(self, indent):
+        payload = {
+            "": [], "q\"uote\\": {}, "\u00e9\n\t": ["\x00", "\u2028", "\U0001f600"],
+            "nested": [[[]], [{}], ({"a": (1, -0.0, 5e-324)},)], "big": 2**200,
+            "flags": [True, False, None],
+        }
+        assert to_json(payload, indent=indent) == json.dumps(
+            payload, indent=indent, allow_nan=False
+        )
+
+    @pytest.mark.parametrize("indent", [0, 2, 4])
+    def test_other_types_go_to_the_stdlib(self, indent):
+        class Real(float):
+            def __repr__(self):
+                return "Real()"
+
+        payload = {
+            "int_keys": {"s": 3, 1: [1.5, {2.5: None}]},
+            "ordered": collections.OrderedDict([("b", [1, 2]), ("a", {})]),
+            "sub": [Real(0.25), True],
+            "deep": [{"x": {0: {"y": [1]}}}],
+        }
+        assert to_json(payload, indent=indent) == json.dumps(
+            payload, indent=indent, allow_nan=False
+        )
+
+    def test_unserializable_value_raises_the_stdlib_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            to_json({"a": [object()]}, indent=2)
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_is_named(self, indent, bad):
+        payload = {
+            "lhs": [1.0, 2.0],
+            "rows": [{"n": 0, "residual": 1.0}, {"n": 1, "residual": bad}],
+        }
+        with pytest.raises(NonFiniteResultError) as info:
+            to_json(payload, indent=indent)
+        assert str(info.value) == "output field rows[1].residual is not a finite number"
+        with pytest.raises(NonFiniteResultError, match="^output field  is not"):
+            to_json(bad, indent=indent)
