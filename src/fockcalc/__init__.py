@@ -10,7 +10,6 @@ re-derives every identity pathwise at desk scale.
 """
 
 from .bridge import (
-    PathObservable,
     PathSpace,
     build_space,
     check_intertwining,
@@ -34,7 +33,7 @@ from .clark_ocone import (
     reconstruct_check,
     verify_convergence_window,
 )
-from .corpus import random_functional, random_functionals
+from .corpus import random_functionals
 from .covariance import CovarianceReport, cov_identity, cov_p, var_bound, var_p
 from .errors import (
     BadTagError,
@@ -58,7 +57,6 @@ from .errors import (
 from .functional import (
     FockFunctional,
     GrowthEnvelope,
-    StrongConvergenceDiagnostic,
     ZERO,
     basis_element,
     check_strong_convergence,
@@ -74,8 +72,6 @@ from .functional import (
     sum_functionals,
 )
 from .gamma import (
-    EMPTY_SET,
-    GAMMA_HARD_CAP,
     GammaCursor,
     SubsetIndex,
     enumerate_gamma,
@@ -86,7 +82,6 @@ from .gamma import (
 )
 from .operators import (
     NormBoundReport,
-    OperatorTag,
     annihilate,
     apply_pipeline,
     cond_expect,

@@ -7,14 +7,15 @@ expectations, conditional expectations and the classical predictable
 representation become exact finite averages: every identity the coefficient
 side claims can be measured here with no Monte Carlo error.
 
-Path encoding: every path carries an int64 code whose bit k is set iff its
-sign at coordinate k is +1.  The exhaustive space lists the codes 0..2**N-1
-in ascending order, so a path's index is its code; a sampled space packs its
-sign rows into codes.  A term's sign product on a path is then -1 exactly
-when the term's mask and the path's down-coordinates share an odd number of
-bits, so ``evaluate`` reads every term from one popcount parity.  Terms are
-added in ascending mask order and path reductions run in ascending path
-order, so results are bit-stable for a given functional and space.
+Path encoding: a space holds its paths only as int64 codes, bit k set iff
+the sign at coordinate k is +1, and every path weighs 1/num_paths.  The
+exhaustive space lists the codes 0..2**N-1 in ascending order, so a path's
+index is its code; a sampled space packs its seeded sign draws into codes.
+A term's sign product on a path is then -1 exactly when the term's mask and
+the path's down-coordinates share an odd number of bits, so ``evaluate``
+reads every term from one popcount parity.  Terms are added in ascending
+mask order and path reductions run in ascending path order, so results are
+bit-stable for a given functional and space.
 """
 
 from __future__ import annotations
@@ -45,25 +46,21 @@ MAX_ORTHONORMALITY_HORIZON = 16
 
 @dataclass(frozen=True, eq=False)
 class PathSpace:
-    """A finite weighted family of sign paths over ``horizon`` coordinates.
+    """A finite family of equally weighted sign paths over ``horizon`` coordinates.
 
-    ``signs`` holds one row per path with entries in {-1, +1} (stored as
-    int8); ``codes`` holds the same paths as int64 bit-codes (bit k set iff
-    the sign at k is +1); ``weights`` sum to 1.  Exhaustive spaces carry all
-    2**horizon paths uniformly; sampled spaces are reproducible from
-    (paths, seed).
+    ``codes`` holds one int64 bit-code per path (bit k set iff the sign at k
+    is +1); each path weighs 1/num_paths.  Exhaustive spaces carry all
+    2**horizon paths; sampled spaces are reproducible from (paths, seed).
     """
 
     horizon: int
     mode: str
-    signs: np.ndarray
     codes: np.ndarray
-    weights: np.ndarray
     seed: Optional[int] = None
 
     @property
     def num_paths(self) -> int:
-        return self.signs.shape[0]
+        return self.codes.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +81,7 @@ def build_space(
 
     Exhaustive mode enumerates all 2**N paths (N <= 20) in ascending binary
     order.  Sampled mode draws M paths (N <= 63, the width of a path code)
-    from a seeded PCG64 stream; the sign matrix is a pure function of
-    (N, M, seed).
+    from a seeded PCG64 stream; the codes are a pure function of (N, M, seed).
     """
     if N < 1:
         raise ValueError(f"horizon must be >= 1, got {N}")
@@ -94,14 +90,7 @@ def build_space(
             raise HorizonTooLargeError(
                 f"exhaustive horizon {N} exceeds cap {MAX_EXHAUSTIVE_HORIZON}"
             )
-        index = np.arange(1 << N, dtype=np.int64)
-        signs = np.empty((1 << N, N), dtype=np.int8)
-        for k in range(N):
-            signs[:, k] = (((index >> k) & 1) * 2 - 1).astype(np.int8)
-        weights = np.full(1 << N, 2.0 ** (-N))
-        return PathSpace(
-            horizon=N, mode="exhaustive", signs=signs, codes=index, weights=weights
-        )
+        return PathSpace(horizon=N, mode="exhaustive", codes=np.arange(1 << N, dtype=np.int64))
     if mode == "sampled":
         if M is None or M < 1:
             raise ValueError("sampled mode needs a positive path count M")
@@ -111,15 +100,14 @@ def build_space(
             raise HorizonTooLargeError(
                 f"sampled horizon {N} exceeds the path-code width {MAX_CODED_HORIZON}"
             )
+        # Draw bit k of every path as column k of one int8 block (1 means +1),
+        # so the paths stay the ones this seed has always produced.
         rng = np.random.Generator(np.random.PCG64(seed))
-        signs = (rng.integers(0, 2, size=(M, N), dtype=np.int8) * 2 - 1).astype(np.int8)
+        up = rng.integers(0, 2, size=(M, N), dtype=np.int8)
         codes = np.zeros(M, dtype=np.int64)
         for k in range(N):
-            codes |= (signs[:, k] > 0).astype(np.int64) << k
-        weights = np.full(M, 1.0 / M)
-        return PathSpace(
-            horizon=N, mode="sampled", signs=signs, codes=codes, weights=weights, seed=seed
-        )
+            codes |= up[:, k].astype(np.int64) << k
+        return PathSpace(horizon=N, mode="sampled", codes=codes, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -144,10 +132,10 @@ def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
 
 
 def path_expectation(obs: PathObservable) -> complex:
-    """Weighted mean over paths; exact on exhaustive spaces.
+    """Mean over the equally weighted paths; exact on exhaustive spaces.
 
-    Both modes carry uniform weights, so the mean is the path sum divided by
-    the path count; the division is exact where 1/M is not representable.
+    The mean is the path sum divided by the path count, so the division is
+    exact where 1/M is not representable.
     """
     return complex(np.sum(obs.values) / obs.space.num_paths)
 
@@ -233,8 +221,12 @@ def _sweep(
     for k in sites:
         gradient = evaluate(annihilate(phi, k), space)
         if rebuild:
-            predictable = path_cond_expect(gradient, k - 1).values
-            rebuilt = rebuilt + space.signs[:, k] * predictable
+            # Add the k-th sign times the predictable part: path m sits at
+            # [high, bit k of m, low] in these views, and bit k clear is -1.
+            predictable = path_cond_expect(gradient, k - 1).values.reshape(-1, 2, 1 << k)
+            halves = rebuilt.reshape(predictable.shape)
+            halves[:, 0, :] -= predictable[:, 0, :]
+            halves[:, 1, :] += predictable[:, 1, :]
         if intertwine:
             # Value with coordinate k forced to +1 minus forced to -1, halved;
             # path m sits at [high, bit k of m, low] in this view.
@@ -314,16 +306,16 @@ def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, fl
     return clark_ocone_gap, max(max(g) for g in site_gaps), _plancherel_gap(phi, values)
 
 
-def mc_estimate(phi: FockFunctional, space: PathSpace) -> tuple[complex, float]:
-    """Weighted sample mean and standard error of the realized functional.
+def mc_estimate(obs: PathObservable) -> tuple[complex, float]:
+    """Sample mean and standard error of a realized functional.
 
     Accumulation runs in path-index order, so results are reproducible from
     the space alone.  The standard error treats complex deviations by
     modulus; it is 0 for a single path or a constant functional.
     """
-    values = evaluate(phi, space).values
-    mean = complex(np.sum(values) / space.num_paths)
-    m = space.num_paths
+    values = obs.values
+    mean = path_expectation(obs)
+    m = obs.space.num_paths
     if m < 2:
         return mean, 0.0
     spread = float(np.sum(np.abs(values - mean) ** 2))

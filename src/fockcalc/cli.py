@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -77,7 +78,14 @@ def _emit(payload, out: Optional[str]) -> None:
         print(text)
 
 
+def _finite_level(value: Optional[float], option: str) -> None:
+    # A non-finite level would print nan or a limit, or fail far from its cause.
+    if value is not None and not math.isfinite(value):
+        raise FockCalcError(f"{option} must be a finite number, got {value!r}")
+
+
 def _cmd_lambda(args) -> int:
+    _finite_level(args.p, "--p")
     if args.sum:
         if args.p is None or args.n is None:
             raise FockCalcError("lambda --sum needs --p and --n")
@@ -100,6 +108,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    _finite_level(args.p, "--p")
     phi = _load_functional(args.file)
     level = args.p if args.p is not None else 0.0
     value = norm_dual(phi, level) if args.dual else norm_p(phi, level)
@@ -115,6 +124,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    for q in args.q or ():
+        _finite_level(q, "--q")
     phi = _load_functional(args.file)
     q_probe = tuple(args.q) if args.q else (0.0, 1.0, 2.0)
     report = decompose(phi, q_probe)
@@ -123,6 +134,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cov(args) -> int:
+    _finite_level(args.p, "--p")
     phi = _load_functional(args.file)
     psi = _load_functional(args.other)
     level = args.p if args.p is not None else 0.0
@@ -166,7 +178,7 @@ def _cmd_bridge(args) -> int:
         space = build_space(args.horizon, args.mode, M=args.paths, seed=args.seed)
         obs = _realize(phi, space)
         if args.mode == "sampled":
-            mean, stderr = mc_estimate(phi, space)
+            mean, stderr = mc_estimate(obs)
             payload = {"mean": [mean.real, mean.imag], "stderr": stderr,
                        "paths": space.num_paths, "seed": args.seed}
         else:

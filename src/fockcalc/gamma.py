@@ -61,27 +61,23 @@ class SubsetIndex:
         object.__setattr__(self, "_hash", hash(elems))
 
     @classmethod
-    def _from_sorted(cls, elems: tuple[int, ...], mask: int) -> "SubsetIndex":
-        # Fast path for internally produced, already-canonical tuples.
-        self = object.__new__(cls)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_mask", mask)
-        object.__setattr__(self, "_hash", hash(elems))
-        return self
-
-    @classmethod
     def from_mask(cls, mask: int) -> "SubsetIndex":
         """Build the subset whose members are the set bits of ``mask``."""
         if mask < 0:
             raise NegativeIndexError("bit-mask must be nonnegative")
         # Walk only the set bits: isolate the lowest, record it, clear it.
-        elems = []
+        bits = []
         m = mask
         while m:
             low = m & -m
-            elems.append(low.bit_length() - 1)
+            bits.append(low.bit_length() - 1)
             m ^= low
-        return cls._from_sorted(tuple(elems), mask)
+        elems = tuple(bits)
+        self = object.__new__(cls)
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_hash", hash(elems))
+        return self
 
     @property
     def mask(self) -> int:
@@ -119,23 +115,6 @@ class SubsetIndex:
         conditional-expectation truncation requires.
         """
         return self.elements[-1] if self.elements else -1
-
-    def with_element(self, k: int) -> "SubsetIndex":
-        """The union sigma | {k}; returns self when k is already a member."""
-        if k < 0:
-            raise NegativeIndexError(f"subset elements must be >= 0, got {k}")
-        if k in self:
-            return self
-        return SubsetIndex.from_mask(self._mask | (1 << k))
-
-    def without_element(self, k: int) -> "SubsetIndex":
-        """The difference sigma \\ {k}; returns self when k is not a member."""
-        if k not in self:
-            return self
-        return SubsetIndex.from_mask(self._mask & ~(1 << k))
-
-    def symmetric_difference(self, other: "SubsetIndex") -> "SubsetIndex":
-        return SubsetIndex.from_mask(self._mask ^ other._mask)
 
 
 #: The empty subset (weight 1; the index of the constant chaos term).

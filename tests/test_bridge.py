@@ -6,8 +6,10 @@ site sweep of the bridge suite), a direct computation re-derives the same
 numbers at small horizons.
 """
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
     HorizonTooLargeError,
+    PathSpace,
     RequiresExhaustiveError,
     SubsetIndex,
     SupportExceedsHorizonError,
@@ -44,13 +47,26 @@ def F(*pairs):
 MIXED = F(([], 2), ([0, 2], 3))
 
 
+def signs_of(space):
+    """The space's paths as a sign matrix: row m holds path m's signs in {-1, +1}."""
+    bits = (space.codes[:, None] >> np.arange(space.horizon)) & 1
+    return (bits * 2 - 1).astype(np.int8)
+
+
+def redrawn_up_bits(horizon, paths, seed):
+    """A fresh PCG64 draw of a sampled space: entry [i, k] is 1 iff path i is up at k."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.integers(0, 2, size=(paths, horizon), dtype=np.int8)
+
+
 def product_reference(phi, space):
     """Sum over terms, in ascending mask order, of coef times the product of
     the member columns of the sign matrix."""
+    signs = signs_of(space)
     values = np.zeros(space.num_paths, dtype=np.complex128)
     for sigma, coef in phi.items():
         if sigma.elements:
-            values += coef * np.prod(space.signs[:, list(sigma.elements)], axis=1)
+            values += coef * np.prod(signs[:, list(sigma.elements)], axis=1)
         else:
             values += coef
     return values
@@ -85,40 +101,57 @@ def functional_and_space(draw):
 class TestBuildSpace:
     def test_two_paths_at_horizon_one(self):
         space = build_space(1)
-        assert space.signs.tolist() == [[-1], [1]]
-        assert space.weights.tolist() == [0.5, 0.5]
+        assert space.num_paths == 2
+        assert signs_of(space).tolist() == [[-1], [1]]
 
     def test_horizon_three(self):
         space = build_space(3)
         assert space.num_paths == 8
-        assert np.all(space.weights == 0.125)
-        assert sorted(map(tuple, space.signs.tolist())) == sorted(
+        assert sorted(map(tuple, signs_of(space).tolist())) == sorted(
             itertools.product([-1, 1], repeat=3)
         )
 
     def test_binary_order(self):
         space = build_space(3)
         # path index 5 = 0b101: coordinates 0 and 2 up, coordinate 1 down
-        assert space.signs[5].tolist() == [1, -1, 1]
+        assert signs_of(space)[5].tolist() == [1, -1, 1]
 
     def test_sampled_reproducible(self):
         a = build_space(4, "sampled", M=1000, seed=7)
         b = build_space(4, "sampled", M=1000, seed=7)
-        assert np.array_equal(a.signs, b.signs)
+        assert np.array_equal(a.codes, b.codes)
+        redrawn = (redrawn_up_bits(4, 1000, 7).astype(np.int64) << np.arange(4)).sum(axis=1)
+        assert np.array_equal(a.codes, redrawn)
         c = build_space(4, "sampled", M=1000, seed=8)
-        assert not np.array_equal(a.signs, c.signs)
+        assert not np.array_equal(a.codes, c.codes)
 
     def test_codes_hold_the_up_coordinates(self):
-        for space in (build_space(5), build_space(7, "sampled", M=300, seed=4)):
-            bits = (space.codes[:, None] >> np.arange(space.horizon)) & 1
-            assert space.codes.dtype == np.int64
-            assert np.array_equal(bits == 1, space.signs > 0)
-        assert np.array_equal(build_space(4).codes, np.arange(16))
+        exhaustive = build_space(4)
+        assert exhaustive.codes.dtype == np.int64
+        assert np.array_equal(exhaustive.codes, np.arange(16))
+        sampled = build_space(7, "sampled", M=300, seed=4)
+        bits = (sampled.codes[:, None] >> np.arange(7)) & 1
+        assert sampled.codes.dtype == np.int64
+        assert np.array_equal(bits, redrawn_up_bits(7, 300, 4))
+
+    def test_space_holds_only_its_codes(self):
+        # The codes of 2**20 paths are 8 MiB; a sign matrix or weight array
+        # next to them would more than double the peak.
+        assert [f.name for f in dataclasses.fields(PathSpace)] == [
+            "horizon", "mode", "codes", "seed"
+        ]
+        tracemalloc.start()
+        try:
+            assert build_space(20).num_paths == 1 << 20
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
     def test_sampled_horizon_fits_a_path_code(self):
         space = build_space(63, "sampled", M=50, seed=2)
         top = evaluate(basis_element(SubsetIndex([62])), space).values
-        assert np.array_equal(top, space.signs[:, 62])
+        assert np.array_equal(top, signs_of(space)[:, 62])
         with pytest.raises(HorizonTooLargeError, match="63"):
             build_space(64, "sampled", M=50, seed=2)
 
@@ -239,7 +272,7 @@ class TestOrthonormality:
             for b in subsets:
                 va = evaluate(basis_element(a), space).values
                 vb = evaluate(basis_element(b), space).values
-                mean = float(np.sum(space.weights * (va * vb).real))
+                mean = float(np.sum((va * vb).real) / space.num_paths)
                 want = 1.0 if a == b else 0.0
                 worst = max(worst, abs(mean - want))
         assert worst == check_orthonormality(n) == 0.0
@@ -396,20 +429,21 @@ class TestPlancherel:
 class TestMonteCarlo:
     def test_constant_is_exact(self):
         space = build_space(4, "sampled", M=500, seed=3)
-        mean, stderr = mc_estimate(basis_element(SubsetIndex([])), space)
+        mean, stderr = mc_estimate(evaluate(basis_element(SubsetIndex([])), space))
         assert mean == 1.0
         assert stderr == 0.0
 
     def test_reproducible_and_near_exact_mean(self):
         space = build_space(4, "sampled", M=100_000, seed=11)
-        mean1, err1 = mc_estimate(MIXED, space)
-        mean2, err2 = mc_estimate(MIXED, build_space(4, "sampled", M=100_000, seed=11))
+        mean1, err1 = mc_estimate(evaluate(MIXED, space))
+        again = build_space(4, "sampled", M=100_000, seed=11)
+        mean2, err2 = mc_estimate(evaluate(MIXED, again))
         assert mean1 == mean2 and err1 == err2
         assert abs(mean1 - 2.0) <= 5 * err1
 
     def test_single_site_clt_band(self):
         space = build_space(4, "sampled", M=100_000, seed=12)
-        mean, stderr = mc_estimate(basis_element(SubsetIndex([0])), space)
+        mean, stderr = mc_estimate(evaluate(basis_element(SubsetIndex([0])), space))
         assert stderr == pytest.approx(1 / math.sqrt(100_000), rel=1e-2)
         assert abs(mean) <= 4 * stderr
 

@@ -371,6 +371,32 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: RuntimeError: invariant broken\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["lambda", "--sum", "--n", "3"], "--p"),
+            (["norm", "PHI"], "--p"),
+            (["decompose", "PHI", "--q", "1"], "--q"),
+            (["cov", "PHI", "PHI"], "--p"),
+        ],
+    )
+    def test_non_finite_level_names_its_option(
+        self, capsys, monkeypatch, phi_file, command, option, value
+    ):
+        import fockcalc.cli as cli
+
+        # The level is rejected before any functional is read.
+        def unread(path):
+            raise AssertionError("functional read before the level check")
+
+        monkeypatch.setattr(cli, "_load_functional", unread)
+        argv = [phi_file if arg == "PHI" else arg for arg in command]
+        code, out, err = run_cli(capsys, *argv, f"{option}={value}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} must be a finite number, got {float(value)!r}\n"
+
 
 class TestParserReuse:
     """``main`` reuses one parser; no call may leak options into the next."""

@@ -2,9 +2,9 @@
 
 ``FockFunctional`` stores its terms keyed by bit-masks and the operators,
 norms and pairings work on those integers.  The references here rebuild each
-result term by term from the boundary type (``with_element``,
-``without_element``, ``max_element``, ``lambda_weight``) and ``math.fsum``,
-and must agree exactly.
+result term by term from the boundary type's element tuples (a site added
+to or dropped from ``elements``, ``max_element``, ``lambda_weight``) and
+``math.fsum``, and must agree exactly.
 """
 
 import math
@@ -41,11 +41,15 @@ functionals = st.dictionaries(subsets, coefficients, max_size=6).map(
 
 
 def ref_annihilate(phi, k):
-    return make_functional((s.without_element(k), c) for s, c in phi.items() if k in s)
+    return make_functional(
+        (SubsetIndex(e for e in s if e != k), c) for s, c in phi.items() if k in s
+    )
 
 
 def ref_create(phi, k):
-    return make_functional((s.with_element(k), c) for s, c in phi.items() if k not in s)
+    return make_functional(
+        (SubsetIndex(s.elements + (k,)), c) for s, c in phi.items() if k not in s
+    )
 
 
 def ref_cond_expect(phi, k):
