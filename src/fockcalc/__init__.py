@@ -7,21 +7,14 @@ weighted norm chain, the annihilation/creation/conditional-expectation
 operator algebra, the Clark-Ocone decomposition with its covariance
 identities, and an exhaustive Rademacher path space that independently
 re-derives every identity pathwise at desk scale.
+
+The coefficient layers load with the package.  The path oracle, the random
+corpus and the verification suites need numpy, so their names load on first
+use: ``fockcalc.evaluate`` imports ``fockcalc.bridge`` when it is first read.
 """
 
-from .bridge import (
-    PathSpace,
-    build_space,
-    check_intertwining,
-    check_orthonormality,
-    classical_clark_ocone_check,
-    evaluate,
-    mc_estimate,
-    path_cond_expect,
-    path_expectation,
-    plancherel_check,
-    write_observable_csv,
-)
+from importlib import import_module as _import_module
+
 from .clark_ocone import (
     DecompositionReport,
     PredictableSequence,
@@ -33,7 +26,6 @@ from .clark_ocone import (
     reconstruct_check,
     verify_convergence_window,
 )
-from .corpus import random_functionals
 from .covariance import CovarianceReport, cov_identity, cov_p, var_bound, var_p
 from .errors import (
     BadTagError,
@@ -100,6 +92,36 @@ from .serialization import (
     parse_functional,
     serialize_functional,
 )
-from .suite import SUITE_NAMES, SuiteConfig, run_suite
+from .suite_names import SUITE_NAMES
 
 __version__ = "0.1.0"
+
+#: Names re-exported from the numpy-backed modules, each read on first use.
+_LAZY = {
+    "PathSpace": "bridge",
+    "build_space": "bridge",
+    "check_intertwining": "bridge",
+    "check_orthonormality": "bridge",
+    "classical_clark_ocone_check": "bridge",
+    "evaluate": "bridge",
+    "mc_estimate": "bridge",
+    "path_cond_expect": "bridge",
+    "path_expectation": "bridge",
+    "plancherel_check": "bridge",
+    "write_observable_csv": "bridge",
+    "random_functionals": "corpus",
+    "SuiteConfig": "suite",
+    "run_suite": "suite",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not cached here, so the name always reads the module's current attribute.
+    return getattr(_import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

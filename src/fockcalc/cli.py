@@ -21,27 +21,15 @@ Functional arguments name JSON files ('-' reads stdin).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .bridge import (
-    PathObservable,
-    PathSpace,
-    build_space,
-    check_intertwining,
-    evaluate,
-    mc_estimate,
-    path_expectation,
-    write_observable_csv,
-)
 from .clark_ocone import decompose
-from .corpus import random_functionals
 from .covariance import cov_identity
 from .errors import FockCalcError, NonFiniteResultError
 from .functional import FockFunctional, norm_dual, norm_p
@@ -55,7 +43,12 @@ from .serialization import (
     parse_subset,
     to_json,
 )
-from .suite import BRIDGE_TOLERANCE, SUITE_NAMES, SuiteConfig, run_suite
+from .suite_names import SUITE_NAMES
+
+# The path oracle, the corpus and the suites load numpy; only ``verify`` and
+# ``bridge`` import them, so the coefficient commands start without numpy.
+if TYPE_CHECKING:
+    from .bridge import PathObservable, PathSpace
 
 
 def _read_text(path: str) -> str:
@@ -84,17 +77,60 @@ def _finite_level(value: Optional[float], option: str) -> None:
         raise FockCalcError(f"{option} must be a finite number, got {value!r}")
 
 
+@contextlib.contextmanager
+def _named_levels(option: str, *levels: Optional[float]):
+    # A result out of range at a level the user chose names that option.
+    given = ", ".join(repr(level) for level in levels if level is not None)
+    try:
+        yield
+    except NonFiniteResultError as exc:
+        if not given:
+            raise
+        raise NonFiniteResultError(f"{exc} at {option} {given}") from None
+
+
+def _require_pairing_level(p: float, phi: FockFunctional, psi: FockFunctional) -> None:
+    # The covariance pairs the non-constant subsets both functionals carry, as
+    # weight ** -2p * c * conj(d), once directly and once site by site, and
+    # subtracts the two sums.  Each sum has at most len(phi) terms, so twice
+    # that many times the largest term must be a finite double.  Only a
+    # negative level raises the weight powers.
+    if p >= 0.0:
+        return
+    log_peak = max(
+        (
+            math.log(abs(c)) + math.log(abs(d)) - 2.0 * p * math.log(lambda_weight(s))
+            for s, c in phi.items()
+            if s and (d := psi.coefficient(s))
+        ),
+        default=-math.inf,
+    )
+    if log_peak + math.log(2 * len(phi)) > math.log(sys.float_info.max):
+        raise NonFiniteResultError(
+            f"--p {p!r} is too low for these functionals: "
+            "their weighted covariance terms overflow a double"
+        )
+
+
 def _cmd_lambda(args) -> int:
     _finite_level(args.p, "--p")
     if args.sum:
         if args.p is None or args.n is None:
             raise FockCalcError("lambda --sum needs --p and --n")
+        if args.p <= 0.0:
+            raise FockCalcError(f"lambda --sum needs --p > 0, got {args.p!r}")
         print(repr(gamma_weight_sum(args.p, args.n)))
         return 0
     if args.bound:
         if args.p is None:
             raise FockCalcError("lambda --bound needs --p")
-        print(repr(weight_sum_bound(args.p)))
+        if args.p <= 1.0:
+            raise FockCalcError(
+                f"lambda --bound needs --p > 1 (the series diverges below), got {args.p!r}"
+            )
+        with _named_levels("--p", args.p):
+            bound = weight_sum_bound(args.p)
+        print(repr(bound))
         return 0
     if args.subset is None:
         raise FockCalcError("lambda needs a subset argument, --sum, or --bound")
@@ -111,7 +147,8 @@ def _cmd_norm(args) -> int:
     _finite_level(args.p, "--p")
     phi = _load_functional(args.file)
     level = args.p if args.p is not None else 0.0
-    value = norm_dual(phi, level) if args.dual else norm_p(phi, level)
+    with _named_levels("--p", args.p):
+        value = norm_dual(phi, level) if args.dual else norm_p(phi, level)
     print(repr(value))
     return 0
 
@@ -128,7 +165,8 @@ def _cmd_decompose(args) -> int:
         _finite_level(q, "--q")
     phi = _load_functional(args.file)
     q_probe = tuple(args.q) if args.q else (0.0, 1.0, 2.0)
-    report = decompose(phi, q_probe)
+    with _named_levels("--q", *(args.q or ())):
+        report = decompose(phi, q_probe)
     _emit(decomposition_to_obj(report), args.out)
     return 0
 
@@ -138,11 +176,14 @@ def _cmd_cov(args) -> int:
     phi = _load_functional(args.file)
     psi = _load_functional(args.other)
     level = args.p if args.p is not None else 0.0
+    _require_pairing_level(level, phi, psi)
     _emit(covariance_to_obj(cov_identity(phi, psi, level)), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .suite import SuiteConfig, run_suite
+
     cfg = SuiteConfig(
         suite=args.suite,
         trials=args.trials,
@@ -159,6 +200,10 @@ def _cmd_verify(args) -> int:
 
 
 def _realize(phi: FockFunctional, space: PathSpace) -> PathObservable:
+    import numpy as np
+
+    from .bridge import evaluate
+
     # Finite coefficients can still sum past the double range on a path; that
     # is reported here, before any mean is taken or any CSV row written.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,6 +218,16 @@ def _realize(phi: FockFunctional, space: PathSpace) -> PathObservable:
 
 
 def _cmd_bridge(args) -> int:
+    from .bridge import (
+        build_space,
+        check_intertwining,
+        mc_estimate,
+        path_expectation,
+        write_observable_csv,
+    )
+    from .corpus import random_functionals
+    from .suite import BRIDGE_TOLERANCE, SuiteConfig, run_suite
+
     if args.eval is not None:
         phi = _load_functional(args.eval)
         space = build_space(args.horizon, args.mode, M=args.paths, seed=args.seed)

@@ -201,6 +201,8 @@ def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
     ``m`` is finite and nonzero for every nonzero functional even where the
     norm itself overflows or underflows; (0.0, 0) for the zero functional.
     ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
+    Raises NonFiniteResultError where exponent * log2(weight) itself leaves
+    the double range, so no power of two can carry the weight factor.
     """
     terms = []
     for m, c in phi._terms.items():
@@ -208,6 +210,10 @@ def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
         c_mant = abs(complex(math.ldexp(c.real, -c_exp), math.ldexp(c.imag, -c_exp)))
         log2_weight = math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
         w_log = exponent * log2_weight
+        if math.isinf(w_log):
+            raise NonFiniteResultError(
+                "a weight power 2**(exponent * log2 weight) lies beyond the double range"
+            )
         w_exp = math.floor(w_log)
         terms.append((c_mant * 2.0 ** (w_log - w_exp), c_exp + w_exp))
     if not terms:
@@ -236,7 +242,7 @@ def _weighted_norm(phi: FockFunctional, exponent: float) -> float:
     except OverflowError:
         magnitude = exp2 * math.log10(2.0) + math.log10(mant)
         raise NonFiniteResultError(
-            f"norm of about 1e{magnitude:.0f} overflows a double"
+            f"norm of about 10**{magnitude:.4g} overflows a double"
         ) from None
 
 

@@ -14,6 +14,9 @@ The coefficient core stores a subset as its bit-mask, a plain int with bit k
 set iff k is a member, and ``mask_weight`` weighs it directly.
 ``SubsetIndex`` is the boundary type: it wraps a mask with its element tuple
 for the callers that see subsets (term listings, lookups and JSON I/O).
+
+Only the three weight-sum evaluations use numpy, and each imports it when
+called, so the coefficient layers built on this module never load it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
-from .errors import CapExceededError, DivergentSeriesError, NegativeIndexError, WeightOverflowError
+from .errors import (
+    CapExceededError,
+    DivergentSeriesError,
+    NegativeIndexError,
+    NonFiniteResultError,
+    WeightOverflowError,
+)
 
 #: Hard cap on exhaustive subset enumeration (2**cap subsets must stay desk-scale).
 GAMMA_HARD_CAP = 24
@@ -197,6 +204,8 @@ def gamma_weight_sum(p: float, max_index: int) -> float:
     factorized closed form prod_{k=1..max_index} (1 + k**-p) agrees to within
     1e-12 relative and serves as an independent cross-check in the tests.
     """
+    import numpy as np
+
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if max_index < 0:
@@ -222,13 +231,20 @@ def weight_sum_bound(p: float, cutoff: int = SERIES_CUTOFF) -> float:
     The exponent is evaluated as the partial sum of the first ``cutoff`` terms
     plus the integral tail estimate cutoff**(1-p)/(p-1), so the result is a
     certified upper bound.  Requires p > 1; below that the series diverges.
+    Raises NonFiniteResultError where the bound overflows a double, which
+    happens for p just above 1.
     """
+    import numpy as np
+
     if p <= 1:
         raise DivergentSeriesError(f"sum of k**-p diverges for p = {p}")
     k = np.arange(cutoff, 0, -1, dtype=np.float64)
     partial = float(np.sum(k ** (-p)))
     tail = cutoff ** (1.0 - p) / (p - 1.0)
-    return math.exp(partial + tail)
+    try:
+        return math.exp(partial + tail)
+    except OverflowError:
+        raise NonFiniteResultError("the weight-sum bound overflows a double") from None
 
 
 def gamma_weight_sum_limit(p: float, cutoff: int = SERIES_CUTOFF) -> float:
@@ -239,6 +255,8 @@ def gamma_weight_sum_limit(p: float, cutoff: int = SERIES_CUTOFF) -> float:
     the rest with the integral tail bound, so the result dominates the true
     series while staying far sharper than ``weight_sum_bound``.
     """
+    import numpy as np
+
     if p <= 1:
         raise DivergentSeriesError(f"the full weight sum diverges for p = {p}")
     m = np.arange(cutoff, 0, -1, dtype=np.float64)

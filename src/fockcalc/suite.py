@@ -29,8 +29,7 @@ from .functional import (
 )
 from .gamma import EMPTY_SET, SubsetIndex
 from .operators import verify_car, verify_commutation, verify_norm_bounds
-
-SUITE_NAMES = ("car", "bounds", "commutation", "clark", "covariance", "bridge", "all")
+from .suite_names import SUITE_NAMES
 
 #: Tolerance of the pathwise bridge comparisons, looser than the coefficient
 #: identities' because their rounding accumulates across up to 2**horizon paths.

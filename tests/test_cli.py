@@ -54,7 +54,7 @@ class TestLambdaCommand:
     def test_overflowing_bound_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "lambda", "--bound", "--p", "1.0000001")
         assert code == 2
-        assert err.startswith("error: ")
+        assert err == "error: the weight-sum bound overflows a double at --p 1.0000001\n"
 
 
 class TestNormCommand:
@@ -396,6 +396,58 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: {option} must be a finite number, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", str(2**70)])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["lambda", "--sum", "--n", "3"], "--p"),
+            (["lambda", "--bound"], "--p"),
+            (["norm", "PHI"], "--p"),
+            (["norm", "PHI", "--dual"], "--p"),
+            (["decompose", "PHI"], "--q"),
+            (["cov", "PHI", "PHI"], "--p"),
+        ],
+    )
+    def test_extreme_finite_level_is_computed_or_names_its_option(
+        self, capsys, phi_file, command, option, value
+    ):
+        argv = [phi_file if arg == "PHI" else arg for arg in command]
+        code, out, err = run_cli(capsys, *argv, f"{option}={value}")
+        assert code in (0, 2)
+        assert "math range error" not in out + err
+        assert "cannot convert float infinity" not in out + err
+        if code == 0:
+            assert err == ""
+
+            def non_finite(constant):
+                raise AssertionError(f"{constant} in the output")
+
+            # A bare number or a report; a printed inf or nan is no JSON at all.
+            json.loads(out, parse_constant=non_finite)
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and option in err
+            assert err.count("\n") == 1
+
+    def test_overflowing_cov_level_fails_before_the_report(self, capsys, monkeypatch, phi_file):
+        import fockcalc.cli as cli
+
+        code, out, _ = run_cli(capsys, "cov", phi_file, phi_file, "--p=-321")
+        assert code == 0
+        assert json.loads(out)["lhs"][0] == pytest.approx(9 * 3.0**642)
+
+        def unreached(*args):
+            raise AssertionError("the covariance was computed before the level check")
+
+        monkeypatch.setattr(cli, "cov_identity", unreached)
+        code, out, err = run_cli(capsys, "cov", phi_file, phi_file, "--p=-321.5")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --p -321.5 is too low for these functionals: "
+            "their weighted covariance terms overflow a double\n"
+        )
 
 
 class TestParserReuse:

@@ -290,3 +290,15 @@ class TestNormRange:
     def test_unrepresentable_norm_is_typed_error(self):
         with pytest.raises(NonFiniteResultError):
             norm_p(basis_element(SubsetIndex(range(60))), 10.0)
+
+    @pytest.mark.parametrize(
+        "norm, sigma",
+        [(norm_p, [0, 2]), (norm_p, [3]), (norm_dual, [3])],
+    )
+    def test_extreme_level_is_short_typed_error(self, norm, sigma):
+        # [0, 2] overflows through its power of two; [3] already overflows
+        # exponent * log2(weight), above and below.
+        phi = basis_element(SubsetIndex(sigma))
+        with pytest.raises(NonFiniteResultError) as exc:
+            norm(phi, 1e308)
+        assert len(str(exc.value)) < 120
