@@ -16,8 +16,10 @@ integral form and the agreement between the two pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from bisect import bisect_right
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import PredictabilityViolatedError
 from .functional import FockFunctional, linear_combine, norm_dual, sum_functionals
@@ -38,6 +40,46 @@ def partial_sum(phi: FockFunctional, n: int) -> FockFunctional:
     return sum_functionals(co_term(phi, k) for k in phi.sites() if k <= n)
 
 
+class ResidualTable(Mapping):
+    """Read-only map (n, q) -> residual for 0 <= n <= top, stored as runs.
+
+    A partial-sum residual changes only where a site term is peeled off, so
+    one row of values (one per level q) is stored at n = 0 and one at each
+    later site that carries a term; the row at n is the last stored row at or
+    before n, found by bisection.  Keys, their ascending (n, q) order, ``len``
+    and values are those of the dense dict with one entry per (n, q), and the
+    table compares equal to that dict.
+    """
+
+    def __init__(self, sites: List[int], rows: List[Tuple[float, ...]],
+                 levels: Tuple[float, ...], top: int):
+        self._sites = sites
+        self._rows = rows
+        self._columns = {q: j for j, q in enumerate(levels)}
+        self._range = range(top + 1)
+        #: The dual levels q of every row, ascending and without repeats.
+        self.levels = levels
+
+    def __getitem__(self, key: Tuple[int, float]) -> float:
+        if isinstance(key, tuple) and len(key) == 2:
+            n, q = key
+            column = self._columns.get(q)
+            if column is not None and n in self._range:
+                return self._rows[bisect_right(self._sites, n) - 1][column]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return ((n, q) for n in self._range for q in self.levels)
+
+    def __len__(self) -> int:
+        return len(self._range) * len(self.levels)
+
+    def runs(self) -> Iterator[Tuple[range, Tuple[float, ...]]]:
+        """(range of n, row) pairs in ascending n: the row holds at every n of its range."""
+        stops = self._sites[1:] + [self._range.stop]
+        return ((range(a, b), row) for a, b, row in zip(self._sites, stops, self._rows))
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Mean part, per-site terms, and partial-sum residuals of a functional.
@@ -45,14 +87,16 @@ class DecompositionReport:
     ``termination_index`` is the largest support index (-1 when only the
     constant term is present: the term map is then empty, no fictitious
     zero term is emitted).  ``residual_norms[(n, q)]`` is the level-q dual
-    norm of (phi - mean - partial_sum(phi, n)); its keys run in ascending
-    (n, q) order.
+    norm of (phi - mean - partial_sum(phi, n)) for 0 <= n <= termination;
+    its keys run in ascending (n, q) order.  It stores one row at n = 0 and
+    one at each site in ``terms``, which every n up to the next such site
+    shares (see ``ResidualTable``).
     """
 
     mean: FockFunctional
     terms: Dict[int, FockFunctional]
     termination_index: int
-    residual_norms: Dict[Tuple[int, float], float] = field(default_factory=dict)
+    residual_norms: ResidualTable
 
     def reconstruction(self) -> FockFunctional:
         """mean + sum of the per-site terms, in ascending site order."""
@@ -66,10 +110,13 @@ def decompose(
 ) -> DecompositionReport:
     """Full decomposition with residual diagnostics on a dual-level grid.
 
-    The residual table probes every level n from 0 to the termination index;
+    The residual table covers every level n from 0 to the termination index;
     at the termination index it is exactly zero because the per-site terms
-    are verbatim coefficient selections from phi.  Only the occupied sites
-    are computed; a level without a term repeats the previous level's row.
+    are verbatim coefficient selections from phi.  Only n = 0 and the sites
+    with a term are computed; a level without a term shares the previous
+    level's row.  The levels are ``sorted(q_probe)`` keyed by ``float(q)``;
+    equal levels (a repeat, 1 and 1.0, -0.0 and 0.0) share one column,
+    keyed by the first of them.
     """
     mean = expect(phi)
     termination = phi.support_max
@@ -78,24 +125,24 @@ def decompose(
         t = co_term(phi, k)
         if t:
             terms[k] = t
-    residuals: Dict[Tuple[int, float], float] = {}
+    probe: Dict[float, float] = {}
+    for q in sorted(q_probe):
+        probe[float(q)] = q
     # Per-site terms have pairwise disjoint supports, so peeling them off the
     # centered remainder one at a time reproduces each partial-sum residual
     # exactly.
     remainder = linear_combine(1.0, phi, -1.0, mean)
-    q_sorted = sorted(q_probe)
-    row = [norm_dual(remainder, q) for q in q_sorted]
-    for n in range(termination + 1):
+    sites = [0] + [k for k in terms if k > 0] if termination >= 0 else []
+    rows = []
+    for n in sites:
         if n in terms:
             remainder = linear_combine(1.0, remainder, -1.0, terms[n])
-            row = [norm_dual(remainder, q) for q in q_sorted]
-        for q, value in zip(q_sorted, row):
-            residuals[(n, float(q))] = value
+        rows.append(tuple(norm_dual(remainder, q) for q in probe.values()))
     return DecompositionReport(
         mean=mean,
         terms=terms,
         termination_index=termination,
-        residual_norms=residuals,
+        residual_norms=ResidualTable(sites, rows, tuple(probe), termination),
     )
 
 

@@ -31,16 +31,15 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import __version__
 from .clark_ocone import decompose
 from .covariance import cov_identity
-from .errors import FockCalcError, NonFiniteResultError
+from .errors import CapExceededError, ConfigError, FockCalcError, NonFiniteResultError
 from .functional import FockFunctional, norm_dual, norm_p
-from .gamma import gamma_weight_sum, lambda_weight, weight_sum_bound
+from .gamma import GAMMA_HARD_CAP, gamma_weight_sum, lambda_weight, weight_sum_bound
 from .operators import apply_pipeline
 from .serialization import (
-    covariance_to_obj,
-    decomposition_to_obj,
     functional_to_obj,
     parse_functional,
     parse_subset,
+    report_to_json,
     to_json,
 )
 from .suite_names import SUITE_NAMES
@@ -63,12 +62,21 @@ def _load_functional(path: str) -> FockFunctional:
 
 
 def _emit(payload, out: Optional[str]) -> None:
-    text = to_json(payload, indent=2)
+    _write(to_json(payload, indent=2), out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
+
+
+def _at_least(value: int, least: int, option: str) -> None:
+    # Integer options are checked here, so the message names the option.
+    if value < least:
+        raise ConfigError(f"{option} must be >= {least}, got {value}")
 
 
 def _finite_level(value: Optional[float], option: str) -> None:
@@ -89,26 +97,33 @@ def _named_levels(option: str, *levels: Optional[float]):
         raise NonFiniteResultError(f"{exc} at {option} {given}") from None
 
 
-def _require_pairing_level(p: float, phi: FockFunctional, psi: FockFunctional) -> None:
+def _require_pairing_level(
+    p: float, phi: FockFunctional, psi: FockFunctional, files: Sequence[str]
+) -> None:
     # The covariance pairs the non-constant subsets both functionals carry, as
     # weight ** -2p * c * conj(d), once directly and once site by site, and
     # subtracts the two sums.  Each sum has at most len(phi) terms, so twice
-    # that many times the largest term must be a finite double.  Only a
-    # negative level raises the weight powers.
-    if p >= 0.0:
-        return
+    # that many times the largest term must be a finite double.  A negative
+    # level raises the weight powers; at any other level only the
+    # coefficients themselves can be too large.  The level multiplies the
+    # doubled log weight, which is 0 for the set {0}, so no inf * 0 arises.
     log_peak = max(
         (
-            math.log(abs(c)) + math.log(abs(d)) - 2.0 * p * math.log(lambda_weight(s))
+            math.log(abs(c)) + math.log(abs(d)) - p * (2.0 * math.log(lambda_weight(s)))
             for s, c in phi.items()
             if s and (d := psi.coefficient(s))
         ),
         default=-math.inf,
     )
-    if log_peak + math.log(2 * len(phi)) > math.log(sys.float_info.max):
+    if phi and log_peak + math.log(2 * len(phi)) > math.log(sys.float_info.max):
+        if p < 0.0:
+            raise NonFiniteResultError(
+                f"--p {p!r} is too low for these functionals: "
+                "their weighted covariance terms overflow a double"
+            )
         raise NonFiniteResultError(
-            f"--p {p!r} is too low for these functionals: "
-            "their weighted covariance terms overflow a double"
+            f"the covariance of {files[0]} and {files[1]} overflows a double: "
+            "their shared coefficients are too large"
         )
 
 
@@ -119,6 +134,9 @@ def _cmd_lambda(args) -> int:
             raise FockCalcError("lambda --sum needs --p and --n")
         if args.p <= 0.0:
             raise FockCalcError(f"lambda --sum needs --p > 0, got {args.p!r}")
+        _at_least(args.n, 0, "--n")
+        if args.n > GAMMA_HARD_CAP:
+            raise CapExceededError(f"--n {args.n} exceeds the hard cap {GAMMA_HARD_CAP}")
         print(repr(gamma_weight_sum(args.p, args.n)))
         return 0
     if args.bound:
@@ -167,7 +185,7 @@ def _cmd_decompose(args) -> int:
     q_probe = tuple(args.q) if args.q else (0.0, 1.0, 2.0)
     with _named_levels("--q", *(args.q or ())):
         report = decompose(phi, q_probe)
-    _emit(decomposition_to_obj(report), args.out)
+    _write(report_to_json(report), args.out)
     return 0
 
 
@@ -176,8 +194,8 @@ def _cmd_cov(args) -> int:
     phi = _load_functional(args.file)
     psi = _load_functional(args.other)
     level = args.p if args.p is not None else 0.0
-    _require_pairing_level(level, phi, psi)
-    _emit(covariance_to_obj(cov_identity(phi, psi, level)), args.out)
+    _require_pairing_level(level, phi, psi, (args.file, args.other))
+    _write(report_to_json(cov_identity(phi, psi, level)), args.out)
     return 0
 
 
@@ -228,7 +246,10 @@ def _cmd_bridge(args) -> int:
     from .corpus import random_functionals
     from .suite import BRIDGE_TOLERANCE, SuiteConfig, run_suite
 
+    _at_least(args.horizon, 1, "--horizon")
     if args.eval is not None:
+        if args.mode == "sampled" and (args.paths is None or args.paths < 1):
+            raise ConfigError(f"--mode sampled needs --paths >= 1, got {args.paths}")
         phi = _load_functional(args.eval)
         space = build_space(args.horizon, args.mode, M=args.paths, seed=args.seed)
         obs = _realize(phi, space)
@@ -245,7 +266,12 @@ def _cmd_bridge(args) -> int:
         _emit(payload, args.out)
         return 0
 
+    _at_least(args.trials, 1, "--trials")
     if args.k is not None:
+        if not 0 <= args.k < args.horizon:
+            raise ConfigError(
+                f"--k must lie in 0..{args.horizon - 1} (below --horizon), got {args.k}"
+            )
         # Single-site intertwining sweep over a fresh corpus on one space.
         space = build_space(args.horizon, "exhaustive")
         corpus = random_functionals(

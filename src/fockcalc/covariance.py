@@ -11,8 +11,9 @@ support set is a singleton.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator
 
 from .clark_ocone import co_term
 from .functional import FockFunctional, inner_dual, linear_combine, norm_dual
@@ -37,13 +38,42 @@ def var_p(phi: FockFunctional, p: float) -> float:
     return norm_dual(_centered(phi), p) ** 2
 
 
+class SiteTable(Mapping):
+    """Read-only map site -> complex over 0..top that stores only some sites.
+
+    ``stored`` maps the sites that were computed to their values, in
+    ascending site order; every other site in 0..top answers 0j.  Keys, their
+    order, ``len`` and values are those of the dense dict over 0..top, and
+    the table compares equal to that dict.
+    """
+
+    def __init__(self, top: int, stored: Dict[int, complex]):
+        self._range = range(top + 1)
+        self.stored = stored
+
+    def __getitem__(self, k: int) -> complex:
+        if k in self._range:
+            return self.stored.get(k, 0j)
+        raise KeyError(k)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._range)
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Direct covariance, its per-site series form, and the measured gap."""
+    """Direct covariance, its per-site series form, and the measured gap.
+
+    ``per_site`` maps every site 0..top to its pairing and stores only the
+    sites both supports share (see ``SiteTable``).
+    """
 
     lhs: complex
     rhs: complex
-    per_site: Dict[int, complex]
+    per_site: SiteTable
     gap: float
 
 
@@ -51,21 +81,21 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
     """Evaluate the covariance both directly and as the per-site series.
 
     ``per_site`` covers every site up to the larger support maximum; the
-    entries pair matching decomposition terms, and a site missing from
-    either support pairs an empty term, so its entry is 0j without being
-    computed.  The gap vanishes in exact arithmetic for finitely supported
-    inputs.
+    entries pair matching decomposition terms.  Only the sites both supports
+    share are computed and stored: at any other site one of the two terms is
+    empty, so the entry is 0j.  The gap vanishes in exact arithmetic for
+    finitely supported inputs.
     """
     direct = cov_p(phi, psi, p)
     top = max(phi.support_max, psi.support_max)
-    per_site: Dict[int, complex] = dict.fromkeys(range(top + 1), 0j)
+    shared: Dict[int, complex] = {}
     total = 0j
     for k in sorted(set(phi.sites()).intersection(psi.sites())):
         contribution = inner_dual(co_term(phi, k), co_term(psi, k), p)
-        per_site[k] = contribution
+        shared[k] = contribution
         total += contribution
     return CovarianceReport(
-        lhs=direct, rhs=total, per_site=per_site, gap=abs(direct - total)
+        lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)
     )
 
 

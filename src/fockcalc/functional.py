@@ -332,7 +332,8 @@ def dual_norm_bound(env: GrowthEnvelope, q: float) -> float:
     C * sqrt(sum over ALL subsets of weight**(-2(q-p))), which converges
     precisely when q > p + 1/2.  The series is evaluated by the certified
     upper machinery in ``gamma_weight_sum_limit``, so the ceiling genuinely
-    dominates every truncation.
+    dominates every truncation.  Raises NonFiniteResultError where the
+    ceiling overflows a double, as it does for q just above p + 1/2.
     """
     if q <= env.p + 0.5:
         raise ExponentTooSmallError(
@@ -340,7 +341,10 @@ def dual_norm_bound(env: GrowthEnvelope, q: float) -> float:
         )
     if env.C == 0.0:
         return 0.0
-    return env.C * math.sqrt(gamma_weight_sum_limit(2.0 * (q - env.p)))
+    bound = env.C * math.sqrt(gamma_weight_sum_limit(2.0 * (q - env.p)))
+    if math.isinf(bound):
+        raise NonFiniteResultError("the dual-norm bound overflows a double")
+    return bound
 
 
 @dataclass(frozen=True)

@@ -253,7 +253,9 @@ def gamma_weight_sum_limit(p: float, cutoff: int = SERIES_CUTOFF) -> float:
     Over all finite subsets the sum factorizes into prod_{m>=1} (1 + m**-p);
     this evaluates the log of the first ``cutoff`` factors exactly and covers
     the rest with the integral tail bound, so the result dominates the true
-    series while staying far sharper than ``weight_sum_bound``.
+    series while staying far sharper than ``weight_sum_bound``.  Raises
+    NonFiniteResultError where the sum overflows a double, which happens for
+    p just above 1.
     """
     import numpy as np
 
@@ -262,4 +264,7 @@ def gamma_weight_sum_limit(p: float, cutoff: int = SERIES_CUTOFF) -> float:
     m = np.arange(cutoff, 0, -1, dtype=np.float64)
     partial = float(np.sum(np.log1p(m ** (-p))))
     tail = cutoff ** (1.0 - p) / (p - 1.0)
-    return math.exp(partial + tail)
+    try:
+        return math.exp(partial + tail)
+    except OverflowError:
+        raise NonFiniteResultError("the full weight sum overflows a double") from None

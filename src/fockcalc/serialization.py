@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .clark_ocone import DecompositionReport
-from .covariance import CovarianceReport
+from .clark_ocone import DecompositionReport, ResidualTable
+from .covariance import CovarianceReport, SiteTable
 from .errors import DuplicateKeyError, NegativeIndexError, NonFiniteResultError, SchemaError
 from .functional import FockFunctional, GrowthEnvelope, make_functional
 from .gamma import SubsetIndex
@@ -141,6 +141,11 @@ _float_repr = float.__repr__
 _int_repr = int.__repr__
 _INF = math.inf
 
+#: Stands for the level n in a residual row written once for a whole run.  It
+#: is written as a raw NUL, which no other JSON text holds (strings escape it).
+_SITE = object()
+_SITE_TEXT = "\x00"
+
 
 def _scalar_text(value: Any) -> Optional[str]:
     """JSON text of an exact str, float, int, bool or None; None for anything else."""
@@ -159,18 +164,23 @@ def _scalar_text(value: Any) -> Optional[str]:
         return "true"
     if value is False:
         return "false"
+    if value is _SITE:
+        return _SITE_TEXT
     return None
 
 
-def _indented(payload: Any, indent: int) -> str:
+def _indented(payload: Any, indent: int, newline: str = "\n") -> str:
     """``json.dumps(payload, indent=indent, allow_nan=False)``, byte for byte.
 
     The stdlib writes indented JSON with its pure-Python encoder; this is the
     same output from one recursion appending to one list.  Exact str, float,
     int, bool, None, list, tuple and str-keyed dict values are written here;
-    any other value (a subclass, a non-str key, an unserializable object)
+    a ``ResidualTable`` is written as ``decomposition_to_obj``'s residual
+    list and a ``SiteTable`` as ``covariance_to_obj``'s ``per_k`` object.
+    Any other value (a subclass, a non-str key, an unserializable object)
     goes to the stdlib, its lines shifted to the current depth.  There is no
-    circular-reference check: payloads are trees.
+    circular-reference check: payloads are trees.  ``newline`` is a line
+    break and the indentation of the payload's own depth.
     """
     step = " " * indent
     out: List[str] = []
@@ -219,6 +229,12 @@ def _indented(payload: Any, indent: int) -> str:
                 sep = comma
             append(newline + "]")
             return
+        elif kind is ResidualTable:
+            append(_residual_rows(value, indent, newline))
+            return
+        elif kind is SiteTable:
+            append(_site_entries(value, indent, newline))
+            return
         else:
             text = _scalar_text(value)
             if text is not None:
@@ -228,8 +244,34 @@ def _indented(payload: Any, indent: int) -> str:
         # strings hold no raw line break, so each one starts an indented line.
         append(json.dumps(value, indent=indent, allow_nan=False).replace("\n", newline))
 
-    write(payload, "\n")
+    write(payload, newline)
     return "".join(out)
+
+
+def _residual_rows(table: ResidualTable, indent: int, newline: str) -> str:
+    # Each run's rows are written once, with _SITE for n, as a list at this
+    # depth whose brackets are cut off; each n of the run then costs one join.
+    if not table:
+        return "[]"
+    inner = newline + " " * indent
+    rows: List[str] = []
+    for span, row in table.runs():
+        template = _indented(
+            [_residual_row(_SITE, q, r) for q, r in zip(table.levels, row)], indent, newline
+        )[len(inner) + 1 : -len(newline) - 1].split(_SITE_TEXT)
+        rows.extend(str(n).join(template) for n in span)
+    return "[" + inner + ("," + inner).join(rows) + newline + "]"
+
+
+def _site_entries(table: SiteTable, indent: int, newline: str) -> str:
+    # Each stored value, and the 0j of every other site, is written once.
+    if not table:
+        return "{}"
+    inner = newline + " " * indent
+    zero = _indented(_pair(0j), indent, inner)
+    stored = {k: _indented(_pair(z), indent, inner) for k, z in table.stored.items()}
+    entries = [f'"{k}": {stored.get(k, zero)}' for k in table]
+    return "{" + inner + ("," + inner).join(entries) + newline + "}"
 
 
 def to_json(payload: Any, indent: Optional[int] = None) -> str:
@@ -256,25 +298,60 @@ def serialize_functional(
     return to_json(functional_to_obj(phi, envelope), indent=indent)
 
 
-def decomposition_to_obj(report: DecompositionReport) -> Dict[str, Any]:
-    """Mean, per-site terms keyed by decimal site, and the residual table."""
+def _residual_row(n: Any, q: float, residual: float) -> Dict[str, Any]:
+    return {"n": n, "q": q, "residual": residual}
+
+
+def _pair(z: complex) -> List[float]:
+    return [z.real, z.imag]
+
+
+def _decomposition_payload(report: DecompositionReport, residuals: Any) -> Dict[str, Any]:
     return {
         "mean": functional_to_obj(report.mean),
         "terms": {str(k): functional_to_obj(report.terms[k]) for k in sorted(report.terms)},
         "termination_index": report.termination_index,
-        "residuals": [
-            {"n": n, "q": q, "residual": residual}
-            for (n, q), residual in report.residual_norms.items()
-        ],
+        "residuals": residuals,
     }
+
+
+def _covariance_payload(report: CovarianceReport, per_k: Any) -> Dict[str, Any]:
+    return {
+        "lhs": _pair(report.lhs),
+        "rhs": _pair(report.rhs),
+        "per_k": per_k,
+        "gap": report.gap,
+    }
+
+
+def decomposition_to_obj(report: DecompositionReport) -> Dict[str, Any]:
+    """Mean, per-site terms keyed by decimal site, and one residual row per (n, q)."""
+    return _decomposition_payload(
+        report,
+        [_residual_row(n, q, residual) for (n, q), residual in report.residual_norms.items()],
+    )
 
 
 def covariance_to_obj(report: CovarianceReport) -> Dict[str, Any]:
-    return {
-        "lhs": [report.lhs.real, report.lhs.imag],
-        "rhs": [report.rhs.real, report.rhs.imag],
-        "per_k": {
-            str(k): [v.real, v.imag] for k, v in sorted(report.per_site.items())
-        },
-        "gap": report.gap,
-    }
+    """Both covariance routes as [re, im], one ``per_k`` entry per site, and the gap."""
+    return _covariance_payload(report, {str(k): _pair(v) for k, v in report.per_site.items()})
+
+
+def report_to_json(report: Union[DecompositionReport, CovarianceReport]) -> str:
+    """``to_json(<report>_to_obj(report), indent=2)``, byte for byte.
+
+    The residual or per-site table goes to the writer as stored and is
+    expanded there, so the dense payload is never built.  If a value is not
+    finite, the dense payload is built after all, and its NonFiniteResultError
+    names the field.
+    """
+    if isinstance(report, DecompositionReport):
+        payload = _decomposition_payload(report, report.residual_norms)
+        dense = decomposition_to_obj
+    else:
+        payload = _covariance_payload(report, report.per_site)
+        dense = covariance_to_obj
+    try:
+        return _indented(payload, 2)
+    except ValueError:
+        return to_json(dense(report), indent=2)

@@ -163,13 +163,42 @@ class TestCovCommand:
         assert obj["lhs"] == [9.0, 0.0]
         assert obj["gap"] == 0.0
 
-    def test_non_finite_field_is_named(self, capsys, tmp_path):
-        doc = tmp_path / "huge.json"
+    @pytest.mark.parametrize("level", [[], ["--p", "0"], ["--p", "1"]])
+    def test_overflowing_pairing_names_both_files(self, capsys, monkeypatch, tmp_path, level):
+        import fockcalc.cli as cli
+
+        def unreached(*args):
+            raise AssertionError("the covariance was computed before the magnitude check")
+
+        monkeypatch.setattr(cli, "cov_identity", unreached)
+        doc, other = tmp_path / "huge.json", tmp_path / "other.json"
         doc.write_text('{"terms":[{"set":[],"coef":[1e300,0]},{"set":[1],"coef":[1e300,0]}]}')
-        code, out, err = run_cli(capsys, "cov", str(doc), str(doc))
+        other.write_text('{"terms":[{"set":[1],"coef":[2e154,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(other), *level)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: output field lhs")
+        assert err == (
+            f"error: the covariance of {doc} and {other} overflows a double: "
+            "their shared coefficients are too large\n"
+        )
+
+    def test_site_zero_term_does_not_hide_an_overflow(self, capsys, tmp_path):
+        # weight({0}) is 1, so its term's level factor stays finite at any level.
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"terms":[{"set":[0],"coef":[1,0]},{"set":[1],"coef":[2,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc), "--p=-1e308")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --p -1e+308 is too low for these functionals")
+
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    def test_empty_functional_has_zero_covariance(self, capsys, tmp_path, level):
+        doc = tmp_path / "empty.json"
+        doc.write_text('{"terms":[]}')
+        code, out, _ = run_cli(capsys, "cov", str(doc), str(doc), f"--p={level}")
+        assert code == 0
+        assert json.loads(out) == {
+            "lhs": [0.0, 0.0], "rhs": [0.0, 0.0], "per_k": {}, "gap": 0.0
+        }
 
 
 class TestDecomposeHugeCoefficient:
@@ -448,6 +477,31 @@ class TestExitCodes:
             "error: --p -321.5 is too low for these functionals: "
             "their weighted covariance terms overflow a double\n"
         )
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lambda", "--sum", "--p", "2", "--n", "-1"], "--n must be >= 0, got -1"),
+            (["lambda", "--sum", "--p", "2", "--n", "30"], "--n 30 exceeds the hard cap 24"),
+            (["bridge", "--horizon", "0"], "--horizon must be >= 1, got 0"),
+            (["bridge", "--horizon", "0", "--eval", "PHI"], "--horizon must be >= 1, got 0"),
+            (["bridge", "--horizon", "3", "--trials", "0"], "--trials must be >= 1, got 0"),
+            (["bridge", "--eval", "PHI", "--mode", "sampled"],
+             "--mode sampled needs --paths >= 1, got None"),
+            (["bridge", "--eval", "PHI", "--mode", "sampled", "--paths", "0"],
+             "--mode sampled needs --paths >= 1, got 0"),
+            (["bridge", "--horizon", "8", "--k", "-1"],
+             "--k must lie in 0..7 (below --horizon), got -1"),
+            (["bridge", "--horizon", "8", "--k", "8"],
+             "--k must lie in 0..7 (below --horizon), got 8"),
+        ],
+    )
+    def test_out_of_range_value_names_its_option(self, capsys, phi_file, argv, message):
+        argv = [phi_file if arg == "PHI" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestParserReuse:

@@ -233,6 +233,14 @@ class TestEnvelopes:
         with pytest.raises(ExponentTooSmallError):
             dual_norm_bound(GrowthEnvelope(1.0, 0.0), 0.5)
 
+    @pytest.mark.parametrize(
+        "env, q", [(GrowthEnvelope(1.0, 0.0), 0.50000001), (GrowthEnvelope(1e308, 0.0), 0.6)]
+    )
+    def test_overflowing_bound_is_typed(self, env, q):
+        # The weight-sum limit itself overflows, or C times its root does.
+        with pytest.raises(NonFiniteResultError, match="overflows a double"):
+            dual_norm_bound(env, q)
+
     def test_bound_value_against_closed_form(self):
         got = dual_norm_bound(GrowthEnvelope(1.0, 0.0), 1.0)
         exact = math.sqrt(SINH_PI_OVER_PI)
