@@ -193,7 +193,7 @@ def check_orthonormality(N: int) -> float:
         low, high = view[:, 0, :].copy(), view[:, 1, :].copy()
         view[:, 0, :] = low + high
         view[:, 1, :] = high - low
-    return max(abs(means[0] - 1.0), float(np.max(np.abs(means[1:]))))
+    return float(max(abs(means[0] - 1.0), np.max(np.abs(means[1:]))))
 
 
 def _sweep(

@@ -102,20 +102,21 @@ def _require_pairing_level(
 ) -> None:
     # The covariance pairs the non-constant subsets both functionals carry, as
     # weight ** -2p * c * conj(d), once directly and once site by site, and
-    # subtracts the two sums.  Each sum has at most len(phi) terms, so twice
-    # that many times the largest term must be a finite double.  A negative
-    # level raises the weight powers; at any other level only the
-    # coefficients themselves can be too large.  The level multiplies the
-    # doubled log weight, which is 0 for the set {0}, so no inf * 0 arises.
-    log_peak = max(
-        (
-            math.log(abs(c)) + math.log(abs(d)) - p * (2.0 * math.log(lambda_weight(s)))
-            for s, c in phi.items()
-            if s and (d := psi.coefficient(s))
-        ),
-        default=-math.inf,
-    )
-    if phi and log_peak + math.log(2 * len(phi)) > math.log(sys.float_info.max):
+    # subtracts the two sums.  Where the sum of those terms' magnitudes is a
+    # finite double, so is every partial sum and the gap; its log is taken as
+    # a log-sum-exp of the terms' logs, or is the largest log where that is
+    # infinite, so no inf - inf arises.  A negative level raises the weight
+    # powers; at any other level only the coefficients can be too large.  The
+    # level multiplies the doubled log weight, which is 0 for the set {0}, so
+    # no inf * 0 arises either.
+    logs = [
+        math.log(abs(c)) + math.log(abs(d)) - p * (2.0 * math.log(lambda_weight(s)))
+        for s, c in phi.items()
+        if s and (d := psi.coefficient(s))
+    ]
+    top = max(logs, default=-math.inf)
+    log_sum = top if math.isinf(top) else top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    if log_sum > math.log(sys.float_info.max):
         if p < 0.0:
             raise NonFiniteResultError(
                 f"--p {p!r} is too low for these functionals: "
@@ -202,17 +203,12 @@ def _cmd_cov(args) -> int:
 def _cmd_verify(args) -> int:
     from .suite import SuiteConfig, run_suite
 
-    cfg = SuiteConfig(
-        suite=args.suite,
-        trials=args.trials,
-        seed=args.seed,
-        support_max=args.support_max,
-        max_terms=args.max_terms,
-        p_grid=tuple(args.p) if args.p else (0.0, 1.0, 2.0),
-        tolerance=args.tolerance,
-        horizon=args.horizon,
-    )
-    report = run_suite(cfg)
+    # Only the options given are passed, so the defaults live in SuiteConfig.
+    names = ("suite", "trials", "seed", "support_max", "max_terms", "tolerance", "horizon")
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if args.p:
+        given["p_grid"] = tuple(args.p)
+    report = run_suite(SuiteConfig(**given))
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -341,16 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.set_defaults(func=_cmd_cov)
 
     p_verify = sub.add_parser("verify", help="randomized identity suites")
-    p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p_verify.add_argument("--trials", type=int, default=500)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--support-max", type=int, default=10, dest="support_max")
-    p_verify.add_argument("--max-terms", type=int, default=24, dest="max_terms")
+    p_verify.add_argument("--suite", choices=SUITE_NAMES)
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--support-max", type=int, dest="support_max")
+    p_verify.add_argument("--max-terms", type=int, dest="max_terms")
     p_verify.add_argument("--p", type=float, action="append",
                           help="chain level grid (repeatable; default 0 1 2)")
-    p_verify.add_argument("--tolerance", type=float, default=1e-12,
+    p_verify.add_argument("--tolerance", type=float,
                           help="identity tolerance; 0 invites spurious float-rounding failures")
-    p_verify.add_argument("--horizon", type=int, default=8, help="bridge-suite horizon")
+    p_verify.add_argument("--horizon", type=int, help="bridge-suite horizon")
     p_verify.add_argument("--out", help="write report JSON here instead of stdout")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -187,8 +187,38 @@ def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
     for m, c in xi._terms.items():
         other = eta._terms.get(m)
         if other is not None:
-            parts.append(mask_weight(m) ** (2.0 * p) * c.conjugate() * other)
+            parts.append(_weighted_product(m, 2.0 * p, c.conjugate(), other))
     return _fsum_complex(parts)
+
+
+def _weighted_product(m: int, exponent: float, c: complex, d: complex) -> complex:
+    """The pairing term weight(m) ** exponent * c * d.
+
+    The plain product is kept wherever it is finite.  Where it overflows,
+    though the term itself may not (a weight power beyond the double range
+    times tiny coefficients), the binary exponents of the weight power and
+    of both coefficients are kept apart, as in ``norm_parts``, and joined
+    last.  Raises NonFiniteResultError where the term itself overflows.
+    """
+    try:
+        term = mask_weight(m) ** exponent * c * d
+        if math.isfinite(term.real) and math.isfinite(term.imag):
+            return term
+    except (OverflowError, WeightOverflowError):
+        pass
+    w_log = exponent * math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
+    if math.isinf(w_log):
+        raise NonFiniteResultError("a weighted pairing term overflows a double")
+    w_exp = math.floor(w_log)
+    mant, exp2 = 2.0 ** (w_log - w_exp), w_exp
+    for z in (c, d):
+        _, z_exp = math.frexp(max(abs(z.real), abs(z.imag)))
+        mant *= complex(math.ldexp(z.real, -z_exp), math.ldexp(z.imag, -z_exp))
+        exp2 += z_exp
+    try:
+        return complex(math.ldexp(mant.real, exp2), math.ldexp(mant.imag, exp2))
+    except OverflowError:
+        raise NonFiniteResultError("a weighted pairing term overflows a double") from None
 
 
 def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
@@ -272,7 +302,7 @@ def inner_dual(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
     for m, c in phi._terms.items():
         other = psi._terms.get(m)
         if other is not None:
-            parts.append(mask_weight(m) ** (-2.0 * p) * c * other.conjugate())
+            parts.append(_weighted_product(m, -2.0 * p, c, other.conjugate()))
     return _fsum_complex(parts)
 
 

@@ -225,12 +225,12 @@ def gamma_weight_sum(p: float, max_index: int) -> float:
     return float(np.sum(terms))
 
 
-def weight_sum_bound(p: float, cutoff: int = SERIES_CUTOFF) -> float:
+def weight_sum_bound(p: float) -> float:
     """Upper bound exp(sum_{k>=1} k**-p) for the untruncated weight sum.
 
-    The exponent is evaluated as the partial sum of the first ``cutoff`` terms
-    plus the integral tail estimate cutoff**(1-p)/(p-1), so the result is a
-    certified upper bound.  Requires p > 1; below that the series diverges.
+    The exponent is evaluated as the partial sum of the first
+    ``SERIES_CUTOFF`` terms plus the integral tail estimate
+    SERIES_CUTOFF**(1-p)/(p-1), so the result is a certified upper bound.  Requires p > 1; below that the series diverges.
     Raises NonFiniteResultError where the bound overflows a double, which
     happens for p just above 1.
     """
@@ -238,22 +238,22 @@ def weight_sum_bound(p: float, cutoff: int = SERIES_CUTOFF) -> float:
 
     if p <= 1:
         raise DivergentSeriesError(f"sum of k**-p diverges for p = {p}")
-    k = np.arange(cutoff, 0, -1, dtype=np.float64)
+    k = np.arange(SERIES_CUTOFF, 0, -1, dtype=np.float64)
     partial = float(np.sum(k ** (-p)))
-    tail = cutoff ** (1.0 - p) / (p - 1.0)
+    tail = SERIES_CUTOFF ** (1.0 - p) / (p - 1.0)
     try:
         return math.exp(partial + tail)
     except OverflowError:
         raise NonFiniteResultError("the weight-sum bound overflows a double") from None
 
 
-def gamma_weight_sum_limit(p: float, cutoff: int = SERIES_CUTOFF) -> float:
+def gamma_weight_sum_limit(p: float) -> float:
     """Certified upper evaluation of the full-lattice sum of weight**(-p).
 
     Over all finite subsets the sum factorizes into prod_{m>=1} (1 + m**-p);
-    this evaluates the log of the first ``cutoff`` factors exactly and covers
-    the rest with the integral tail bound, so the result dominates the true
-    series while staying far sharper than ``weight_sum_bound``.  Raises
+    this evaluates the log of the first ``SERIES_CUTOFF`` factors exactly and
+    covers the rest with the integral tail bound, so the result dominates the
+    true series while staying far sharper than ``weight_sum_bound``.  Raises
     NonFiniteResultError where the sum overflows a double, which happens for
     p just above 1.
     """
@@ -261,9 +261,9 @@ def gamma_weight_sum_limit(p: float, cutoff: int = SERIES_CUTOFF) -> float:
 
     if p <= 1:
         raise DivergentSeriesError(f"the full weight sum diverges for p = {p}")
-    m = np.arange(cutoff, 0, -1, dtype=np.float64)
+    m = np.arange(SERIES_CUTOFF, 0, -1, dtype=np.float64)
     partial = float(np.sum(np.log1p(m ** (-p))))
-    tail = cutoff ** (1.0 - p) / (p - 1.0)
+    tail = SERIES_CUTOFF ** (1.0 - p) / (p - 1.0)
     try:
         return math.exp(partial + tail)
     except OverflowError:

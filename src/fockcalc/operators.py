@@ -27,6 +27,9 @@ from typing import Optional
 from .errors import BadTagError, NegativeIndexError, NonFiniteResultError
 from .functional import FockFunctional, linear_combine, norm_dual, norm_parts
 
+#: Relative slack each norm inequality of ``verify_norm_bounds`` allows.
+NORM_BOUND_SLACK = 1e-12
+
 
 def annihilate(phi: FockFunctional, k: int) -> FockFunctional:
     """Remove site ``k``: terms containing k shift to their k-less subset."""
@@ -112,13 +115,11 @@ def _dual_norm_in_range(phi: FockFunctional, p: float) -> Optional[float]:
     return None
 
 
-def verify_norm_bounds(
-    phi: FockFunctional, k: int, p: float, slack: float = 1e-12
-) -> NormBoundReport:
+def verify_norm_bounds(phi: FockFunctional, k: int, p: float) -> NormBoundReport:
     """Check the three dual-norm inequalities at site ``k`` and level ``p``.
 
-    Each inequality is allowed relative slack (default 1e-12) to absorb float
-    rounding.  Basis witnesses make the first two ceilings tight: the
+    Each inequality is allowed the relative ``NORM_BOUND_SLACK`` to absorb
+    float rounding.  Basis witnesses make the first two ceilings tight: the
     single-site element {k} for annihilation, the constant for creation.
     """
     base = _dual_norm_in_range(phi, p)
@@ -142,12 +143,12 @@ def verify_norm_bounds(
     return NormBoundReport(
         annihilate_ratio=ann,
         annihilate_bound=ann_bound,
-        annihilate_ok=ann <= ann_bound * (1.0 + slack),
+        annihilate_ok=ann <= ann_bound * (1.0 + NORM_BOUND_SLACK),
         create_ratio=cre,
         create_bound=cre_bound,
-        create_ok=cre <= cre_bound * (1.0 + slack),
+        create_ok=cre <= cre_bound * (1.0 + NORM_BOUND_SLACK),
         cond_expect_ratio=cnd,
-        cond_expect_ok=cnd <= 1.0 + slack,
+        cond_expect_ok=cnd <= 1.0 + NORM_BOUND_SLACK,
     )
 
 

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .clark_ocone import DecompositionReport, ResidualTable
 from .covariance import CovarianceReport, SiteTable
-from .errors import DuplicateKeyError, NegativeIndexError, NonFiniteResultError, SchemaError
+from .errors import NegativeIndexError, NonFiniteResultError, SchemaError
 from .functional import FockFunctional, GrowthEnvelope, make_functional
 from .gamma import SubsetIndex
 
@@ -83,11 +83,6 @@ def parse_document(text: str) -> Tuple[FockFunctional, Optional[GrowthEnvelope]]
     if "terms" not in raw or not isinstance(raw["terms"], list):
         raise SchemaError("top level: 'terms' must be a list")
     pairs = [_parse_term(t, f"terms[{i}]") for i, t in enumerate(raw["terms"])]
-    seen = set()
-    for sigma, _ in pairs:
-        if sigma in seen:
-            raise DuplicateKeyError(f"subset {list(sigma.elements)} appears twice")
-        seen.add(sigma)
     phi = make_functional(pairs)
     envelope = None
     if "envelope" in raw:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import datetime
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .bridge import bridge_gaps, build_space, check_orthonormality
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
@@ -133,138 +133,104 @@ def _check_record(name: str, max_gap: float, tolerance: float, **extra: Any) -> 
     return record
 
 
-def _check_car(cfg: SuiteConfig, corpus: Sequence[FockFunctional]) -> Dict[str, Any]:
-    sites = range(cfg.support_max + 1)
-
-    def worst(phi: FockFunctional) -> float:
-        return max(verify_car(phi, k) for k in sites) / _scale(phi)
-
-    gaps = [worst(phi) for phi in corpus]
-    return _check_record("car", max(gaps), cfg.tolerance, trials=len(corpus))
+def _car_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
+    return max(verify_car(phi, k) for k in range(cfg.support_max + 1)) / _scale(phi)
 
 
-def _check_bounds(cfg: SuiteConfig, corpus: Sequence[FockFunctional]) -> Dict[str, Any]:
-    sites = range(cfg.support_max + 1)
+def _bounds_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
+    excess = -1.0
+    for k in range(cfg.support_max + 1):
+        for p in cfg.p_grid:
+            rep = verify_norm_bounds(phi, k, p)
+            excess = max(
+                excess,
+                (rep.annihilate_ratio - rep.annihilate_bound) / rep.annihilate_bound,
+                (rep.create_ratio - rep.create_bound) / rep.create_bound,
+                rep.cond_expect_ratio - 1.0,
+            )
+    return excess
 
-    def worst(phi: FockFunctional) -> float:
-        excess = -1.0
-        for k in sites:
-            for p in cfg.p_grid:
-                rep = verify_norm_bounds(phi, k, p)
-                excess = max(
-                    excess,
-                    (rep.annihilate_ratio - rep.annihilate_bound) / rep.annihilate_bound,
-                    (rep.create_ratio - rep.create_bound) / rep.create_bound,
-                    rep.cond_expect_ratio - 1.0,
-                )
-        return excess
 
-    gaps = [worst(phi) for phi in corpus]
-
+def _bounds_witness(cfg: SuiteConfig) -> float:
     # Tightness witnesses: the single-site basis element saturates the
     # annihilation ceiling, the constant saturates the creation ceiling.
-    witness_gap = 0.0
+    gap = 0.0
     for k in range(cfg.support_max + 1):
         for p in cfg.p_grid:
             ann = verify_norm_bounds(basis_element(SubsetIndex([k])), k, p)
             cre = verify_norm_bounds(basis_element(EMPTY_SET), k, p)
-            witness_gap = max(
-                witness_gap,
+            gap = max(
+                gap,
                 abs(ann.annihilate_ratio - ann.annihilate_bound) / ann.annihilate_bound,
                 abs(cre.create_ratio - cre.create_bound) / cre.create_bound,
             )
-    return _check_record(
-        "bounds",
-        max(max(gaps), witness_gap),
-        cfg.tolerance,
-        trials=len(corpus),
-        witness_gap=witness_gap,
+    return gap
+
+
+def _commutation_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
+    top = 0.0
+    for k in range(cfg.support_max + 1):
+        g1, g2 = verify_commutation(phi, k)
+        top = max(top, g1, g2)
+    return top / _scale(phi)
+
+
+def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
+    scale = _scale(phi)
+    top = reconstruct_check(phi) / scale
+    report = decompose(phi, tuple(float(q) for q in cfg.p_grid))
+    # The reconstruction must reproduce phi coefficient for coefficient.
+    top = max(
+        top,
+        norm_dual(linear_combine(1.0, report.reconstruction(), -1.0, phi), 0.0) / scale,
     )
+    # The residuals must not grow with n and must end at zero.  The n of one
+    # stored run share its row, so only the steps between runs can grow.
+    rows = [row for _, row in report.residual_norms.runs()]
+    for earlier, later in zip(rows, rows[1:]):
+        for a, b in zip(earlier, later):
+            top = max(top, (b - a) / scale)
+    for r in rows[-1] if rows else ():
+        top = max(top, r / scale)
+    pointwise, envelope_excess = verify_convergence_window(phi)
+    return max(top, pointwise / scale, envelope_excess / scale)
 
 
-def _check_commutation(cfg: SuiteConfig, corpus: Sequence[FockFunctional]) -> Dict[str, Any]:
-    sites = range(cfg.support_max + 1)
-
-    def worst(phi: FockFunctional) -> float:
-        top = 0.0
-        for k in sites:
-            g1, g2 = verify_commutation(phi, k)
-            top = max(top, g1, g2)
-        return top / _scale(phi)
-
-    gaps = [worst(phi) for phi in corpus]
-    return _check_record("commutation", max(gaps), cfg.tolerance, trials=len(corpus))
+def _covariance_gap(cfg: SuiteConfig, pair: Tuple[FockFunctional, FockFunctional]) -> float:
+    top = 0.0
+    for p in cfg.p_grid:
+        rep = cov_identity(*pair, p)
+        top = max(top, rep.gap / (1.0 + abs(rep.lhs)))
+        for f in pair:
+            lhs, rhs = var_bound(f, p)
+            top = max(top, (lhs - rhs) / (1.0 + rhs))
+    return top
 
 
-def _check_clark(cfg: SuiteConfig, corpus: Sequence[FockFunctional]) -> Dict[str, Any]:
-    q_grid = tuple(float(q) for q in cfg.p_grid)
-
-    def worst(phi: FockFunctional) -> float:
-        scale = _scale(phi)
-        top = reconstruct_check(phi) / scale
-
-        report = decompose(phi, q_grid)
-        smax = report.termination_index
-        # The reconstruction must reproduce phi coefficient for coefficient.
-        top = max(
-            top,
-            norm_dual(linear_combine(1.0, report.reconstruction(), -1.0, phi), 0.0) / scale,
-        )
-        for q in q_grid:
-            series = [report.residual_norms[(n, q)] for n in range(smax + 1)]
-            for earlier, later in zip(series, series[1:]):
-                top = max(top, (later - earlier) / scale)
-            if series:
-                top = max(top, series[-1] / scale)
-        pointwise, envelope_excess = verify_convergence_window(phi)
-        return max(top, pointwise / scale, envelope_excess / scale)
-
-    gaps = [worst(phi) for phi in corpus]
-    return _check_record("clark", max(gaps), cfg.tolerance, trials=len(corpus))
-
-
-def _check_covariance(cfg: SuiteConfig) -> Dict[str, Any]:
-    pool = random_functionals(
-        2 * cfg.trials, cfg.seed, support_max=cfg.support_max, max_terms=cfg.max_terms
-    )
-    pairs = [(pool[2 * i], pool[2 * i + 1]) for i in range(cfg.trials)]
-
-    def worst(phi: FockFunctional, psi: FockFunctional) -> float:
-        top = 0.0
-        for p in cfg.p_grid:
-            rep = cov_identity(phi, psi, p)
-            top = max(top, rep.gap / (1.0 + abs(rep.lhs)))
-            for f in (phi, psi):
-                lhs, rhs = var_bound(f, p)
-                top = max(top, (lhs - rhs) / (1.0 + rhs))
-        return top
-
-    gaps = [worst(phi, psi) for phi, psi in pairs]
-
+def _covariance_witness(cfg: SuiteConfig) -> float:
     # Equality witness: all-singleton supports make the variance ceiling
     # exact; a two-element support makes it strict.
-    witness_gap = 0.0
     singletons = make_functional(
-        [
-            (EMPTY_SET, 1.0),
-            (SubsetIndex([0]), 2.0),
-            (SubsetIndex([1]), 1.0),
-        ]
+        [(EMPTY_SET, 1.0), (SubsetIndex([0]), 2.0), (SubsetIndex([1]), 1.0)]
     )
     lhs, rhs = var_bound(singletons, 0.0)
-    witness_gap = max(witness_gap, abs(lhs - rhs), abs(lhs - 5.0))
+    gap = max(0.0, abs(lhs - rhs), abs(lhs - 5.0))
     pair_set = basis_element(SubsetIndex([0, 1]))
     lhs, rhs = var_bound(pair_set, 0.0)
-    witness_gap = max(witness_gap, abs(lhs - 1.0), abs(rhs - 2.0))
-    witness_gap = max(witness_gap, abs(var_p(pair_set, 0.0) - 1.0))
+    gap = max(gap, abs(lhs - 1.0), abs(rhs - 2.0))
+    return max(gap, abs(var_p(pair_set, 0.0) - 1.0))
 
-    return _check_record(
-        "covariance",
-        max(max(gaps), witness_gap),
-        cfg.tolerance,
-        trials=len(pairs),
-        witness_gap=witness_gap,
-    )
+
+#: Coefficient suite -> (gap of one trial, trial-free witness gap or None).  A
+#: trial is one corpus functional; a covariance trial is a pair drawn from a
+#: pool of 2 * trials.  ``max_gap`` is the worst trial gap or the witness gap.
+_GAPS = {
+    "car": (_car_gap, None),
+    "bounds": (_bounds_gap, _bounds_witness),
+    "commutation": (_commutation_gap, None),
+    "clark": (_clark_gap, None),
+    "covariance": (_covariance_gap, _covariance_witness),
+}
 
 
 def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
@@ -301,46 +267,41 @@ def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
 def run_suite(cfg: SuiteConfig) -> Dict[str, Any]:
     """Run the selected suite(s) and return the JSON-ready report.
 
-    The report's ``pass`` field is the conjunction of all checks; everything
-    except the ``created`` timestamp is a pure function of the config.
+    One loop over ``_GAPS`` builds each coefficient suite's record; the
+    corpus suites share one corpus, drawn only if one of them runs.  The
+    report's ``pass`` is the conjunction of all checks; everything except
+    the ``created`` timestamp is a pure function of the config.
     """
     wanted = SUITE_NAMES[:-1] if cfg.suite == "all" else (cfg.suite,)
     checks: List[Dict[str, Any]] = []
-    needs_corpus = {"car", "bounds", "commutation", "clark"} & set(wanted)
-    corpus = (
-        random_functionals(
-            cfg.trials, cfg.seed, support_max=cfg.support_max, max_terms=cfg.max_terms
-        )
-        if needs_corpus
-        else []
-    )
-    if "car" in wanted:
-        checks.append(_check_car(cfg, corpus))
-    if "bounds" in wanted:
-        checks.append(_check_bounds(cfg, corpus))
-    if "commutation" in wanted:
-        checks.append(_check_commutation(cfg, corpus))
-    if "clark" in wanted:
-        checks.append(_check_clark(cfg, corpus))
-    if "covariance" in wanted:
-        checks.append(_check_covariance(cfg))
-    if "bridge" in wanted:
-        checks.extend(_check_bridge(cfg))
+    corpus: List[FockFunctional] = []
+    for name in wanted:
+        if name == "bridge":
+            checks.extend(_check_bridge(cfg))
+            continue
+        gap, witness = _GAPS[name]
+        if name == "covariance":
+            pool = random_functionals(
+                2 * cfg.trials, cfg.seed, support_max=cfg.support_max, max_terms=cfg.max_terms
+            )
+            trials = list(zip(pool[0::2], pool[1::2]))
+        else:
+            corpus = corpus or random_functionals(
+                cfg.trials, cfg.seed, support_max=cfg.support_max, max_terms=cfg.max_terms
+            )
+            trials = corpus
+        max_gap = max(gap(cfg, trial) for trial in trials)
+        extra: Dict[str, Any] = {"trials": len(trials)}
+        if witness is not None:
+            extra["witness_gap"] = witness(cfg)
+            max_gap = max(max_gap, extra["witness_gap"])
+        checks.append(_check_record(name, max_gap, cfg.tolerance, **extra))
     return {
         "suite": cfg.suite,
         "created": datetime.datetime.now(datetime.timezone.utc)
         .replace(microsecond=0)
         .isoformat(),
-        "config": {
-            "suite": cfg.suite,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "support_max": cfg.support_max,
-            "max_terms": cfg.max_terms,
-            "p_grid": list(cfg.p_grid),
-            "tolerance": cfg.tolerance,
-            "horizon": cfg.horizon,
-        },
+        "config": {**asdict(cfg), "p_grid": list(cfg.p_grid)},
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }

@@ -99,7 +99,7 @@ def test_c03_operator_norm_bounds(corpus1000):
     for phi in corpus1000:
         for k in range(13):
             for p in (0.0, 1.0, 2.0):
-                rep = verify_norm_bounds(phi, k, p, slack=TOL)
+                rep = verify_norm_bounds(phi, k, p)
                 assert rep.all_ok
                 worst_excess = max(
                     worst_excess,

@@ -281,6 +281,10 @@ class TestOrthonormality:
         with pytest.raises(HorizonTooLargeError):
             check_orthonormality(17)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_gap_is_a_python_float(self, n):
+        assert type(check_orthonormality(n)) is float
+
 
 class TestClassicalClarkOcone:
     def test_two_site_basis(self):

@@ -240,6 +240,28 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_defaults_come_from_the_suite_config(self, capsys):
+        from dataclasses import asdict
+
+        from fockcalc.suite import SuiteConfig
+
+        code, out, _ = run_cli(capsys, "verify", "--suite", "car", "--trials", "2")
+        assert code == 0
+        defaults = asdict(SuiteConfig(suite="car", trials=2))
+        assert json.loads(out)["config"] == {**defaults, "p_grid": list(defaults["p_grid"])}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_is_the_concatenation_of_its_parts(self, seed):
+        from fockcalc.suite import SUITE_NAMES, SuiteConfig, run_suite
+
+        whole = run_suite(SuiteConfig(suite="all", trials=20, seed=seed))
+        parts = [
+            check
+            for name in SUITE_NAMES[:-1]
+            for check in run_suite(SuiteConfig(suite=name, trials=20, seed=seed))["checks"]
+        ]
+        assert whole["checks"] == parts
+
     def test_unsampleable_support_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--suite", "car", "--trials", "2", "--support-max", "70"
@@ -462,21 +484,45 @@ class TestExitCodes:
     def test_overflowing_cov_level_fails_before_the_report(self, capsys, monkeypatch, phi_file):
         import fockcalc.cli as cli
 
-        code, out, _ = run_cli(capsys, "cov", phi_file, phi_file, "--p=-321")
+        # The one shared term 9 * 3 ** -2p is 1.66e308 here, just below the maximum.
+        code, out, _ = run_cli(capsys, "cov", phi_file, phi_file, "--p=-322")
         assert code == 0
-        assert json.loads(out)["lhs"][0] == pytest.approx(9 * 3.0**642)
+        assert json.loads(out)["lhs"][0] == pytest.approx(9 * 3.0**644)
 
         def unreached(*args):
             raise AssertionError("the covariance was computed before the level check")
 
         monkeypatch.setattr(cli, "cov_identity", unreached)
-        code, out, err = run_cli(capsys, "cov", phi_file, phi_file, "--p=-321.5")
+        code, out, err = run_cli(capsys, "cov", phi_file, phi_file, "--p=-323")
         assert code == 2
         assert out == ""
         assert err == (
-            "error: --p -321.5 is too low for these functionals: "
+            "error: --p -323.0 is too low for these functionals: "
             "their weighted covariance terms overflow a double\n"
         )
+
+    def test_finite_covariance_near_the_maximum_is_computed(self, capsys, tmp_path):
+        doc = tmp_path / "e.json"
+        doc.write_text('{"terms":[{"set":[1],"coef":[1.2e154,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["lhs"][0] == pytest.approx(1.44e308)
+        assert report["gap"] == 0.0
+
+    def test_covariance_past_the_weight_power_range_is_computed(self, capsys, tmp_path):
+        # 3 ** 838 overflows a double; times the squared coefficient 1e-400 it does not.
+        doc = tmp_path / "tiny.json"
+        doc.write_text('{"terms":[{"set":[0,2],"coef":[1e-200,0]}]}')
+        code, out, err = run_cli(capsys, "norm", str(doc), "--dual", "--p=-419")
+        assert (code, err) == (0, "")
+        norm = float(out)
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc), "--p=-419")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["lhs"][0] == pytest.approx(norm**2)
+        assert report["rhs"] == report["lhs"]
+        assert report["gap"] == 0.0
 
 
 class TestIntegerOptions:

@@ -310,3 +310,35 @@ class TestNormRange:
         with pytest.raises(NonFiniteResultError) as exc:
             norm(phi, 1e308)
         assert len(str(exc.value)) < 120
+
+
+class TestPairingRange:
+    """Pairing terms whose weight power alone leaves the double range."""
+
+    def test_tiny_coefficients_past_the_weight_power_range(self):
+        # 3 ** 838 overflows a double; times the squared coefficient 1e-400 it does not.
+        t = F(([0, 2], 1e-200))
+        assert inner_p(t, t, 419.0) == pytest.approx(norm_p(t, 419.0) ** 2)
+        assert inner_dual(t, t, -419.0) == pytest.approx(norm_dual(t, -419.0) ** 2)
+
+    def test_overflowing_term_is_typed_error(self):
+        t = F(([0, 2], 1.0))
+        with pytest.raises(NonFiniteResultError):
+            inner_p(t, t, 419.0)
+        with pytest.raises(NonFiniteResultError):
+            inner_dual(t, t, -419.0)
+
+    def test_finite_products_keep_the_plain_formula(self):
+        from fockcalc.gamma import mask_weight
+
+        phis = random_functionals(20, 5, support_max=6, max_terms=12)
+        for phi, psi in zip(phis[::2], phis[1::2]):
+            for p in (-2.0, 0.0, 1.5):
+                shared = [m for m in phi._terms if m in psi._terms]
+                plain = [
+                    mask_weight(m) ** (-2.0 * p) * phi._terms[m] * psi._terms[m].conjugate()
+                    for m in shared
+                ]
+                assert inner_dual(phi, psi, p) == complex(
+                    math.fsum(z.real for z in plain), math.fsum(z.imag for z in plain)
+                )
