@@ -21,6 +21,7 @@ bit-stable for a given functional and space.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -318,7 +319,13 @@ def mc_estimate(obs: PathObservable) -> tuple[complex, float]:
     m = obs.space.num_paths
     if m < 2:
         return mean, 0.0
-    spread = float(np.sum(np.abs(values - mean) ** 2))
+    with np.errstate(over="ignore"):
+        spread = float(np.sum(np.abs(values - mean) ** 2))
+    if math.isinf(spread):
+        # A squared deviation overflowed; scaled by the values' largest part, none does.
+        scale = float(max(np.max(np.abs(values.real)), np.max(np.abs(values.imag))))
+        spread = float(np.sum(np.abs(values / scale - mean / scale) ** 2))
+        return mean, scale * float(np.sqrt(spread / (m * (m - 1))))
     return mean, float(np.sqrt(spread / (m * (m - 1))))
 
 

@@ -120,14 +120,8 @@ def decompose(
     """
     mean = expect(phi)
     termination = phi.support_max
-    terms: Dict[int, FockFunctional] = {}
-    for k in phi.sites():
-        t = co_term(phi, k)
-        if t:
-            terms[k] = t
-    probe: Dict[float, float] = {}
-    for q in sorted(q_probe):
-        probe[float(q)] = q
+    terms = {k: t for k in phi.sites() if (t := co_term(phi, k))}
+    probe = {float(q): q for q in sorted(q_probe)}
     # Per-site terms have pairwise disjoint supports, so peeling them off the
     # centered remainder one at a time reproduces each partial-sum residual
     # exactly.
@@ -174,12 +168,9 @@ def predictable_sequence(phi: FockFunctional) -> PredictableSequence:
 
     Only the occupied sites can contribute; zero entries are dropped.
     """
-    out: Dict[int, FockFunctional] = {}
-    for k in phi.sites():
-        u = cond_expect(annihilate(phi, k), k - 1)
-        if u:
-            out[k] = u
-    return PredictableSequence(out)
+    return PredictableSequence(
+        {k: u for k in phi.sites() if (u := cond_expect(annihilate(phi, k), k - 1))}
+    )
 
 
 def integrate(u: PredictableSequence) -> FockFunctional:
@@ -208,15 +199,12 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
     partial sum draws its coefficients verbatim from phi, so all functionals
     involved vanish identically off that finite window.
     """
-    smax = phi.support_max
     centered = linear_combine(1.0, phi, -1.0, expect(phi))
     # Probe masks: phi's support plus the empty set (mask 0).
     probes = list(phi._terms)
     if 0 not in phi._terms:
         probes.append(0)
     source = phi._terms
-    terminal = (partial_sum(phi, smax) if smax >= 0 else FockFunctional({}))._terms
-    pointwise = max(abs(terminal.get(m, 0j) - centered._terms.get(m, 0j)) for m in probes)
     excess = 0.0
     running = FockFunctional({})
     # At an unoccupied site the running sum, and so its excess, is unchanged.
@@ -224,7 +212,9 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
         running = linear_combine(1.0, running, 1.0, co_term(phi, n))
         for m in probes:
             excess = max(excess, abs(running._terms.get(m, 0j)) - abs(source.get(m, 0j)))
-    return pointwise, excess
+    # The final running sum is the terminal partial sum.
+    terminal = running._terms
+    return max(abs(terminal.get(m, 0j) - centered._terms.get(m, 0j)) for m in probes), excess
 
 
 def reconstruct_check(phi: FockFunctional) -> float:

@@ -97,37 +97,6 @@ def _named_levels(option: str, *levels: Optional[float]):
         raise NonFiniteResultError(f"{exc} at {option} {given}") from None
 
 
-def _require_pairing_level(
-    p: float, phi: FockFunctional, psi: FockFunctional, files: Sequence[str]
-) -> None:
-    # The covariance pairs the non-constant subsets both functionals carry, as
-    # weight ** -2p * c * conj(d), once directly and once site by site, and
-    # subtracts the two sums.  Where the sum of those terms' magnitudes is a
-    # finite double, so is every partial sum and the gap; its log is taken as
-    # a log-sum-exp of the terms' logs, or is the largest log where that is
-    # infinite, so no inf - inf arises.  A negative level raises the weight
-    # powers; at any other level only the coefficients can be too large.  The
-    # level multiplies the doubled log weight, which is 0 for the set {0}, so
-    # no inf * 0 arises either.
-    logs = [
-        math.log(abs(c)) + math.log(abs(d)) - p * (2.0 * math.log(lambda_weight(s)))
-        for s, c in phi.items()
-        if s and (d := psi.coefficient(s))
-    ]
-    top = max(logs, default=-math.inf)
-    log_sum = top if math.isinf(top) else top + math.log(math.fsum(math.exp(x - top) for x in logs))
-    if log_sum > math.log(sys.float_info.max):
-        if p < 0.0:
-            raise NonFiniteResultError(
-                f"--p {p!r} is too low for these functionals: "
-                "their weighted covariance terms overflow a double"
-            )
-        raise NonFiniteResultError(
-            f"the covariance of {files[0]} and {files[1]} overflows a double: "
-            "their shared coefficients are too large"
-        )
-
-
 def _cmd_lambda(args) -> int:
     _finite_level(args.p, "--p")
     if args.sum:
@@ -195,8 +164,18 @@ def _cmd_cov(args) -> int:
     phi = _load_functional(args.file)
     psi = _load_functional(args.other)
     level = args.p if args.p is not None else 0.0
-    _require_pairing_level(level, phi, psi, (args.file, args.other))
-    _write(report_to_json(cov_identity(phi, psi, level)), args.out)
+    try:
+        report = cov_identity(phi, psi, level)
+    except NonFiniteResultError:
+        # A negative level raises the weight powers; at any other level only
+        # the coefficients can make the pairings overflow.
+        raise NonFiniteResultError(
+            f"--p {level!r} is too low for these functionals: "
+            "their weighted covariance terms overflow a double" if level < 0.0 else
+            f"the covariance of {args.file} and {args.other} overflows a double: "
+            "their shared coefficients are too large"
+        ) from None
+    _write(report_to_json(report), args.out)
     return 0
 
 

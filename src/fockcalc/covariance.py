@@ -11,11 +11,13 @@ support set is a singleton.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator
 
 from .clark_ocone import co_term
+from .errors import NonFiniteResultError
 from .functional import FockFunctional, inner_dual, linear_combine, norm_dual
 from .operators import annihilate, create, expect
 
@@ -28,14 +30,21 @@ def cov_p(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
     """Level-p covariance: dual pairing of the centered functionals.
 
     Follows the dual-pairing orientation (first argument plain, second
-    conjugated), so cov_p(phi, psi, p) == conj(cov_p(psi, phi, p)).
+    conjugated), so cov_p(phi, psi, p) == conj(cov_p(psi, phi, p)).  Raises
+    NonFiniteResultError where a pairing term or their sum overflows a double.
     """
     return inner_dual(_centered(phi), _centered(psi), p)
 
 
 def var_p(phi: FockFunctional, p: float) -> float:
-    """Level-p variance: squared dual norm of the centered functional."""
-    return norm_dual(_centered(phi), p) ** 2
+    """Level-p variance: squared dual norm of the centered functional.
+
+    Raises NonFiniteResultError where the norm or its square overflows a double.
+    """
+    try:
+        return norm_dual(_centered(phi), p) ** 2
+    except OverflowError:
+        raise NonFiniteResultError("the variance overflows a double") from None
 
 
 class SiteTable(Mapping):
@@ -84,7 +93,8 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
     entries pair matching decomposition terms.  Only the sites both supports
     share are computed and stored: at any other site one of the two terms is
     empty, so the entry is 0j.  The gap vanishes in exact arithmetic for
-    finitely supported inputs.
+    finitely supported inputs.  Raises NonFiniteResultError where either
+    route or a per-site pairing overflows a double.
     """
     direct = cov_p(phi, psi, p)
     top = max(phi.support_max, psi.support_max)
@@ -94,6 +104,8 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
         contribution = inner_dual(co_term(phi, k), co_term(psi, k), p)
         shared[k] = contribution
         total += contribution
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise NonFiniteResultError("the per-site covariance sum overflows a double")
     return CovarianceReport(
         lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)
     )
@@ -105,12 +117,15 @@ def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
     Returns (variance, sum over sites of the squared dual norms of
     create(annihilate(phi, k), k)).  The ceiling counts each support set once
     per member while the variance counts it once, so the bound is strict as
-    soon as some support set has two or more elements.
+    soon as some support set has two or more elements.  Raises
+    NonFiniteResultError where the variance or the ceiling overflows a double.
     """
     lhs = var_p(phi, p)
     rhs = 0.0
     for k in phi.sites():
         rhs += norm_dual(create(annihilate(phi, k), k), p) ** 2
+    if math.isinf(rhs):
+        raise NonFiniteResultError("the variance ceiling overflows a double")
     if lhs > rhs + 1e-12 * (1.0 + rhs):
         # Mathematically unreachable; a failure here means corrupted state.
         raise ArithmeticError(f"variance {lhs} exceeded its ceiling {rhs}")

@@ -175,20 +175,23 @@ def sum_functionals(phis: Iterable[FockFunctional]) -> FockFunctional:
 
 def _fsum_complex(parts: Sequence[complex]) -> complex:
     # fsum is exactly rounded, so the result is iteration-order independent.
-    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+    # The parts are finite; fsum raises where a partial sum overflows.
+    try:
+        return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+    except OverflowError:
+        raise NonFiniteResultError("a pairing sum overflows a double") from None
 
 
 def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
     """Weighted inner product sum(weight**(2p) * conj(xi) * eta).
 
-    Conjugate-linear in the first argument, linear in the second.
+    Conjugate-linear in the first argument, linear in the second.  Raises
+    NonFiniteResultError where a term or the sum overflows a double.
     """
-    parts = []
-    for m, c in xi._terms.items():
-        other = eta._terms.get(m)
-        if other is not None:
-            parts.append(_weighted_product(m, 2.0 * p, c.conjugate(), other))
-    return _fsum_complex(parts)
+    return _fsum_complex([
+        _weighted_product(m, 2.0 * p, c.conjugate(), d)
+        for m, c in xi._terms.items() if (d := eta._terms.get(m)) is not None
+    ])
 
 
 def _weighted_product(m: int, exponent: float, c: complex, d: complex) -> complex:
@@ -206,14 +209,10 @@ def _weighted_product(m: int, exponent: float, c: complex, d: complex) -> comple
             return term
     except (OverflowError, WeightOverflowError):
         pass
-    w_log = exponent * math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
-    if math.isinf(w_log):
-        raise NonFiniteResultError("a weighted pairing term overflows a double")
-    w_exp = math.floor(w_log)
-    mant, exp2 = 2.0 ** (w_log - w_exp), w_exp
+    mant, exp2 = _weight_power(m, exponent)
     for z in (c, d):
-        _, z_exp = math.frexp(max(abs(z.real), abs(z.imag)))
-        mant *= complex(math.ldexp(z.real, -z_exp), math.ldexp(z.imag, -z_exp))
+        z_mant, z_exp = _binary_split(z)
+        mant *= z_mant
         exp2 += z_exp
     try:
         return complex(math.ldexp(mant.real, exp2), math.ldexp(mant.imag, exp2))
@@ -221,31 +220,41 @@ def _weighted_product(m: int, exponent: float, c: complex, d: complex) -> comple
         raise NonFiniteResultError("a weighted pairing term overflows a double") from None
 
 
+def _binary_split(c: complex) -> Tuple[complex, int]:
+    # (mant, e) with c == mant * 2**e exactly and mant's larger part in [0.5, 1).
+    _, e = math.frexp(max(abs(c.real), abs(c.imag)))
+    return complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)), e
+
+
+def _weight_power(m: int, exponent: float) -> Tuple[float, int]:
+    # (mant, e) with weight(m) ** exponent == mant * 2**e and mant in [1, 2),
+    # through exponent * log2(weight); a weight of 1 is (1.0, 0) at any exponent.
+    log2_weight = math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
+    w_log = exponent * log2_weight if log2_weight else 0.0
+    if math.isinf(w_log):
+        raise NonFiniteResultError(
+            "a weight power 2**(exponent * log2 weight) lies beyond the double range"
+        )
+    w_exp = math.floor(w_log)
+    return 2.0 ** (w_log - w_exp), w_exp
+
+
 def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
     """(m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e.
 
     Each term's magnitude |coef| * weight**exponent is kept as a mantissa
-    times a power of two: the coefficient's binary exponent is split off
-    exactly (``math.frexp``) and the weight factor enters through
-    exponent * log2(weight).  The sum is shifted by the largest power, so
-    ``m`` is finite and nonzero for every nonzero functional even where the
-    norm itself overflows or underflows; (0.0, 0) for the zero functional.
-    ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
-    Raises NonFiniteResultError where exponent * log2(weight) itself leaves
-    the double range, so no power of two can carry the weight factor.
+    times a power of two (``_binary_split`` and ``_weight_power``).  The sum
+    is shifted by the largest power, so ``m`` is finite and nonzero for every
+    nonzero functional even where the norm itself overflows or underflows;
+    (0.0, 0) for the zero functional.  ``norm_p`` is ``exponent = p`` and
+    ``norm_dual`` is ``exponent = -p``.  Raises NonFiniteResultError where
+    exponent * log2(weight) itself leaves the double range.
     """
     terms = []
     for m, c in phi._terms.items():
-        _, c_exp = math.frexp(max(abs(c.real), abs(c.imag)))
-        c_mant = abs(complex(math.ldexp(c.real, -c_exp), math.ldexp(c.imag, -c_exp)))
-        log2_weight = math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
-        w_log = exponent * log2_weight
-        if math.isinf(w_log):
-            raise NonFiniteResultError(
-                "a weight power 2**(exponent * log2 weight) lies beyond the double range"
-            )
-        w_exp = math.floor(w_log)
-        terms.append((c_mant * 2.0 ** (w_log - w_exp), c_exp + w_exp))
+        c_mant, c_exp = _binary_split(c)
+        w_mant, w_exp = _weight_power(m, exponent)
+        terms.append((abs(c_mant) * w_mant, c_exp + w_exp))
     if not terms:
         return 0.0, 0
     top = max(e for _, e in terms)
@@ -297,27 +306,25 @@ def inner_dual(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
 
     Note the conjugate sits on the SECOND argument here, opposite to
     ``inner_p``;  inner_dual(phi, phi, p) equals norm_dual(phi, p)**2.
+    Raises NonFiniteResultError where a term or the sum overflows a double.
     """
-    parts = []
-    for m, c in phi._terms.items():
-        other = psi._terms.get(m)
-        if other is not None:
-            parts.append(_weighted_product(m, -2.0 * p, c, other.conjugate()))
-    return _fsum_complex(parts)
+    return _fsum_complex([
+        _weighted_product(m, -2.0 * p, c, d.conjugate())
+        for m, c in phi._terms.items() if (d := psi._terms.get(m)) is not None
+    ])
 
 
 def dual_pair(phi: FockFunctional, xi: FockFunctional) -> complex:
     """Canonical bilinear pairing sum(xi_coef * phi_coef); no conjugation.
 
     ``phi`` is read as a dual element, ``xi`` as a test functional.  Against a
-    basis element this picks out phi's coefficient at that subset.
+    basis element this picks out phi's coefficient at that subset.  Raises
+    NonFiniteResultError where a term or the sum overflows a double.
     """
-    parts = []
-    for m, c in xi._terms.items():
-        other = phi._terms.get(m)
-        if other is not None:
-            parts.append(c * other)
-    return _fsum_complex(parts)
+    return _fsum_complex([
+        _weighted_product(m, 0.0, c, d)
+        for m, c in xi._terms.items() if (d := phi._terms.get(m)) is not None
+    ])
 
 
 @dataclass(frozen=True)

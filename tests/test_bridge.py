@@ -451,6 +451,16 @@ class TestMonteCarlo:
         assert stderr == pytest.approx(1 / math.sqrt(100_000), rel=1e-2)
         assert abs(mean) <= 4 * stderr
 
+    def test_squared_deviations_past_the_double_range(self):
+        # Each deviation is near 1e300, so its square overflows; the error does not.
+        big = F(([0], 1e300), ([3, 9], complex(1e-300, 2)))
+        space = build_space(10, "sampled", M=100, seed=0)
+        obs = evaluate(big, space)
+        with np.errstate(all="raise"):
+            mean, stderr = mc_estimate(obs)
+        scaled = [abs(complex(v) / 1e300 - mean / 1e300) ** 2 for v in obs.values]
+        assert stderr == pytest.approx(1e300 * math.sqrt(math.fsum(scaled) / (100 * 99)))
+
 
 class TestCsvExport:
     def test_round_trip_values(self, tmp_path):

@@ -6,6 +6,7 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fockcalc
 from fockcalc.cli import build_parser, main
@@ -164,13 +165,7 @@ class TestCovCommand:
         assert obj["gap"] == 0.0
 
     @pytest.mark.parametrize("level", [[], ["--p", "0"], ["--p", "1"]])
-    def test_overflowing_pairing_names_both_files(self, capsys, monkeypatch, tmp_path, level):
-        import fockcalc.cli as cli
-
-        def unreached(*args):
-            raise AssertionError("the covariance was computed before the magnitude check")
-
-        monkeypatch.setattr(cli, "cov_identity", unreached)
+    def test_overflowing_pairing_names_both_files(self, capsys, tmp_path, level):
         doc, other = tmp_path / "huge.json", tmp_path / "other.json"
         doc.write_text('{"terms":[{"set":[],"coef":[1e300,0]},{"set":[1],"coef":[1e300,0]}]}')
         other.write_text('{"terms":[{"set":[1],"coef":[2e154,0]}]}')
@@ -181,6 +176,49 @@ class TestCovCommand:
             f"error: the covariance of {doc} and {other} overflows a double: "
             "their shared coefficients are too large\n"
         )
+
+    def test_overflowing_pairing_writes_no_report(self, capsys, tmp_path):
+        doc, report = tmp_path / "huge.json", tmp_path / "report.json"
+        doc.write_text('{"terms":[{"set":[1],"coef":[1e300,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc), "--out", str(report))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the covariance of {doc} and {doc} overflows a double")
+        assert not report.exists()
+
+    def test_coefficient_past_the_modulus_range_names_both_files(self, capsys, tmp_path):
+        # |c| is 2.4e308, beyond the double range although both parts are not.
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"terms":[{"set":[1],"coef":[1.7e308,1.7e308]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the covariance of {doc} and {doc} overflows a double: "
+            "their shared coefficients are too large\n"
+        )
+
+    def test_weight_beyond_the_double_range_is_computed(self, capsys, tmp_path):
+        # The weight 171! overflows a double; at level 0 its power is 1.
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({"terms": [{"set": list(range(171)), "coef": [1, 0]}]}))
+        assert run_cli(capsys, "norm", str(doc), "--dual") == (0, "1.0\n", "")
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc), "--p", "0")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["lhs"] == [1.0, 0.0]
+        assert report["gap"] == 0.0
+
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_cancelling_pairings_are_computed(self, capsys, tmp_path, level):
+        # The two terms' magnitudes sum past the double range; the terms do not.
+        doc, other = tmp_path / "plus.json", tmp_path / "minus.json"
+        doc.write_text('{"terms":[{"set":[1],"coef":[1e154,0]},{"set":[2],"coef":[1e154,0]}]}')
+        other.write_text('{"terms":[{"set":[1],"coef":[1e154,0]},{"set":[2],"coef":[-1e154,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(other), "--p", level)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        expected = 1e308 * (2.0 ** -(2 * int(level)) - 3.0 ** -(2 * int(level)))
+        assert report["lhs"][0] == pytest.approx(expected, abs=0.0)
+        assert report["rhs"][0] == pytest.approx(expected, abs=0.0)
 
     def test_site_zero_term_does_not_hide_an_overflow(self, capsys, tmp_path):
         # weight({0}) is 1, so its term's level factor stays finite at any level.
@@ -380,6 +418,17 @@ class TestBridgeCommand:
         mean = complex(*payload["mean"])
         assert abs(mean - 2.0) <= 5 * payload["stderr"]
 
+    def test_eval_sampled_error_past_the_squared_range(self, capsys, tmp_path):
+        doc = tmp_path / "big.json"
+        doc.write_text('{"terms":[{"set":[0],"coef":[1e300,0]},{"set":[3,9],"coef":[1e-300,2]}]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "bridge", "--horizon", "10", "--eval", str(doc),
+                "--mode", "sampled", "--paths", "100",
+            )
+        assert (code, err) == (0, "")
+        assert 1e299 < json.loads(out)["stderr"] < 1e300
 
     @pytest.mark.parametrize(
         "mode, first", [(["--mode", "exhaustive"], 1), (["--mode", "sampled", "--paths", "8"], 5)]
@@ -481,18 +530,11 @@ class TestExitCodes:
             assert err.startswith("error: ") and option in err
             assert err.count("\n") == 1
 
-    def test_overflowing_cov_level_fails_before_the_report(self, capsys, monkeypatch, phi_file):
-        import fockcalc.cli as cli
-
+    def test_overflowing_cov_level_fails_before_the_report(self, capsys, phi_file):
         # The one shared term 9 * 3 ** -2p is 1.66e308 here, just below the maximum.
         code, out, _ = run_cli(capsys, "cov", phi_file, phi_file, "--p=-322")
         assert code == 0
         assert json.loads(out)["lhs"][0] == pytest.approx(9 * 3.0**644)
-
-        def unreached(*args):
-            raise AssertionError("the covariance was computed before the level check")
-
-        monkeypatch.setattr(cli, "cov_identity", unreached)
         code, out, err = run_cli(capsys, "cov", phi_file, phi_file, "--p=-323")
         assert code == 2
         assert out == ""
@@ -523,6 +565,50 @@ class TestExitCodes:
         assert report["lhs"][0] == pytest.approx(norm**2)
         assert report["rhs"] == report["lhs"]
         assert report["gap"] == 0.0
+
+
+_PART = st.one_of(
+    st.just(0.0), st.floats(1e-320, 1.7e308), st.floats(-1.7e308, -1e-320)
+)
+_DOCUMENTS = st.lists(
+    st.fixed_dictionaries({
+        "set": st.lists(st.integers(0, 400), max_size=200, unique=True),
+        "coef": st.tuples(_PART, _PART).map(list),
+    }),
+    max_size=4,
+    unique_by=lambda term: frozenset(term["set"]),
+).map(lambda terms: {"terms": terms})
+_LEVELS = st.one_of(st.floats(0.0, 1e308), st.floats(-1e308, 0.0))
+
+
+class TestExtremeDocuments:
+    """Extreme but valid input computes or fails as a usage error (exit 2)."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_DOCUMENTS, _DOCUMENTS, _LEVELS)
+    def test_computes_or_fails_with_one_error_line(self, capsys, tmp_path, doc, other, level):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(doc))
+        second.write_text(json.dumps(other))
+        for argv in (
+            ["norm", str(first), f"--p={level!r}"],
+            ["norm", str(first), "--dual", f"--p={level!r}"],
+            ["cov", str(first), str(second), f"--p={level!r}"],
+            ["decompose", str(first), f"--q={level!r}"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 2), (argv, err)
+            if code == 0:
+                assert err == ""
+
+                def non_finite(constant):
+                    raise AssertionError(f"{constant} in the output of {argv}")
+
+                json.loads(out, parse_constant=non_finite)
+            else:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestIntegerOptions:

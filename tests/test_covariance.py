@@ -3,6 +3,7 @@
 import pytest
 
 from fockcalc import (
+    NonFiniteResultError,
     SubsetIndex,
     ZERO,
     basis_element,
@@ -114,3 +115,20 @@ class TestVarianceBound:
             assert lhs <= rhs + 1e-12 * (1 + rhs)
             if any(len(s) >= 2 for s in phi.support()):
                 assert lhs < rhs
+
+
+class TestOverflowIsTyped:
+    def test_overflowing_pairing_sum(self):
+        # Each term (1e308 and 1.69e308) is finite; their sum is not.
+        phi = F(([0], 1e154), ([1], 1.3e154))
+        with pytest.raises(NonFiniteResultError):
+            cov_p(phi, phi, 0.0)
+        with pytest.raises(NonFiniteResultError):
+            cov_identity(phi, phi, 0.0)
+
+    def test_overflowing_squared_norm(self):
+        phi = F(([1], 1e200))
+        with pytest.raises(NonFiniteResultError):
+            var_p(phi, 0.0)
+        with pytest.raises(NonFiniteResultError):
+            var_bound(phi, 0.0)

@@ -328,6 +328,24 @@ class TestPairingRange:
         with pytest.raises(NonFiniteResultError):
             inner_dual(t, t, -419.0)
 
+    def test_weight_one_at_an_infinite_exponent(self):
+        # -2p is inf at p = -1e308; the weight 1 of [0] keeps its power at 1,
+        # so only the coefficients' product 1e400 overflows.
+        phi = F(([0], 1e200))
+        with pytest.raises(NonFiniteResultError):
+            inner_dual(phi, phi, -1e308)
+
+    def test_overflowing_sum_is_typed_error(self):
+        # Each term (1e308 and 1.69e308) is finite; their sum is not.
+        phi = F(([0], 1e154), ([1], 1.3e154))
+        for pairing in (
+            lambda: inner_p(phi, phi, 0.0),
+            lambda: inner_dual(phi, phi, 0.0),
+            lambda: dual_pair(phi, phi),
+        ):
+            with pytest.raises(NonFiniteResultError):
+                pairing()
+
     def test_finite_products_keep_the_plain_formula(self):
         from fockcalc.gamma import mask_weight
 
