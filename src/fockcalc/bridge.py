@@ -16,6 +16,14 @@ the path's down-coordinates share an odd number of bits, so ``evaluate``
 reads every term from one popcount parity.  Terms are added in ascending
 mask order and path reductions run in ascending path order, so results are
 bit-stable for a given functional and space.
+
+The bridge sweep realizes each operator output only on the paths its value
+depends on, bit for bit the values it takes on all of them: with horizon N,
+phi on all 2**N paths, each site-k gradient (which holds no term at k) on
+the 2**(N-1) paths with bit k clear, each level-k conditioning (which holds
+only coordinates 0..k) on the first 2**(k+1) paths, and the mean part on
+one.  An output that meets the coordinates its reduced set fixes, as only a
+faulty operator's can, is realized on every path.
 """
 
 from __future__ import annotations
@@ -112,24 +120,34 @@ def build_space(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
-    """Realize the functional pathwise: sum of coef * product of member signs.
+def _realize(phi: FockFunctional, down: np.ndarray) -> np.ndarray:
+    """phi's values on the paths whose down-coordinates are ``down``, any shape.
 
     A term's sign product is -1 on the paths where its mask meets an odd
     number of down-coordinates, so each term adds +coef or -coef, in
-    ascending mask order.  Requires every support index to lie inside the
-    horizon.
+    ascending mask order.
     """
+    values = np.zeros(down.shape, dtype=np.complex128)
+    for mask, coef in sorted(phi._terms.items()):
+        odd = np.bitwise_count(down & mask) & 1
+        values += np.array([coef, -coef]).take(odd)
+    return values
+
+
+def _require_fits(phi: FockFunctional, space: PathSpace) -> None:
     if phi.support_max >= space.horizon:
         raise SupportExceedsHorizonError(
             f"support reaches index {phi.support_max}, horizon is {space.horizon}"
         )
-    down = ~space.codes
-    values = np.zeros(space.num_paths, dtype=np.complex128)
-    for mask, coef in sorted(phi._terms.items()):
-        odd = np.bitwise_count(down & mask) & 1
-        values += np.array([coef, -coef]).take(odd)
-    return PathObservable(values=values, space=space)
+
+
+def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
+    """Realize the functional pathwise: sum of coef * product of member signs.
+
+    Requires every support index to lie inside the horizon.
+    """
+    _require_fits(phi, space)
+    return PathObservable(values=_realize(phi, ~space.codes), space=space)
 
 
 def path_expectation(obs: PathObservable) -> complex:
@@ -158,17 +176,21 @@ def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
         raise ValueError(f"conditioning level must be >= -1, got {k}")
     if k >= space.horizon - 1:
         return PathObservable(values=obs.values.copy(), space=space)
+    means = _group_means(obs.values, k)
+    return PathObservable(values=np.tile(means, space.num_paths // means.shape[0]), space=space)
+
+
+def _group_means(values: np.ndarray, k: int) -> np.ndarray:
+    """Mean over the paths sharing coordinates 0..k: entry j for the pattern j.
+
+    ``values`` lists an exhaustive space's paths in code order, so path m
+    sits at [high, low] in the (-1, 2**(k+1)) view, low holding coordinates
+    0..k.  k = -1 gives the one overall mean, k = horizon - 1 the values.
+    """
     if k == -1:
-        mean = path_expectation(obs)
-        return PathObservable(
-            values=np.full(space.num_paths, mean, dtype=np.complex128), space=space
-        )
+        return np.array([np.sum(values) / values.shape[0]])
     n_low = 1 << (k + 1)
-    n_high = space.num_paths // n_low
-    # Path index m = high * n_low + low, where low holds coordinates 0..k.
-    grouped = obs.values.reshape(n_high, n_low)
-    means = grouped.mean(axis=0)
-    return PathObservable(values=np.tile(means, n_high), space=space)
+    return values if n_low == values.shape[0] else values.reshape(-1, n_low).mean(axis=0)
 
 
 def check_orthonormality(N: int) -> float:
@@ -210,33 +232,50 @@ def _sweep(
     then needs ``sites`` to be every coordinate), and per site the three
     intertwining gaps when ``intertwine``.  Only the running rebuild and one
     site's vectors are alive at a time.  Callers check that ``space`` is
-    exhaustive.
+    exhaustive.  Operator outputs are realized on reduced path sets, as the
+    module docstring lists.
     """
     direct = evaluate(phi, space)
     values = direct.values
     mean = path_expectation(direct)
+    down = ~space.codes
+
+    def realize(psi: FockFunctional, reduced: np.ndarray, fixed: int, full: np.ndarray):
+        # ``reduced`` holds every pattern of the coordinates outside the mask
+        # ``fixed`` and one of those inside it, so a psi whose terms avoid
+        # ``fixed`` takes there, bit for bit, every value it takes at all.
+        # A psi that meets it (a faulty operator) is realized on ``full``.
+        _require_fits(psi, space)
+        return _realize(psi, full if any(m & fixed for m in psi._terms) else reduced)
+
     rebuilt = np.full(space.num_paths, mean) if rebuild else None
     if intertwine:
-        gap_mean = float(np.max(np.abs(evaluate(expect(phi), space).values - mean)))
+        # The mean part is the level -1 conditioning: one path fixes every coordinate.
+        mean_part = realize(expect(phi), down[:1], -1, down)
+        gap_mean = float(np.max(np.abs(mean_part - mean)))
     site_gaps = []
     for k in sites:
-        gradient = evaluate(annihilate(phi, k), space)
+        # Path m sits at [high, bit k of m, low] in these views; bit k clear is -1.
+        down_pairs = down.reshape(-1, 2, 1 << k)
+        half = np.ascontiguousarray(down_pairs[:, :1, :])
+        gradient = realize(annihilate(phi, k), half, 1 << k, down_pairs)
         if rebuild:
-            # Add the k-th sign times the predictable part: path m sits at
-            # [high, bit k of m, low] in these views, and bit k clear is -1.
-            predictable = path_cond_expect(gradient, k - 1).values.reshape(-1, 2, 1 << k)
-            halves = rebuilt.reshape(predictable.shape)
-            halves[:, 0, :] -= predictable[:, 0, :]
-            halves[:, 1, :] += predictable[:, 1, :]
+            # Add the k-th sign times the predictable part, the gradient's
+            # mean given coordinates before k.  It is taken over a copy of
+            # the gradient on every path, so its sums run as they always did.
+            whole = np.broadcast_to(gradient, down_pairs.shape).reshape(-1)
+            predictable = _group_means(whole, k - 1)
+            halves = rebuilt.reshape(down_pairs.shape)
+            halves[:, 0, :] -= predictable
+            halves[:, 1, :] += predictable
         if intertwine:
-            # Value with coordinate k forced to +1 minus forced to -1, halved;
-            # path m sits at [high, bit k of m, low] in this view.
-            pairs = values.reshape(-1, 2, 1 << k)
+            # Value with coordinate k forced to +1 minus forced to -1, halved.
+            pairs = values.reshape(down_pairs.shape)
             finite_difference = 0.5 * (pairs[:, 1:, :] - pairs[:, :1, :])
-            gradient_pairs = gradient.values.reshape(pairs.shape)
-            gap_gradient = float(np.max(np.abs(finite_difference - gradient_pairs)))
-            cond_functional = evaluate(cond_expect(phi, k), space).values
-            cond_pathwise = path_cond_expect(direct, k).values
+            gap_gradient = float(np.max(np.abs(finite_difference - gradient)))
+            down_low = down.reshape(-1, 1 << (k + 1))
+            cond_functional = realize(cond_expect(phi, k), down_low[:1], -1 << (k + 1), down_low)
+            cond_pathwise = _group_means(values, k)
             gap_cond = float(np.max(np.abs(cond_functional - cond_pathwise)))
             site_gaps.append((gap_gradient, gap_mean, gap_cond))
     clark_ocone_gap = float(np.max(np.abs(values - rebuilt))) if rebuild else None
@@ -296,9 +335,9 @@ def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, fl
 
     Returns the ``classical_clark_ocone_check`` residual, the worst
     ``check_intertwining`` gap over every site, and the ``plancherel_check``
-    gap, with the same values those give.  It realizes phi and its mean part
-    once and, per site, the gradient and conditioning once: 2 + 2N
-    evaluations in place of 5N + 2.
+    gap, with the same values those give.  It realizes phi on all 2**N paths,
+    its mean part on 1, and per site k its gradient on 2**(N-1) and its
+    level-k conditioning on 2**(k+1).
     """
     _require_sweepable(space)
     values, clark_ocone_gap, site_gaps = _sweep(

@@ -26,7 +26,7 @@ import functools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
 from .clark_ocone import decompose
@@ -48,6 +48,7 @@ from .suite_names import SUITE_NAMES
 # ``bridge`` import them, so the coefficient commands start without numpy.
 if TYPE_CHECKING:
     from .bridge import PathObservable, PathSpace
+    from .suite import SuiteConfig
 
 
 def _read_text(path: str) -> str:
@@ -179,15 +180,29 @@ def _cmd_cov(args) -> int:
     return 0
 
 
+def _suite_config(**given: Any) -> "SuiteConfig":
+    from .suite import SuiteConfig
+
+    # SuiteConfig checks every bound; its messages open with the name of the
+    # value they reject ("trials must ..."), which here becomes the option.
+    try:
+        return SuiteConfig(**given)
+    except ConfigError as exc:
+        name, must, rest = str(exc).partition(" must ")
+        if not must or " " in name:
+            raise
+        raise ConfigError(f"--{name.replace('_', '-')} must {rest}") from None
+
+
 def _cmd_verify(args) -> int:
-    from .suite import SuiteConfig, run_suite
+    from .suite import run_suite
 
     # Only the options given are passed, so the defaults live in SuiteConfig.
     names = ("suite", "trials", "seed", "support_max", "max_terms", "tolerance", "horizon")
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.p:
         given["p_grid"] = tuple(args.p)
-    report = run_suite(SuiteConfig(**given))
+    report = run_suite(_suite_config(**given))
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -219,7 +234,7 @@ def _cmd_bridge(args) -> int:
         write_observable_csv,
     )
     from .corpus import random_functionals
-    from .suite import BRIDGE_TOLERANCE, SuiteConfig, run_suite
+    from .suite import BRIDGE_TOLERANCE, run_suite
 
     _at_least(args.horizon, 1, "--horizon")
     if args.eval is not None:
@@ -266,7 +281,7 @@ def _cmd_bridge(args) -> int:
         _emit(report, args.out)
         return 0 if record["pass"] else 1
 
-    cfg = SuiteConfig(suite="bridge", trials=args.trials, seed=args.seed, horizon=args.horizon)
+    cfg = _suite_config(suite="bridge", trials=args.trials, seed=args.seed, horizon=args.horizon)
     report = run_suite(cfg)
     _emit(report, args.out)
     return 0 if report["pass"] else 1

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from .bridge import bridge_gaps, build_space, check_orthonormality
+from .bridge import MAX_ORTHONORMALITY_HORIZON, bridge_gaps, build_space, check_orthonormality
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
 from .covariance import cov_identity, var_bound, var_p
@@ -65,6 +65,11 @@ class SuiteConfig:
             )
         if self.max_terms < 1:
             raise ConfigError(f"max_terms must be >= 1, got {self.max_terms}")
+        if not 1 <= self.horizon <= MAX_ORTHONORMALITY_HORIZON:
+            raise ConfigError(
+                f"horizon must lie in 1..{MAX_ORTHONORMALITY_HORIZON} (the bridge suite "
+                f"sweeps all 2**horizon sign paths), got {self.horizon}"
+            )
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError(
                 f"tolerance must be a finite number >= 0, got {self.tolerance}"
@@ -235,7 +240,6 @@ _GAPS = {
 
 def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
     n = cfg.horizon
-    # Built first, so an unsupported horizon fails on the space's own limit.
     space = build_space(n, "exhaustive")
     corpus = random_functionals(
         cfg.trials, cfg.seed, support_max=n - 1, max_terms=cfg.max_terms

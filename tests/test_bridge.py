@@ -2,8 +2,8 @@
 
 Where the implementation takes a shortcut (the transform inside the
 orthonormality sweep, the popcount parity inside ``evaluate``, the shared
-site sweep of the bridge suite), a direct computation re-derives the same
-numbers at small horizons.
+site sweep of the bridge suite and the reduced path sets it realizes on), a
+direct computation re-derives the same numbers at small horizons.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
+    FockFunctional,
     HorizonTooLargeError,
     PathSpace,
     RequiresExhaustiveError,
@@ -29,6 +30,7 @@ from fockcalc import (
     classical_clark_ocone_check,
     cond_expect,
     evaluate,
+    expect,
     make_functional,
     mc_estimate,
     norm_p,
@@ -326,39 +328,44 @@ class TestSpaceArguments:
         assert built == [(5, "exhaustive")]
 
 
-def count_evaluations(monkeypatch):
+def count_realizations(monkeypatch):
+    """Record, per call of the one realization kernel, how many paths it covers."""
     import fockcalc.bridge as bridge
 
-    calls = []
-    original = bridge.evaluate
+    paths = []
+    original = bridge._realize
 
-    def counting_evaluate(phi, space):
-        calls.append(len(phi))
-        return original(phi, space)
+    def counting_realize(phi, down):
+        paths.append(down.size)
+        return original(phi, down)
 
-    monkeypatch.setattr(bridge, "evaluate", counting_evaluate)
-    return calls
+    monkeypatch.setattr(bridge, "_realize", counting_realize)
+    return paths
 
 
 class TestSharedSweep:
     @pytest.mark.parametrize("n, trials", [(1, 2), (5, 3), (7, 4)])
     def test_bridge_suite_realizes_each_functional_once(self, monkeypatch, n, trials):
         # Per trial: phi and its mean part, then per site its gradient and
-        # its conditioning, each realized exactly once.
+        # its conditioning, each realized exactly once: phi on every path,
+        # the mean part on one, each gradient on half of them and the
+        # level-k conditioning on 2**(k+1).
         import fockcalc.suite as suite
 
-        calls = count_evaluations(monkeypatch)
+        paths = count_realizations(monkeypatch)
         report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=trials, horizon=n))
         assert report["pass"]
-        assert len(calls) == trials * (2 * n + 2)
+        assert len(paths) == trials * (2 * n + 2)
+        per_trial = (1 << n) + 1 + n * (1 << (n - 1)) + sum(1 << (k + 1) for k in range(n))
+        assert sum(paths) == trials * per_trial
 
     def test_single_site_command_makes_four_per_trial(self, monkeypatch, capsys):
         from fockcalc.cli import main
 
-        calls = count_evaluations(monkeypatch)
+        paths = count_realizations(monkeypatch)
         assert main(["bridge", "--horizon", "5", "--trials", "6", "--k", "2"]) == 0
         capsys.readouterr()
-        assert len(calls) == 6 * 4
+        assert len(paths) == 6 * 4
 
     def test_gaps_equal_the_separate_checks(self):
         from fockcalc.bridge import bridge_gaps
@@ -377,6 +384,126 @@ class TestSharedSweep:
             bridge_gaps(MIXED, build_space(3, "sampled", M=10, seed=1))
         with pytest.raises(HorizonTooLargeError):
             bridge_gaps(MIXED, build_space(17))
+
+
+def full_space_sweep(phi, space):
+    """The bridge sweep with every functional realized on all 2**N paths.
+
+    Returns the Clark–Ocone residual and, per site, the three intertwining
+    gaps, computed as the separate checks define them.
+    """
+    direct = evaluate(phi, space)
+    values = direct.values
+    mean = path_expectation(direct)
+    rebuilt = np.full(space.num_paths, mean)
+    gap_mean = float(np.max(np.abs(evaluate(expect(phi), space).values - mean)))
+    site_gaps = []
+    for k in range(space.horizon):
+        gradient = evaluate(annihilate(phi, k), space)
+        # Path m sits at [high, bit k of m, low] in these views; bit k clear is -1.
+        predictable = path_cond_expect(gradient, k - 1).values.reshape(-1, 2, 1 << k)
+        halves = rebuilt.reshape(predictable.shape)
+        halves[:, 0, :] -= predictable[:, 0, :]
+        halves[:, 1, :] += predictable[:, 1, :]
+        pairs = values.reshape(predictable.shape)
+        finite_difference = 0.5 * (pairs[:, 1:, :] - pairs[:, :1, :])
+        gradient_pairs = gradient.values.reshape(pairs.shape)
+        gap_gradient = float(np.max(np.abs(finite_difference - gradient_pairs)))
+        cond_functional = evaluate(cond_expect(phi, k), space).values
+        gap_cond = float(np.max(np.abs(cond_functional - path_cond_expect(direct, k).values)))
+        site_gaps.append((gap_gradient, gap_mean, gap_cond))
+    return float(np.max(np.abs(values - rebuilt))), site_gaps
+
+
+class TestReducedPathSweep:
+    @pytest.mark.parametrize(
+        "n, count", [(1, 6), (2, 6), (3, 6), (4, 5), (5, 5), (6, 4), (7, 4), (8, 3), (14, 1), (16, 1)]
+    )
+    def test_every_gap_equals_the_full_space_sweep(self, n, count):
+        from fockcalc.bridge import bridge_gaps
+
+        space = build_space(n)
+        for seed in (59, 60):
+            for phi in random_functionals(count, seed=seed + n, support_max=n - 1):
+                co_gap, site_gaps = full_space_sweep(phi, space)
+                assert bridge_gaps(phi, space) == (
+                    co_gap, max(max(g) for g in site_gaps), plancherel_check(phi, space)
+                )
+                assert classical_clark_ocone_check(phi, space) == co_gap
+                for k in range(n):
+                    assert check_intertwining(phi, k, space) == site_gaps[k]
+
+
+def _keeps_bit(phi, k):
+    return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m >> k & 1})
+
+
+def _keeps_bit_negated(phi, k):
+    # Right on the paths with bit k clear, where the kept sign is -1, and
+    # wrong on the others: only a sweep that realizes it there can tell.
+    return FockFunctional._of_masks({m: -c for m, c in phi._terms.items() if m >> k & 1})
+
+
+def _conjugates(phi, k):
+    return FockFunctional._of_masks(
+        {m ^ (1 << k): c.conjugate() for m, c in phi._terms.items() if m >> k & 1}
+    )
+
+
+def _keeps_level_boundary(phi, k):
+    return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m <= 1 << (k + 1)})
+
+
+def _adds_a_pair_that_cancels_above(phi, k):
+    # Adds c * (chi(m) + chi(m without site k + 1)) per term m of phi at level
+    # k + 1.  The pair cancels on the paths with site k + 1 down, so only a
+    # sweep that realizes it on the others can tell.
+    bit = 1 << (k + 1)
+    terms = {m: c for m, c in phi._terms.items() if m < bit}
+    for m, c in phi._terms.items():
+        if bit <= m < bit << 1:
+            terms[m] = c
+            terms[m ^ bit] = terms.get(m ^ bit, 0j) + c
+    return FockFunctional._of_masks(terms)
+
+
+def _adds_a_pair_that_cancels_at_path_zero(phi):
+    # 1 + chi({0}) vanishes on the path with every site down.
+    return FockFunctional._of_masks({0: phi._terms.get(0, 0j) + 1, 1: 1 + 0j})
+
+
+def _drops_top_term(phi, k):
+    kept = {m: c for m, c in phi._terms.items() if m < 1 << (k + 1)}
+    kept.pop(max(kept, default=None), None)
+    return FockFunctional._of_masks(kept)
+
+
+class TestPlantedFaults:
+    # Each fault replaces one operator in the bridge's namespace; the sweep
+    # must still realize it on paths where it shows, never pass it and never
+    # end in an internal error.
+    @pytest.mark.parametrize(
+        "name, fault, failing",
+        [
+            ("annihilate", _keeps_bit, {"clark_ocone_pathwise", "intertwining"}),
+            ("annihilate", _conjugates, {"clark_ocone_pathwise", "intertwining"}),
+            ("annihilate", _keeps_bit_negated, {"clark_ocone_pathwise", "intertwining"}),
+            ("cond_expect", _keeps_level_boundary, {"intertwining"}),
+            ("cond_expect", _drops_top_term, {"intertwining"}),
+            ("cond_expect", _adds_a_pair_that_cancels_above, {"intertwining"}),
+            ("expect", lambda phi: FockFunctional._of_masks({}), {"intertwining"}),
+            ("expect", _adds_a_pair_that_cancels_at_path_zero, {"intertwining"}),
+        ],
+    )
+    def test_bridge_suite_fails_exactly_the_checks_a_fault_breaks(
+        self, monkeypatch, name, fault, failing
+    ):
+        import fockcalc.bridge as bridge
+        import fockcalc.suite as suite
+
+        monkeypatch.setattr(bridge, name, fault)
+        report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=40, horizon=6))
+        assert {c["check"] for c in report["checks"] if not c["pass"]} == failing
 
 
 class TestIntertwining:

@@ -313,14 +313,14 @@ class TestVerifyCommand:
          ("--max-terms", "0", ">= 1"),
          ("--tolerance", "nan", ">= 0"), ("--tolerance", "inf", ">= 0"),
          ("--tolerance", "-1", ">= 0"),
-         ("--p", "1000", "296.002"), ("--p", "-1000", "296.002"), ("--p", "nan", "296.002")],
+         ("--p", "1000", "296.002"), ("--p", "-1000", "296.002"), ("--p", "nan", "296.002"),
+         ("--trials", "0", ">= 1"), ("--horizon", "0", "1..16"), ("--horizon", "17", "1..16")],
     )
     def test_option_out_of_range_names_option_and_limit(self, capsys, option, value, limit):
         code, out, err = run_cli(capsys, "verify", "--suite", "car", "--trials", "2", option, value)
         assert code == 2
         assert out == ""
-        name = option[2:].replace("-", "_")
-        assert err.startswith(f"error: {name} must ")
+        assert err.startswith(f"error: {option} must ")
         assert limit in err and f"got {value}" in err
 
     @pytest.mark.parametrize(
@@ -344,7 +344,7 @@ class TestVerifyCommand:
             )
             assert code == 2
             assert out == ""
-            assert err.startswith(f"error: p must be at least {limit} for the {suite} suite ")
+            assert err.startswith(f"error: --p must be at least {limit} for the {suite} suite ")
             assert f"got {past}" in err
 
     def test_overflowing_bound_ceiling_rejected_before_any_trial(self, capsys, monkeypatch):
@@ -359,13 +359,13 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: p must be at most 296.002 ") and "got 1000.0" in err
+        assert err.startswith("error: --p must be at most 296.002 ") and "got 1000.0" in err
         code, _, err = run_cli(
             capsys, "verify", "--suite", "bounds", "--trials", "1", "--p", "inf",
             "--support-max", "0",
         )
         assert code == 2
-        assert err.startswith("error: p must be finite ") and "got inf" in err
+        assert err.startswith("error: --p must be finite ") and "got inf" in err
 
     def test_repeat_runs_identical_modulo_timestamp(self, capsys):
         reports = []
