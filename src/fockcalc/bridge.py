@@ -358,14 +358,13 @@ def mc_estimate(obs: PathObservable) -> tuple[complex, float]:
     m = obs.space.num_paths
     if m < 2:
         return mean, 0.0
-    with np.errstate(over="ignore"):
-        spread = float(np.sum(np.abs(values - mean) ** 2))
-    if math.isinf(spread):
-        # A squared deviation overflowed; scaled by the values' largest part, none does.
-        scale = float(max(np.max(np.abs(values.real)), np.max(np.abs(values.imag))))
-        spread = float(np.sum(np.abs(values / scale - mean / scale) ** 2))
-        return mean, scale * float(np.sqrt(spread / (m * (m - 1))))
-    return mean, float(np.sqrt(spread / (m * (m - 1))))
+    # Deviations are taken of the values times 2**-e, e the binary order of
+    # their largest part, so no square leaves the double range.  Powers of two
+    # scale exactly; each is applied as two factors that stay in range.
+    _, e = math.frexp(float(max(np.max(np.abs(values.real)), np.max(np.abs(values.imag)))))
+    up, down = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    spread = float(np.sum(np.abs(values / up / down - mean / up / down) ** 2))
+    return mean, float(np.sqrt(spread / (m * (m - 1)))) * up * down
 
 
 def write_observable_csv(obs: PathObservable, path: str) -> None:

@@ -11,14 +11,13 @@ support set is a singleton.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator
 
 from .clark_ocone import co_term
 from .errors import NonFiniteResultError
-from .functional import FockFunctional, inner_dual, linear_combine, norm_dual
+from .functional import FockFunctional, _complex_sum, inner_dual, linear_combine, norm_dual
 from .operators import annihilate, create, expect
 
 
@@ -93,19 +92,18 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
     entries pair matching decomposition terms.  Only the sites both supports
     share are computed and stored: at any other site one of the two terms is
     empty, so the entry is 0j.  The gap vanishes in exact arithmetic for
-    finitely supported inputs.  Raises NonFiniteResultError where either
-    route or a per-site pairing overflows a double.
+    finitely supported inputs.  The per-site entries are summed in site
+    order, through the scaled sum of ``functional`` where that sum leaves the
+    double range.  Raises NonFiniteResultError where either route's value or
+    a per-site pairing lies beyond the double range.
     """
     direct = cov_p(phi, psi, p)
     top = max(phi.support_max, psi.support_max)
-    shared: Dict[int, complex] = {}
-    total = 0j
-    for k in sorted(set(phi.sites()).intersection(psi.sites())):
-        contribution = inner_dual(co_term(phi, k), co_term(psi, k), p)
-        shared[k] = contribution
-        total += contribution
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise NonFiniteResultError("the per-site covariance sum overflows a double")
+    shared: Dict[int, complex] = {
+        k: inner_dual(co_term(phi, k), co_term(psi, k), p)
+        for k in sorted(set(phi.sites()).intersection(psi.sites()))
+    }
+    total = _complex_sum(list(shared.values()))
     return CovarianceReport(
         lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)
     )
@@ -117,16 +115,11 @@ def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
     Returns (variance, sum over sites of the squared dual norms of
     create(annihilate(phi, k), k)).  The ceiling counts each support set once
     per member while the variance counts it once, so the bound is strict as
-    soon as some support set has two or more elements.  Raises
-    NonFiniteResultError where the variance or the ceiling overflows a double.
+    soon as some support set has two or more elements.  The ceiling is
+    summed under the range rule of ``functional``; raises NonFiniteResultError
+    where the variance or the ceiling lies beyond the double range.  A
+    variance above its ceiling is returned as it is, for the caller to score.
     """
     lhs = var_p(phi, p)
-    rhs = 0.0
-    for k in phi.sites():
-        rhs += norm_dual(create(annihilate(phi, k), k), p) ** 2
-    if math.isinf(rhs):
-        raise NonFiniteResultError("the variance ceiling overflows a double")
-    if lhs > rhs + 1e-12 * (1.0 + rhs):
-        # Mathematically unreachable; a failure here means corrupted state.
-        raise ArithmeticError(f"variance {lhs} exceeded its ceiling {rhs}")
-    return lhs, rhs
+    squares = [norm_dual(create(annihilate(phi, k), k), p) ** 2 for k in phi.sites()]
+    return lhs, _complex_sum(squares).real

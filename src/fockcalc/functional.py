@@ -19,11 +19,18 @@ Pairing conventions, fixed here once for the whole package:
 * ``inner_dual``   conjugates its SECOND argument (dual-chain pairing).
 * ``dual_pair``    conjugates NOTHING (the canonical bilinear form between a
                    dual element and a test functional).
+
+Range rule, fixed here once for the norms, the pairings and the per-site
+covariance sum: the plain double formula wherever every bit survives (a
+norm's sum of squares is a normal finite double; every pairing term's
+magnitude is, and so is their sum), else one scaled sum of the terms kept
+as mantissa times power of two, joined with ``ldexp`` at the end.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -43,6 +50,8 @@ from .gamma import (
     lambda_weight,
     mask_weight,
 )
+
+_MIN_NORMAL = sys.float_info.min
 
 
 class FockFunctional:
@@ -173,53 +182,6 @@ def sum_functionals(phis: Iterable[FockFunctional]) -> FockFunctional:
     return _nonzero(out)
 
 
-def _fsum_complex(parts: Sequence[complex]) -> complex:
-    # fsum is exactly rounded, so the result is iteration-order independent.
-    # The parts are finite; fsum raises where a partial sum overflows.
-    try:
-        return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
-    except OverflowError:
-        raise NonFiniteResultError("a pairing sum overflows a double") from None
-
-
-def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
-    """Weighted inner product sum(weight**(2p) * conj(xi) * eta).
-
-    Conjugate-linear in the first argument, linear in the second.  Raises
-    NonFiniteResultError where a term or the sum overflows a double.
-    """
-    return _fsum_complex([
-        _weighted_product(m, 2.0 * p, c.conjugate(), d)
-        for m, c in xi._terms.items() if (d := eta._terms.get(m)) is not None
-    ])
-
-
-def _weighted_product(m: int, exponent: float, c: complex, d: complex) -> complex:
-    """The pairing term weight(m) ** exponent * c * d.
-
-    The plain product is kept wherever it is finite.  Where it overflows,
-    though the term itself may not (a weight power beyond the double range
-    times tiny coefficients), the binary exponents of the weight power and
-    of both coefficients are kept apart, as in ``norm_parts``, and joined
-    last.  Raises NonFiniteResultError where the term itself overflows.
-    """
-    try:
-        term = mask_weight(m) ** exponent * c * d
-        if math.isfinite(term.real) and math.isfinite(term.imag):
-            return term
-    except (OverflowError, WeightOverflowError):
-        pass
-    mant, exp2 = _weight_power(m, exponent)
-    for z in (c, d):
-        z_mant, z_exp = _binary_split(z)
-        mant *= z_mant
-        exp2 += z_exp
-    try:
-        return complex(math.ldexp(mant.real, exp2), math.ldexp(mant.imag, exp2))
-    except OverflowError:
-        raise NonFiniteResultError("a weighted pairing term overflows a double") from None
-
-
 def _binary_split(c: complex) -> Tuple[complex, int]:
     # (mant, e) with c == mant * 2**e exactly and mant's larger part in [0.5, 1).
     _, e = math.frexp(max(abs(c.real), abs(c.imag)))
@@ -229,8 +191,11 @@ def _binary_split(c: complex) -> Tuple[complex, int]:
 def _weight_power(m: int, exponent: float) -> Tuple[float, int]:
     # (mant, e) with weight(m) ** exponent == mant * 2**e and mant in [1, 2),
     # through exponent * log2(weight); a weight of 1 is (1.0, 0) at any exponent.
+    # A power below every double (exponent * log2(weight) is -inf) is (0.0, 0).
     log2_weight = math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
     w_log = exponent * log2_weight if log2_weight else 0.0
+    if w_log == -math.inf:
+        return 0.0, 0
     if math.isinf(w_log):
         raise NonFiniteResultError(
             "a weight power 2**(exponent * log2 weight) lies beyond the double range"
@@ -239,42 +204,106 @@ def _weight_power(m: int, exponent: float) -> Tuple[float, int]:
     return 2.0 ** (w_log - w_exp), w_exp
 
 
+def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
+    # (s, shift) with s * 2**shift the exactly rounded sum of mant * 2**e.  The
+    # largest part is shifted to about 2**960: parts down to 2**-1980 of it keep
+    # every bit, and fsum has room for 2**60 parts.  Where a lower part lost bits
+    # and the larger parts cancel down to where that shows, this raises instead.
+    orders = [e + math.frexp(mant)[1] for mant, e in parts if mant]
+    if not orders:
+        return 0.0, 0
+    shift = max(orders) - 960
+    total = math.fsum(math.ldexp(mant, e - shift) for mant, e in parts)
+    if shift > 0 and min(orders) - shift < -1021 and abs(total) < len(orders) * _MIN_NORMAL:
+        raise NonFiniteResultError("a sum cancels below the precision of its largest part")
+    return total, shift
+
+
+def _join(parts: Sequence[Tuple[complex, int]]) -> complex:
+    # The sum of mant * 2**e, one scaled sum per component, as a complex;
+    # raises NonFiniteResultError where it lies beyond the double range.
+    try:
+        return complex(
+            math.ldexp(*_scaled_sum([(z.real, e) for z, e in parts])),
+            math.ldexp(*_scaled_sum([(z.imag, e) for z, e in parts])),
+        )
+    except OverflowError:
+        raise NonFiniteResultError("a sum overflows a double") from None
+
+
+def _complex_sum(values: Sequence[complex]) -> complex:
+    # The left-to-right sum of finite values, bit for bit, wherever it is
+    # finite; else the scaled sum of the values.
+    total = 0j
+    for z in values:
+        total += z
+    if math.isfinite(total.real) and math.isfinite(total.imag):
+        return total
+    return _join([(z, 0) for z in values])
+
+
+def _pairing(pairs: Sequence[Tuple[int, complex, complex]], exponent: float) -> complex:
+    # sum(weight(m) ** exponent * c * d) over (m, c, d) under the range rule; a
+    # term whose weight power lies below every double is a zero term.
+    try:
+        terms = [mask_weight(m) ** exponent * c * d for m, c, d in pairs]
+        if not terms or min(map(abs, terms)) >= _MIN_NORMAL:
+            # An infinite or NaN term shows in the total, where min may miss it.
+            total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            if math.isfinite(total.real) and math.isfinite(total.imag):
+                return total
+    except (OverflowError, ValueError, WeightOverflowError):
+        pass
+    scaled = []
+    for m, c, d in pairs:
+        w_mant, w_exp = _weight_power(m, exponent)
+        (c_mant, c_exp), (d_mant, d_exp) = _binary_split(c), _binary_split(d)
+        scaled.append((w_mant * c_mant * d_mant, w_exp + c_exp + d_exp))
+    return _join(scaled)
+
+
+def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
+    """Weighted inner product sum(weight**(2p) * conj(xi) * eta).
+
+    Conjugate-linear in the first argument, linear in the second.  Ranged
+    as the module docstring states; raises NonFiniteResultError where the
+    sum lies beyond the double range.
+    """
+    return _pairing([(m, c.conjugate(), d) for m, c in xi._terms.items()
+                     if (d := eta._terms.get(m)) is not None], 2.0 * p)
+
+
 def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
     """(m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e.
 
-    Each term's magnitude |coef| * weight**exponent is kept as a mantissa
-    times a power of two (``_binary_split`` and ``_weight_power``).  The sum
-    is shifted by the largest power, so ``m`` is finite and nonzero for every
-    nonzero functional even where the norm itself overflows or underflows;
-    (0.0, 0) for the zero functional.  ``norm_p`` is ``exponent = p`` and
-    ``norm_dual`` is ``exponent = -p``.  Raises NonFiniteResultError where
-    exponent * log2(weight) itself leaves the double range.
+    ``frexp`` of the plain root where the fsum of squares is a normal finite
+    double; elsewhere the root of the squared terms' scaled sum, so ``m`` is
+    finite and nonzero for every nonzero functional even where the norm
+    itself overflows or underflows.  (0.0, 0) for the zero functional.
+    ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
+    Raises NonFiniteResultError where exponent * log2(weight) leaves the
+    double range above, or below for every term.
     """
-    terms = []
+    try:
+        total = math.fsum(
+            mask_weight(m) ** (2.0 * exponent) * abs(c) ** 2 for m, c in phi._terms.items()
+        )
+    except (OverflowError, WeightOverflowError):
+        total = math.inf
+    if _MIN_NORMAL <= total < math.inf:
+        return math.frexp(math.sqrt(total))
+    parts = []
     for m, c in phi._terms.items():
-        c_mant, c_exp = _binary_split(c)
-        w_mant, w_exp = _weight_power(m, exponent)
-        terms.append((abs(c_mant) * w_mant, c_exp + w_exp))
-    if not terms:
-        return 0.0, 0
-    top = max(e for _, e in terms)
-    total = math.fsum(math.ldexp(mant, e - top) ** 2 for mant, e in terms)
-    return math.sqrt(total), top
+        (c_mant, c_exp), (w_mant, w_exp) = _binary_split(c), _weight_power(m, exponent)
+        parts.append(((abs(c_mant) * w_mant) ** 2, 2 * (c_exp + w_exp)))
+    total, shift = _scaled_sum(parts)
+    if phi and not total:
+        raise NonFiniteResultError("every weight power lies below the double range")
+    # An odd shift moves one factor 2 into the sum, so the root halves it exactly.
+    return math.sqrt(math.ldexp(total, shift & 1)), shift // 2
 
 
 def _weighted_norm(phi: FockFunctional, exponent: float) -> float:
-    try:
-        value = math.sqrt(
-            math.fsum(
-                mask_weight(m) ** (2.0 * exponent) * abs(c) ** 2
-                for m, c in phi._terms.items()
-            )
-        )
-    except (OverflowError, WeightOverflowError):
-        value = math.inf
-    if 0.0 < value < math.inf or not phi:
-        return value
-    # A squared term left the double range although the norm may not have.
     mant, exp2 = norm_parts(phi, exponent)
     try:
         return math.ldexp(mant, exp2)
@@ -288,10 +317,9 @@ def _weighted_norm(phi: FockFunctional, exponent: float) -> float:
 def norm_p(xi: FockFunctional, p: float) -> float:
     """Weighted norm sqrt(sum(weight**(2p) * |coef|**2)).
 
-    A basis element at sigma has norm weight(sigma)**p.  When squaring a term
-    leaves the double range the norm is evaluated through ``norm_parts``; a
-    norm beyond the range raises NonFiniteResultError, and one below the
-    smallest subnormal rounds to 0.0.
+    A basis element at sigma has norm weight(sigma)**p.  Ranged as the module
+    docstring states: a norm beyond the double range raises
+    NonFiniteResultError, and one below the smallest subnormal rounds to 0.0.
     """
     return _weighted_norm(xi, p)
 
@@ -306,12 +334,11 @@ def inner_dual(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
 
     Note the conjugate sits on the SECOND argument here, opposite to
     ``inner_p``;  inner_dual(phi, phi, p) equals norm_dual(phi, p)**2.
-    Raises NonFiniteResultError where a term or the sum overflows a double.
+    Ranged as the module docstring states; raises NonFiniteResultError where
+    a term or the sum lies beyond the double range.
     """
-    return _fsum_complex([
-        _weighted_product(m, -2.0 * p, c, d.conjugate())
-        for m, c in phi._terms.items() if (d := psi._terms.get(m)) is not None
-    ])
+    return _pairing([(m, c, d.conjugate()) for m, c in phi._terms.items()
+                     if (d := psi._terms.get(m)) is not None], -2.0 * p)
 
 
 def dual_pair(phi: FockFunctional, xi: FockFunctional) -> complex:
@@ -319,12 +346,10 @@ def dual_pair(phi: FockFunctional, xi: FockFunctional) -> complex:
 
     ``phi`` is read as a dual element, ``xi`` as a test functional.  Against a
     basis element this picks out phi's coefficient at that subset.  Raises
-    NonFiniteResultError where a term or the sum overflows a double.
+    NonFiniteResultError where a term or the sum lies beyond the double range.
     """
-    return _fsum_complex([
-        _weighted_product(m, 0.0, c, d)
-        for m, c in xi._terms.items() if (d := phi._terms.get(m)) is not None
-    ])
+    return _pairing([(m, c, d) for m, c in xi._terms.items()
+                     if (d := phi._terms.get(m)) is not None], 0.0)
 
 
 @dataclass(frozen=True)

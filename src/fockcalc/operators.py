@@ -20,11 +20,9 @@ measures as a residual norm.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import BadTagError, NegativeIndexError, NonFiniteResultError
+from .errors import BadTagError, NegativeIndexError
 from .functional import FockFunctional, linear_combine, norm_dual, norm_parts
 
 #: Relative slack each norm inequality of ``verify_norm_bounds`` allows.
@@ -103,18 +101,6 @@ class NormBoundReport:
         return self.annihilate_ok and self.create_ok and self.cond_expect_ok
 
 
-def _dual_norm_in_range(phi: FockFunctional, p: float) -> Optional[float]:
-    # The dual norm when it is 0 for a zero functional or a normal double,
-    # else None: there a ratio of plain norms would read 0/0, x/0 or x/inf.
-    try:
-        value = norm_dual(phi, p)
-    except NonFiniteResultError:
-        return None
-    if value >= sys.float_info.min or not phi:
-        return value
-    return None
-
-
 def verify_norm_bounds(phi: FockFunctional, k: int, p: float) -> NormBoundReport:
     """Check the three dual-norm inequalities at site ``k`` and level ``p``.
 
@@ -122,17 +108,13 @@ def verify_norm_bounds(phi: FockFunctional, k: int, p: float) -> NormBoundReport
     float rounding.  Basis witnesses make the first two ceilings tight: the
     single-site element {k} for annihilation, the constant for creation.
     """
-    base = _dual_norm_in_range(phi, p)
+    base_mant, base_exp2 = norm_parts(phi, -p)
 
     def ratio(image: FockFunctional) -> float:
-        value = _dual_norm_in_range(image, p)
-        if base is not None and value is not None:
-            return value / base if base > 0.0 else 0.0
-        # A norm beyond the normal double range; the ratio may still be within it.
+        # The image's terms are some of phi's, so phi is nonzero where it is.
         if not image:
             return 0.0
         mant, exp2 = norm_parts(image, -p)
-        base_mant, base_exp2 = norm_parts(phi, -p)
         return math.ldexp(mant / base_mant, exp2 - base_exp2)
 
     ann = ratio(annihilate(phi, k))

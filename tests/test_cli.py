@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, and report determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -220,6 +222,33 @@ class TestCovCommand:
         assert report["lhs"][0] == pytest.approx(expected, abs=0.0)
         assert report["rhs"][0] == pytest.approx(expected, abs=0.0)
 
+    def test_terms_cancelling_past_the_range_are_computed(self, capsys, tmp_path):
+        # Cov is exactly 1e308, but the terms pass the double range before the
+        # last one cancels, in the direct fsum and in the per-site sum alike.
+        doc, other = tmp_path / "a.json", tmp_path / "b.json"
+        doc.write_text(json.dumps({"terms": [
+            {"set": [k], "coef": [1e154, 0]} for k in range(3)
+        ]}))
+        other.write_text(json.dumps({"terms": [
+            {"set": [k], "coef": [c, 0]} for k, c in enumerate([1e154, 1e154, -1e154])
+        ]}))
+        code, out, err = run_cli(capsys, "cov", str(doc), str(other))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["lhs"] == report["rhs"] == [1e308, 0.0]
+
+    def test_underflowing_weight_powers_keep_the_covariance(self, capsys, tmp_path):
+        # 10! ** -60 underflows a double; times c * conj(c) = 1e300 it does not.
+        from fockcalc import SubsetIndex, make_functional, var_p
+
+        doc = tmp_path / "u.json"
+        doc.write_text('{"terms":[{"set":[0,1,2,3,4,5,6,7,8,9],"coef":[1e150,0]}]}')
+        code, out, err = run_cli(capsys, "cov", str(doc), str(doc), "--p", "30")
+        assert (code, err) == (0, "")
+        variance = var_p(make_functional([(SubsetIndex(range(10)), 1e150)]), 30.0)
+        assert json.loads(out)["lhs"][0] == pytest.approx(variance, rel=1e-15, abs=0.0)
+        assert variance > 0.0
+
     def test_site_zero_term_does_not_hide_an_overflow(self, capsys, tmp_path):
         # weight({0}) is 1, so its term's level factor stays finite at any level.
         doc = tmp_path / "doc.json"
@@ -430,6 +459,28 @@ class TestBridgeCommand:
         assert (code, err) == (0, "")
         assert 1e299 < json.loads(out)["stderr"] < 1e300
 
+    def test_eval_sampled_error_of_subnormal_values(self, capsys, tmp_path):
+        # Every squared deviation underflows a double; the error itself does not.
+        from fockcalc.bridge import build_space, evaluate
+        from fockcalc.serialization import parse_document
+
+        text = '{"terms":[{"set":[0],"coef":[5e-324,0]},{"set":[1,2],"coef":[-5e-324,1e-320]}]}'
+        doc = tmp_path / "tiny.json"
+        doc.write_text(text)
+        code, out, err = run_cli(
+            capsys, "bridge", "--horizon", "3", "--eval", str(doc),
+            "--mode", "sampled", "--paths", "5",
+        )
+        assert (code, err) == (0, "")
+        values = evaluate(parse_document(text)[0], build_space(3, "sampled", M=5, seed=0)).values
+        # Exactly, in units of the smallest subnormal.
+        units = [(Fraction(v.real) * 2**1074, Fraction(v.imag) * 2**1074) for v in values]
+        mean = [sum(part) / 5 for part in zip(*units)]
+        spread = sum((re - mean[0]) ** 2 + (im - mean[1]) ** 2 for re, im in units)
+        expected = math.sqrt(spread / 20) * 2.0**-537 * 2.0**-537
+        assert json.loads(out)["stderr"] == pytest.approx(expected, rel=1e-3, abs=0.0)
+        assert expected > 0.0
+
     @pytest.mark.parametrize(
         "mode, first", [(["--mode", "exhaustive"], 1), (["--mode", "sampled", "--paths", "8"], 5)]
     )
@@ -609,6 +660,57 @@ class TestExtremeDocuments:
             else:
                 assert out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _exact_pairings(doc, other):
+    # The centered covariance at level 0 and its per-site pairings, as Fractions.
+    c = {frozenset(t["set"]): Fraction(t["coef"][0]) for t in doc["terms"]}
+    d = {frozenset(t["set"]): Fraction(t["coef"][0]) for t in other["terms"]}
+    per_site = {}
+    for sigma in c.keys() & d.keys() - {frozenset()}:
+        per_site[max(sigma)] = per_site.get(max(sigma), 0) + c[sigma] * d[sigma]
+    return sum(per_site.values(), Fraction(0)), list(per_site.values())
+
+
+def _fits(value):
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+_EXACT_COEF = st.tuples(st.sampled_from([-1, 1]), st.integers(1, 7), st.integers(505, 512)).map(
+    lambda t: [float(t[0] * t[1] * 2**t[2]), 0.0]
+)
+# Two documents on the same sets, so that every term meets a partner.
+_CANCELLING = st.lists(
+    st.tuples(st.lists(st.integers(0, 5), max_size=3, unique=True).map(sorted),
+              _EXACT_COEF, _EXACT_COEF),
+    max_size=8,
+    unique_by=lambda term: tuple(term[0]),
+).map(lambda terms: tuple(
+    {"terms": [{"set": t[0], "coef": t[i]} for t in terms]} for i in (1, 2)
+))
+
+
+class TestCancellingPairs:
+    """Every product and sum of these coefficients is exact, so a Fraction is the oracle."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_CANCELLING)
+    def test_cov_is_computed_exactly_when_it_fits(self, capsys, tmp_path, docs):
+        doc, other = docs
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(doc))
+        second.write_text(json.dumps(other))
+        cov, per_site = _exact_pairings(doc, other)
+        code, out, err = run_cli(capsys, "cov", str(first), str(second))
+        assert code == (0 if all(map(_fits, [cov, *per_site])) else 2), err
+        if code == 0:
+            report = json.loads(out)
+            assert report["lhs"] == report["rhs"] == [float(cov), 0.0]
 
 
 class TestIntegerOptions:

@@ -1,8 +1,14 @@
 """Centered covariance, the per-site identity, and the variance ceiling."""
 
+import json
+import sys
+
 import pytest
 
+import fockcalc.cli
+import fockcalc.suite
 from fockcalc import (
+    FockFunctional,
     NonFiniteResultError,
     SubsetIndex,
     ZERO,
@@ -132,3 +138,73 @@ class TestOverflowIsTyped:
             var_p(phi, 0.0)
         with pytest.raises(NonFiniteResultError):
             var_bound(phi, 0.0)
+
+    def test_cancelling_weight_powers_are_computed(self):
+        # Each pairing term's weight power 10! ** -60 underflows a double
+        # before it meets c * conj(c) = 1e300; the covariance does not.
+        u = F((range(10), 1e150))
+        assert cov_p(u, u, 30.0) == pytest.approx(var_p(u, 30.0), rel=1e-15, abs=0.0)
+        assert var_p(u, 30.0) == pytest.approx(2.5954820361861544e-94, rel=1e-15, abs=0.0)
+
+    def test_terms_that_cancel_past_the_range(self):
+        # The per-site sum passes 1e308 before its last term cancels it back.
+        a = F(([0], 1e154), ([1], 1e154), ([2], 1e154))
+        b = F(([0], 1e154), ([1], 1e154), ([2], -1e154))
+        report = cov_identity(a, b, 0.0)
+        assert report.lhs == report.rhs == 1e308
+        assert report.gap == 0.0
+
+    def test_cancellation_below_a_lost_part_is_typed(self):
+        # 1e400 - 1e400 leaves 1e-300, far below what a sum scaled to the
+        # largest term keeps; that raises rather than read 0.0.
+        a = F(([0], 1e200), ([1], 1e200), ([2], 1e-150))
+        b = F(([0], 1e200), ([1], -1e200), ([2], 1e-150))
+        with pytest.raises(NonFiniteResultError):
+            cov_p(a, b, 0.0)
+
+
+def _keeps_bit(phi, k):
+    return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m >> k & 1})
+
+
+def _conjugating(original):
+    def linear_combine(a, phi, b, psi):
+        conj = FockFunctional._of_masks({m: c.conjugate() for m, c in psi._terms.items()})
+        return original(a, phi, b, conj)
+
+    return linear_combine
+
+
+class TestPlantedFaults:
+    """A violated identity is a failed check with exit 1, never an internal error."""
+
+    @pytest.fixture(params=["centered", "annihilate", "linear_combine"])
+    def fault(self, request, monkeypatch):
+        import fockcalc.covariance as covariance
+        import fockcalc.functional as functional
+        import fockcalc.operators as operators
+
+        owner, name, replacement = {
+            "centered": (covariance, "_centered", lambda phi: phi),
+            "annihilate": (operators, "annihilate", _keeps_bit),
+            "linear_combine": (
+                functional, "linear_combine", _conjugating(functional.linear_combine)
+            ),
+        }[request.param]
+        original = getattr(owner, name)
+        # Every fockcalc namespace that binds the name gets the fault.
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "fockcalc" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, replacement)
+
+    def test_covariance_record_fails(self, fault):
+        report = fockcalc.suite.run_suite(fockcalc.suite.SuiteConfig(suite="covariance", trials=40))
+        assert [(c["check"], c["pass"]) for c in report["checks"]] == [("covariance", False)]
+
+    @pytest.mark.parametrize("suite, records", [("covariance", 1), ("all", 9)])
+    def test_verify_exits_1_with_every_record(self, capsys, fault, suite, records):
+        code = fockcalc.cli.main(["verify", "--suite", suite, "--trials", "40"])
+        assert code == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) == records
+        assert {c["check"]: c["pass"] for c in checks}["covariance"] is False

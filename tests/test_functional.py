@@ -291,6 +291,12 @@ class TestNormRange:
         assert value > 0.0
         assert value == pytest.approx(lambda_weight(sigma) ** -6.0, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-160, 3e-161])
+    def test_subnormal_sum_of_squares_keeps_every_bit(self, c):
+        # c ** 2 is subnormal, so the plain root would keep only part of c's bits.
+        assert norm_p(F(([], c)), 0.0) == c
+        assert norm_dual(F(([0], -c)), 3.0) == c
+
     def test_overflowing_weight_with_small_coefficient(self):
         sigma = SubsetIndex(range(200))  # the weight alone overflows a double
         assert norm_dual(make_functional([(sigma, 1.0), (E, 1.0)]), 1.0) == 1.0
