@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     HorizonTooLargeError,
     RequiresExhaustiveError,
     SupportExceedsHorizonError,
@@ -43,7 +44,8 @@ from .errors import (
 from .functional import FockFunctional, norm_p
 from .operators import annihilate, cond_expect, expect
 
-#: Exhaustive enumeration cap: 2**20 paths is the desk-scale ceiling.
+#: Exhaustive enumeration cap: 2**20 paths is the desk-scale ceiling, which
+#: also caps the path count of a sampled space.
 MAX_EXHAUSTIVE_HORIZON = 20
 
 #: Path codes are int64 with the sign bit unused, so a path holds 63 signs.
@@ -89,8 +91,9 @@ def build_space(
     """Build the path space for horizon ``N``.
 
     Exhaustive mode enumerates all 2**N paths (N <= 20) in ascending binary
-    order.  Sampled mode draws M paths (N <= 63, the width of a path code)
-    from a seeded PCG64 stream; the codes are a pure function of (N, M, seed).
+    order.  Sampled mode draws M <= 2**20 paths (N <= 63, the width of a path
+    code) from a seeded PCG64 stream; the codes are a pure function of
+    (N, M, seed).
     """
     if N < 1:
         raise ValueError(f"horizon must be >= 1, got {N}")
@@ -103,6 +106,10 @@ def build_space(
     if mode == "sampled":
         if M is None or M < 1:
             raise ValueError("sampled mode needs a positive path count M")
+        if M > 1 << MAX_EXHAUSTIVE_HORIZON:
+            raise CapExceededError(
+                f"sampled path count {M} exceeds cap {1 << MAX_EXHAUSTIVE_HORIZON}"
+            )
         if seed is None:
             raise ValueError("sampled mode needs a seed")
         if N > MAX_CODED_HORIZON:
@@ -220,20 +227,16 @@ def check_orthonormality(N: int) -> float:
 
 
 def _sweep(
-    phi: FockFunctional,
-    space: PathSpace,
-    sites: Sequence[int],
-    rebuild: bool,
-    intertwine: bool,
+    phi: FockFunctional, space: PathSpace, sites: Sequence[int]
 ) -> tuple[np.ndarray, Optional[float], list[tuple[float, float, float]]]:
     """Realize phi once, then its site-k gradient and conditioning once per site.
 
-    Returns phi's path values, the Clark–Ocone residual when ``rebuild`` (it
-    then needs ``sites`` to be every coordinate), and per site the three
-    intertwining gaps when ``intertwine``.  Only the running rebuild and one
-    site's vectors are alive at a time.  Callers check that ``space`` is
-    exhaustive.  Operator outputs are realized on reduced path sets, as the
-    module docstring lists.
+    Returns phi's path values, the Clark–Ocone residual when ``sites`` (distinct
+    coordinates) is every coordinate and None otherwise, and per site the
+    three intertwining gaps.  Only the running rebuild and one site's vectors
+    are alive at a time.  Callers check that ``space`` is exhaustive.
+    Operator outputs are realized on reduced path sets, as the module
+    docstring lists.
     """
     direct = evaluate(phi, space)
     values = direct.values
@@ -248,18 +251,17 @@ def _sweep(
         _require_fits(psi, space)
         return _realize(psi, full if any(m & fixed for m in psi._terms) else reduced)
 
-    rebuilt = np.full(space.num_paths, mean) if rebuild else None
-    if intertwine:
-        # The mean part is the level -1 conditioning: one path fixes every coordinate.
-        mean_part = realize(expect(phi), down[:1], -1, down)
-        gap_mean = float(np.max(np.abs(mean_part - mean)))
+    rebuilt = np.full(space.num_paths, mean) if len(sites) == space.horizon else None
+    # The mean part is the level -1 conditioning: one path fixes every coordinate.
+    mean_part = realize(expect(phi), down[:1], -1, down)
+    gap_mean = float(np.max(np.abs(mean_part - mean)))
     site_gaps = []
     for k in sites:
         # Path m sits at [high, bit k of m, low] in these views; bit k clear is -1.
         down_pairs = down.reshape(-1, 2, 1 << k)
         half = np.ascontiguousarray(down_pairs[:, :1, :])
         gradient = realize(annihilate(phi, k), half, 1 << k, down_pairs)
-        if rebuild:
+        if rebuilt is not None:
             # Add the k-th sign times the predictable part, the gradient's
             # mean given coordinates before k.  It is taken over a copy of
             # the gradient on every path, so its sums run as they always did.
@@ -268,17 +270,16 @@ def _sweep(
             halves = rebuilt.reshape(down_pairs.shape)
             halves[:, 0, :] -= predictable
             halves[:, 1, :] += predictable
-        if intertwine:
-            # Value with coordinate k forced to +1 minus forced to -1, halved.
-            pairs = values.reshape(down_pairs.shape)
-            finite_difference = 0.5 * (pairs[:, 1:, :] - pairs[:, :1, :])
-            gap_gradient = float(np.max(np.abs(finite_difference - gradient)))
-            down_low = down.reshape(-1, 1 << (k + 1))
-            cond_functional = realize(cond_expect(phi, k), down_low[:1], -1 << (k + 1), down_low)
-            cond_pathwise = _group_means(values, k)
-            gap_cond = float(np.max(np.abs(cond_functional - cond_pathwise)))
-            site_gaps.append((gap_gradient, gap_mean, gap_cond))
-    clark_ocone_gap = float(np.max(np.abs(values - rebuilt))) if rebuild else None
+        # Value with coordinate k forced to +1 minus forced to -1, halved.
+        pairs = values.reshape(down_pairs.shape)
+        finite_difference = 0.5 * (pairs[:, 1:, :] - pairs[:, :1, :])
+        gap_gradient = float(np.max(np.abs(finite_difference - gradient)))
+        down_low = down.reshape(-1, 1 << (k + 1))
+        cond_functional = realize(cond_expect(phi, k), down_low[:1], -1 << (k + 1), down_low)
+        cond_pathwise = _group_means(values, k)
+        gap_cond = float(np.max(np.abs(cond_functional - cond_pathwise)))
+        site_gaps.append((gap_gradient, gap_mean, gap_cond))
+    clark_ocone_gap = None if rebuilt is None else float(np.max(np.abs(values - rebuilt)))
     return values, clark_ocone_gap, site_gaps
 
 
@@ -304,7 +305,7 @@ def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
     Returns the max path deviation from the direct realization.
     """
     _require_sweepable(space)
-    _, gap, _ = _sweep(phi, space, range(space.horizon), rebuild=True, intertwine=False)
+    _, gap, _ = _sweep(phi, space, range(space.horizon))
     return gap
 
 
@@ -321,7 +322,7 @@ def check_intertwining(
     _require_exhaustive(space)
     if not 0 <= k < space.horizon:
         raise ValueError(f"site {k} outside horizon {space.horizon}")
-    _, _, (gaps,) = _sweep(phi, space, (k,), rebuild=False, intertwine=True)
+    _, _, (gaps,) = _sweep(phi, space, (k,))
     return gaps
 
 
@@ -340,9 +341,7 @@ def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, fl
     level-k conditioning on 2**(k+1).
     """
     _require_sweepable(space)
-    values, clark_ocone_gap, site_gaps = _sweep(
-        phi, space, range(space.horizon), rebuild=True, intertwine=True
-    )
+    values, clark_ocone_gap, site_gaps = _sweep(phi, space, range(space.horizon))
     return clark_ocone_gap, max(max(g) for g in site_gaps), _plancherel_gap(phi, values)
 
 

@@ -9,6 +9,11 @@ Functional schema::
 is [re, im]; ``envelope`` is optional.  Serialization emits terms in
 ascending bit-mask order with repr-exact floats, so parse(serialize(phi))
 reproduces phi bit for bit.
+
+Writer rule: the standard library's ``json.dumps`` writes every document.
+The one exception is a report's residual or per-site table, whose rows are
+expanded from one row json wrote with a slot for each value, and spliced
+into the report json wrote around it; the text is json's own, byte for byte.
 """
 
 from __future__ import annotations
@@ -131,153 +136,10 @@ def _non_finite_field(value: Any, where: str) -> Optional[str]:
     return None
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-_INF = math.inf
-
-#: Stands for the level n in a residual row written once for a whole run.  It
-#: is written as a raw NUL, which no other JSON text holds (strings escape it).
-_SITE = object()
-_SITE_TEXT = "\x00"
-
-
-def _scalar_text(value: Any) -> Optional[str]:
-    """JSON text of an exact str, float, int, bool or None; None for anything else."""
-    kind = type(value)
-    if kind is float:
-        if not -_INF < value < _INF:
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return _float_repr(value)
-    if kind is int:
-        return _int_repr(value)
-    if kind is str:
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is _SITE:
-        return _SITE_TEXT
-    return None
-
-
-def _indented(payload: Any, indent: int, newline: str = "\n") -> str:
-    """``json.dumps(payload, indent=indent, allow_nan=False)``, byte for byte.
-
-    The stdlib writes indented JSON with its pure-Python encoder; this is the
-    same output from one recursion appending to one list.  Exact str, float,
-    int, bool, None, list, tuple and str-keyed dict values are written here;
-    a ``ResidualTable`` is written as ``decomposition_to_obj``'s residual
-    list and a ``SiteTable`` as ``covariance_to_obj``'s ``per_k`` object.
-    Any other value (a subclass, a non-str key, an unserializable object)
-    goes to the stdlib, its lines shifted to the current depth.  There is no
-    circular-reference check: payloads are trees.  ``newline`` is a line
-    break and the indentation of the payload's own depth.
-    """
-    step = " " * indent
-    out: List[str] = []
-    append = out.append
-
-    def write(value: Any, newline: str) -> None:
-        # ``newline`` is a line break and the indentation of value's own depth.
-        kind = type(value)
-        if kind is dict:
-            if not value:
-                append("{}")
-                return
-            start = len(out)
-            inner = newline + step
-            comma = "," + inner
-            sep = "{" + inner
-            for key, item in value.items():
-                if type(key) is not str:
-                    del out[start:]
-                    break
-                head = sep + _encode_str(key) + ": "
-                text = _scalar_text(item)
-                if text is None:
-                    append(head)
-                    write(item, inner)
-                else:
-                    append(head + text)
-                sep = comma
-            else:
-                append(newline + "}")
-                return
-        elif kind is list or kind is tuple:
-            if not value:
-                append("[]")
-                return
-            inner = newline + step
-            comma = "," + inner
-            sep = "[" + inner
-            for item in value:
-                text = _scalar_text(item)
-                if text is None:
-                    append(sep)
-                    write(item, inner)
-                else:
-                    append(sep + text)
-                sep = comma
-            append(newline + "]")
-            return
-        elif kind is ResidualTable:
-            append(_residual_rows(value, indent, newline))
-            return
-        elif kind is SiteTable:
-            append(_site_entries(value, indent, newline))
-            return
-        else:
-            text = _scalar_text(value)
-            if text is not None:
-                append(text)
-                return
-        # Any other value, or a dict with a non-str key, is the stdlib's.  Its
-        # strings hold no raw line break, so each one starts an indented line.
-        append(json.dumps(value, indent=indent, allow_nan=False).replace("\n", newline))
-
-    write(payload, newline)
-    return "".join(out)
-
-
-def _residual_rows(table: ResidualTable, indent: int, newline: str) -> str:
-    # Each run's rows are written once, with _SITE for n, as a list at this
-    # depth whose brackets are cut off; each n of the run then costs one join.
-    if not table:
-        return "[]"
-    inner = newline + " " * indent
-    rows: List[str] = []
-    for span, row in table.runs():
-        template = _indented(
-            [_residual_row(_SITE, q, r) for q, r in zip(table.levels, row)], indent, newline
-        )[len(inner) + 1 : -len(newline) - 1].split(_SITE_TEXT)
-        rows.extend(str(n).join(template) for n in span)
-    return "[" + inner + ("," + inner).join(rows) + newline + "]"
-
-
-def _site_entries(table: SiteTable, indent: int, newline: str) -> str:
-    # Each stored value, and the 0j of every other site, is written once.
-    if not table:
-        return "{}"
-    inner = newline + " " * indent
-    zero = _indented(_pair(0j), indent, inner)
-    stored = {k: _indented(_pair(z), indent, inner) for k, z in table.stored.items()}
-    entries = [f'"{k}": {stored.get(k, zero)}' for k in table]
-    return "{" + inner + ("," + inner).join(entries) + newline + "}"
-
-
 def to_json(payload: Any, indent: Optional[int] = None) -> str:
-    """Strict JSON text; a non-finite number raises NonFiniteResultError naming its field.
-
-    Equal to ``json.dumps(payload, indent=indent, allow_nan=False)``.
-    """
+    """Strict JSON text; a non-finite number raises NonFiniteResultError naming its field."""
     try:
-        if indent is None:
-            return json.dumps(payload, allow_nan=False)
-        return _indented(payload, indent)
+        return json.dumps(payload, indent=indent, allow_nan=False)
     except ValueError:
         field = _non_finite_field(payload, "")
         if field is None:
@@ -332,21 +194,79 @@ def covariance_to_obj(report: CovarianceReport) -> Dict[str, Any]:
     return _covariance_payload(report, {str(k): _pair(v) for k, v in report.per_site.items()})
 
 
+#: Stands for the table in its report, and for each value of a table row, in
+#: the texts json writes.  json writes it as "\u0000", which no other text of
+#: a report holds: its only strings are keys, and none of them holds a NUL.
+_SLOT = "\x00"
+_SLOT_TEXT = json.dumps(_SLOT)
+
+#: A report's table sits at depth 1 of its indent-2 text, so each table entry
+#: opens a line indented by 4 and the closing bracket one indented by 2.
+_ENTRY_BREAK = ",\n    "
+
+
+def _entry_text(obj: Any) -> str:
+    # ``obj`` as json writes it for a table entry, at depth 2 of an indent-2 text.
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n    ")
+
+
+#: A residual row's text before its n, q and residual, and after the residual.
+_ROW_N, _ROW_Q, _ROW_RESIDUAL, _ROW_END = _entry_text(
+    _residual_row(_SLOT, _SLOT, _SLOT)
+).split(_SLOT_TEXT)
+
+
+def _float_text(value: float) -> str:
+    # The text json writes for a float, and its ValueError for a non-finite one.
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _table_text(entries: List[str], brackets: str) -> str:
+    if not entries:
+        return brackets
+    return brackets[0] + "\n    " + _ENTRY_BREAK.join(entries) + "\n  " + brackets[1]
+
+
+def _residual_rows(table: ResidualTable) -> str:
+    # Each run's rows are joined once, with a raw NUL for n; each n of the run
+    # then costs one join.
+    if not table:
+        return "[]"
+    levels = [_ROW_N + _SLOT + _ROW_Q + _float_text(q) + _ROW_RESIDUAL for q in table.levels]
+    rows: List[str] = []
+    for span, row in table.runs():
+        run = _ENTRY_BREAK.join(
+            [level + _float_text(r) + _ROW_END for level, r in zip(levels, row)]
+        ).split(_SLOT)
+        rows.extend(str(n).join(run) for n in span)
+    return _table_text(rows, "[]")
+
+
+def _site_entries(table: SiteTable) -> str:
+    # Each stored pair, and the 0j of every other site, is written once.
+    zero = _entry_text(_pair(0j))
+    stored = {k: _entry_text(_pair(z)) for k, z in table.stored.items()}
+    return _table_text([f'"{k}": {stored.get(k, zero)}' for k in table], "{}")
+
+
 def report_to_json(report: Union[DecompositionReport, CovarianceReport]) -> str:
     """``to_json(<report>_to_obj(report), indent=2)``, byte for byte.
 
-    The residual or per-site table goes to the writer as stored and is
-    expanded there, so the dense payload is never built.  If a value is not
-    finite, the dense payload is built after all, and its NonFiniteResultError
-    names the field.
+    json writes the report with a placeholder for its residual or per-site
+    table, and the table's text, expanded from the stored rows, replaces it,
+    so the dense payload is never built.  If a value is not finite, the dense
+    payload is built after all, and its NonFiniteResultError names the field.
     """
     if isinstance(report, DecompositionReport):
-        payload = _decomposition_payload(report, report.residual_norms)
-        dense = decomposition_to_obj
+        payload = _decomposition_payload(report, _SLOT)
+        write_table, table, dense = _residual_rows, report.residual_norms, decomposition_to_obj
     else:
-        payload = _covariance_payload(report, report.per_site)
-        dense = covariance_to_obj
+        payload = _covariance_payload(report, _SLOT)
+        write_table, table, dense = _site_entries, report.per_site, covariance_to_obj
     try:
-        return _indented(payload, 2)
+        text = json.dumps(payload, indent=2, allow_nan=False)
+        return text.replace(_SLOT_TEXT, write_table(table), 1)
     except ValueError:
         return to_json(dense(report), indent=2)

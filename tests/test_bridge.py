@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
+    CapExceededError,
     FockFunctional,
     HorizonTooLargeError,
     PathSpace,
@@ -600,3 +601,34 @@ class TestCsvExport:
         assert len(rows) == 9
         got = [complex(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows[1:]]
         assert got == list(obs.values)
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_space(3, "bogus"), "unknown mode 'bogus'"),
+            (lambda: path_cond_expect(evaluate(MIXED, build_space(3)), -2),
+             "conditioning level must be >= -1, got -2"),
+            (lambda: check_orthonormality(0), "horizon must be >= 1, got 0"),
+            (lambda: check_intertwining(MIXED, 3, build_space(3)), "site 3 outside horizon 3"),
+        ],
+    )
+    def test_argument_outside_its_bound_raises(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_sampled_path_count_is_capped_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paths were drawn before the count was checked")
+
+        monkeypatch.setattr(np.random, "Generator", no_draw)
+        with pytest.raises(CapExceededError) as info:
+            build_space(3, "sampled", M=2**20 + 1, seed=1)
+        assert str(info.value) == "sampled path count 1048577 exceeds cap 1048576"
+
+    def test_sampled_path_count_at_the_cap_runs(self):
+        space = build_space(3, "sampled", M=2**20, seed=1)
+        assert space.num_paths == 2**20
+        assert 0 <= space.codes.min() and space.codes.max() < 8

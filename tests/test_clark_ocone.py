@@ -66,6 +66,11 @@ class TestPartialSum:
     def test_at_peak_reaches_centered_functional(self):
         assert partial_sum(MIXED, 2) == F(([0, 2], 3))
 
+    def test_negative_level_raises(self):
+        with pytest.raises(ValueError) as info:
+            partial_sum(MIXED, -1)
+        assert str(info.value) == "partial-sum level must be >= 0, got -1"
+
     def test_saturates_at_support_max(self):
         for phi in random_functionals(10, seed=22, support_max=7, max_terms=12):
             smax = max(phi.support_max, 0)
@@ -143,6 +148,11 @@ class TestPredictableSequence:
         with pytest.raises(PredictabilityViolatedError):
             PredictableSequence({1: F(([3], 1))})
 
+    def test_negative_site_rejected(self):
+        with pytest.raises(ValueError) as info:
+            PredictableSequence({-1: F(([], 1))})
+        assert str(info.value) == "site index must be >= 0, got -1"
+
 
 class TestIntegrate:
     def test_recovers_centered_functional(self):
@@ -156,6 +166,13 @@ class TestIntegrate:
     def test_single_entry(self):
         u = PredictableSequence({2: F(([0], 3))})
         assert integrate(u) == F(([0, 2], 3))
+
+    def test_entry_changed_after_construction_is_rechecked(self):
+        u = PredictableSequence({2: F(([0], 3))})
+        u.terms[1] = F(([1], 1))
+        with pytest.raises(PredictabilityViolatedError) as info:
+            integrate(u)
+        assert str(info.value) == "entry at site 1 is not measurable before level 1"
 
 
 class TestReconstruction:

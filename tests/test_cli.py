@@ -317,6 +317,14 @@ class TestVerifyCommand:
         defaults = asdict(SuiteConfig(suite="car", trials=2))
         assert json.loads(out)["config"] == {**defaults, "p_grid": list(defaults["p_grid"])}
 
+    def test_unknown_suite_rejected_by_the_config(self):
+        from fockcalc import ConfigError
+        from fockcalc.suite import SUITE_NAMES, SuiteConfig
+
+        with pytest.raises(ConfigError) as info:
+            SuiteConfig(suite="nope")
+        assert str(info.value) == f"unknown suite 'nope'; choose from {SUITE_NAMES}"
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_is_the_concatenation_of_its_parts(self, seed):
         from fockcalc.suite import SUITE_NAMES, SuiteConfig, run_suite
@@ -730,6 +738,12 @@ class TestIntegerOptions:
              "--k must lie in 0..7 (below --horizon), got -1"),
             (["bridge", "--horizon", "8", "--k", "8"],
              "--k must lie in 0..7 (below --horizon), got 8"),
+            (["bridge", "--eval", "PHI", "--horizon", "3", "--mode", "sampled",
+              "--paths", "1000000000000", "--seed", "1"],
+             "sampled path count 1000000000000 exceeds cap 1048576"),
+            (["lambda", "--sum", "--n", "3"], "lambda --sum needs --p and --n"),
+            (["lambda", "--bound"], "lambda --bound needs --p"),
+            (["lambda", "[1,"], "subset must be a JSON array: Expecting value"),
         ],
     )
     def test_out_of_range_value_names_its_option(self, capsys, phi_file, argv, message):

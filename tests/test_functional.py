@@ -219,6 +219,11 @@ class TestEnvelopes:
         with pytest.raises(EmptySupportError):
             fit_envelope(ZERO, 1.0)
 
+    def test_negative_constant_rejected(self):
+        with pytest.raises(ValueError) as info:
+            GrowthEnvelope(C=-1, p=0)
+        assert str(info.value) == "envelope constants must be nonnegative"
+
     def test_fitted_envelope_covers(self):
         for phi in random_functionals(20, seed=8, support_max=8, max_terms=12):
             for p in (0.0, 1.0):

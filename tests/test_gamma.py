@@ -181,6 +181,22 @@ class TestSeriesBounds:
             limit = gamma_weight_sum_limit(p)
             assert gamma_weight_sum(p, 12) <= limit <= weight_sum_bound(p)
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: gamma_weight_sum(0, 3), ValueError, "p must be positive, got 0"),
+            (lambda: gamma_weight_sum(1, -1), ValueError, "max_index must be >= 0, got -1"),
+            (lambda: SubsetIndex.from_mask(-1), NegativeIndexError, "bit-mask must be nonnegative"),
+            (lambda: GammaCursor(-1), ValueError, "max_index must be >= 0, got -1"),
+            (lambda: GammaCursor(3, max_cardinality=-1), ValueError,
+             "max_cardinality must be >= 0 when given"),
+        ],
+    )
+    def test_argument_below_its_bound_raises(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
     def test_full_lattice_sum_closed_form(self):
         # prod(1 + m**-2) over all m is sinh(pi)/pi; the certified upper
         # evaluation may exceed it only by the tail slack.

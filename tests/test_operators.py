@@ -246,6 +246,22 @@ class TestPipelines:
         with pytest.raises(NegativeIndexError):
             parse_pipeline("annihilate:-1")
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: create(F(([0], 1)), -1), NegativeIndexError,
+             "site index must be >= 0, got -1"),
+            (lambda: cond_expect(F(([0], 1)), -2), ValueError,
+             "conditioning level must be >= -1, got -2"),
+            (lambda: parse_pipeline("condexp:-2"), BadTagError,
+             "condexp level must be >= -1, got -2"),
+        ],
+    )
+    def test_site_below_its_bound_raises(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
     def test_condexp_allows_mean_level(self):
         tags = parse_pipeline("condexp:-1")
         assert tags[0].apply(F(([], 2), ([1], 1))) == F(([], 2))

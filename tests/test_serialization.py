@@ -102,6 +102,23 @@ class TestParsing:
         with pytest.raises(SchemaError):
             parse_document('{"terms":[],"envelope":{"C":1}}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"terms":[{"set":3,"coef":[1,0]}]}', "terms[0].set: expected a list of integers"),
+            ('{"terms":[{"set":[0.5],"coef":[1,0]}]}',
+             "terms[0].set[0]: expected an integer, got 0.5"),
+            ('{"terms":[3]}', "terms[0]: expected an object"),
+            ('{"terms":[{"set":[0]}]}', "terms[0]: needs both 'set' and 'coef'"),
+            ("[]", "top level: expected an object"),
+            ('{"terms":{}}', "top level: 'terms' must be a list"),
+        ],
+    )
+    def test_schema_error_names_its_field(self, text, message):
+        with pytest.raises(SchemaError) as info:
+            parse_document(text)
+        assert str(info.value) == message
+
 
 class TestSerialization:
     def test_canonical_order_is_ascending_mask(self):
