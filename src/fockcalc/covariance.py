@@ -7,13 +7,18 @@ the sum over sites of the pairings of matching terms; ``cov_identity``
 measures both routes and their gap.  The variance is bounded above by the
 un-truncated recombination norms, with equality exactly when every nonempty
 support set is a singleton.
+
+``cov_identity`` and ``var_bound`` are one-level calls of grid forms that
+take a sequence of dual levels.  The work that does not depend on the level
+(the centered functionals, the shared-site terms, the recombined images)
+runs once per call; each level then costs only its norms and pairings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict, Iterable, Iterator
 
 from .clark_ocone import co_term
 from .errors import NonFiniteResultError
@@ -40,8 +45,12 @@ def var_p(phi: FockFunctional, p: float) -> float:
 
     Raises NonFiniteResultError where the norm or its square overflows a double.
     """
+    return _variance(_centered(phi), p)
+
+
+def _variance(centered: FockFunctional, p: float) -> float:
     try:
-        return norm_dual(_centered(phi), p) ** 2
+        return norm_dual(centered, p) ** 2
     except OverflowError:
         raise NonFiniteResultError("the variance overflows a double") from None
 
@@ -97,16 +106,29 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
     double range.  Raises NonFiniteResultError where either route's value or
     a per-site pairing lies beyond the double range.
     """
-    direct = cov_p(phi, psi, p)
+    return next(_cov_identities(phi, psi, (p,)))
+
+
+def _cov_identities(
+    phi: FockFunctional, psi: FockFunctional, levels: Iterable[float]
+) -> Iterator[CovarianceReport]:
+    # ``cov_identity`` at each level in turn.  The centered pair and the
+    # shared-site terms are built once, before the first level; building them
+    # cannot raise, so an error raises at the level and step of the
+    # single-level call.
+    centered = _centered(phi), _centered(psi)
     top = max(phi.support_max, psi.support_max)
-    shared: Dict[int, complex] = {
-        k: inner_dual(co_term(phi, k), co_term(psi, k), p)
+    terms = [
+        (k, co_term(phi, k), co_term(psi, k))
         for k in sorted(set(phi.sites()).intersection(psi.sites()))
-    }
-    total = _complex_sum(list(shared.values()))
-    return CovarianceReport(
-        lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)
-    )
+    ]
+    for p in levels:
+        direct = inner_dual(*centered, p)
+        shared: Dict[int, complex] = {k: inner_dual(a, b, p) for k, a, b in terms}
+        total = _complex_sum(list(shared.values()))
+        yield CovarianceReport(
+            lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)
+        )
 
 
 def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
@@ -120,6 +142,15 @@ def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
     where the variance or the ceiling lies beyond the double range.  A
     variance above its ceiling is returned as it is, for the caller to score.
     """
-    lhs = var_p(phi, p)
-    squares = [norm_dual(create(annihilate(phi, k), k), p) ** 2 for k in phi.sites()]
-    return lhs, _complex_sum(squares).real
+    return next(_var_bounds(phi, (p,)))
+
+
+def _var_bounds(phi: FockFunctional, levels: Iterable[float]) -> Iterator[tuple[float, float]]:
+    # ``var_bound`` at each level in turn; the centered functional and the
+    # per-site images are built once, before the first level.
+    centered = _centered(phi)
+    images = [create(annihilate(phi, k), k) for k in phi.sites()]
+    for p in levels:
+        lhs = _variance(centered, p)
+        squares = [norm_dual(image, p) ** 2 for image in images]
+        yield lhs, _complex_sum(squares).real

@@ -52,6 +52,7 @@ from .gamma import (
 )
 
 _MIN_NORMAL = sys.float_info.min
+_SUM_SPAN = 4096
 
 
 class FockFunctional:
@@ -205,18 +206,30 @@ def _weight_power(m: int, exponent: float) -> Tuple[float, int]:
 
 
 def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
-    # (s, shift) with s * 2**shift the exactly rounded sum of mant * 2**e.  The
-    # largest part is shifted to about 2**960: parts down to 2**-1980 of it keep
-    # every bit, and fsum has room for 2**60 parts.  Where a lower part lost bits
-    # and the larger parts cancel down to where that shows, this raises instead.
-    orders = [e + math.frexp(mant)[1] for mant, e in parts if mant]
-    if not orders:
+    # (s, shift) with s * 2**shift the sum of mant * 2**e, rounded once.  Each
+    # part is an integer times a power of two; they are summed exactly, largest
+    # first, and s is the sum scaled by its own binary order to about 2**960,
+    # so it keeps every bit however far the parts cancel.  Parts more than
+    # _SUM_SPAN bits below a nonzero running sum are left out: together they
+    # move it by less than 2**-4000 of itself.  That bounds the integers.
+    split = []
+    for mant, e in parts:
+        f, x = math.frexp(mant)
+        if f:
+            split.append((e + x, int(math.ldexp(f, 53))))
+    split.sort(reverse=True)
+    total = low = 0  # the running sum is total * 2**low
+    for order, n in split:
+        if not total:
+            total, low = n, order - 53
+        elif order >= total.bit_length() + low - _SUM_SPAN:
+            total, low = (total << (low - order + 53)) + n, order - 53
+        else:
+            break
+    if not total:
         return 0.0, 0
-    shift = max(orders) - 960
-    total = math.fsum(math.ldexp(mant, e - shift) for mant, e in parts)
-    if shift > 0 and min(orders) - shift < -1021 and abs(total) < len(orders) * _MIN_NORMAL:
-        raise NonFiniteResultError("a sum cancels below the precision of its largest part")
-    return total, shift
+    k = 960 - total.bit_length()
+    return (float(total << k) if k >= 0 else total / (1 << -k)), low - k
 
 
 def _join(parts: Sequence[Tuple[complex, int]]) -> complex:

@@ -15,12 +15,18 @@ Composing create after annihilate at the same site keeps the terms containing
 that site; the opposite order keeps the terms missing it.  Their sum is the
 identity (the equal-time anti-commutation relation), which ``verify_car``
 measures as a residual norm.
+
+``verify_norm_bounds`` is a one-site, one-level call of a grid form over
+sites and dual levels.  The work that does not depend on the level (the
+three images at a site) and phi's own norm at each level run once per call;
+each (site, level) pair then costs only the images' norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadTagError, NegativeIndexError
 from .functional import FockFunctional, linear_combine, norm_dual, norm_parts
@@ -108,30 +114,46 @@ def verify_norm_bounds(phi: FockFunctional, k: int, p: float) -> NormBoundReport
     float rounding.  Basis witnesses make the first two ceilings tight: the
     single-site element {k} for annihilation, the constant for creation.
     """
-    base_mant, base_exp2 = norm_parts(phi, -p)
+    return next(_norm_bounds(phi, (k,), (p,)))
 
-    def ratio(image: FockFunctional) -> float:
-        # The image's terms are some of phi's, so phi is nonzero where it is.
-        if not image:
-            return 0.0
-        mant, exp2 = norm_parts(image, -p)
-        return math.ldexp(mant / base_mant, exp2 - base_exp2)
 
-    ann = ratio(annihilate(phi, k))
-    cre = ratio(create(phi, k))
-    cnd = ratio(cond_expect(phi, k))
-    ann_bound = (1.0 + k) ** p
-    cre_bound = (1.0 + k) ** (-p)
-    return NormBoundReport(
-        annihilate_ratio=ann,
-        annihilate_bound=ann_bound,
-        annihilate_ok=ann <= ann_bound * (1.0 + NORM_BOUND_SLACK),
-        create_ratio=cre,
-        create_bound=cre_bound,
-        create_ok=cre <= cre_bound * (1.0 + NORM_BOUND_SLACK),
-        cond_expect_ratio=cnd,
-        cond_expect_ok=cnd <= 1.0 + NORM_BOUND_SLACK,
-    )
+def _norm_bounds(
+    phi: FockFunctional, sites: Iterable[int], levels: Sequence[float]
+) -> Iterator[NormBoundReport]:
+    # ``verify_norm_bounds`` at each site, and at each level within a site.
+    # phi's norm at a level and the images at a site are built on first use,
+    # in the order of the single-level call, so each is built once and an
+    # error raises at the same site, level and step.
+    bases: list[tuple[float, int]] = []
+    for k in sites:
+        images = None
+        for i, p in enumerate(levels):
+            if i == len(bases):
+                bases.append(norm_parts(phi, -p))
+            if images is None:
+                images = annihilate(phi, k), create(phi, k), cond_expect(phi, k)
+            ann, cre, cnd = (_norm_ratio(image, p, bases[i]) for image in images)
+            ann_bound = (1.0 + k) ** p
+            cre_bound = (1.0 + k) ** (-p)
+            yield NormBoundReport(
+                annihilate_ratio=ann,
+                annihilate_bound=ann_bound,
+                annihilate_ok=ann <= ann_bound * (1.0 + NORM_BOUND_SLACK),
+                create_ratio=cre,
+                create_bound=cre_bound,
+                create_ok=cre <= cre_bound * (1.0 + NORM_BOUND_SLACK),
+                cond_expect_ratio=cnd,
+                cond_expect_ok=cnd <= 1.0 + NORM_BOUND_SLACK,
+            )
+
+
+def _norm_ratio(image: FockFunctional, p: float, base: tuple[float, int]) -> float:
+    # ||image|| / ||phi|| at level p, from phi's norm parts ``base``.  The
+    # image's terms are some of phi's, so phi is nonzero where it is.
+    if not image:
+        return 0.0
+    mant, exp2 = norm_parts(image, -p)
+    return math.ldexp(mant / base[0], exp2 - base[1])
 
 
 def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:

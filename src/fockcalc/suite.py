@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 from .bridge import MAX_ORTHONORMALITY_HORIZON, bridge_gaps, build_space, check_orthonormality
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
-from .covariance import cov_identity, var_bound, var_p
+from .covariance import _cov_identities, _var_bounds, var_bound, var_p
 from .errors import ConfigError
 from .functional import (
     FockFunctional,
@@ -28,7 +28,7 @@ from .functional import (
     norm_p,
 )
 from .gamma import EMPTY_SET, SubsetIndex
-from .operators import verify_car, verify_commutation, verify_norm_bounds
+from .operators import _norm_bounds, verify_car, verify_commutation, verify_norm_bounds
 from .suite_names import SUITE_NAMES
 
 #: Tolerance of the pathwise bridge comparisons, looser than the coefficient
@@ -144,15 +144,13 @@ def _car_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
 
 def _bounds_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
     excess = -1.0
-    for k in range(cfg.support_max + 1):
-        for p in cfg.p_grid:
-            rep = verify_norm_bounds(phi, k, p)
-            excess = max(
-                excess,
-                (rep.annihilate_ratio - rep.annihilate_bound) / rep.annihilate_bound,
-                (rep.create_ratio - rep.create_bound) / rep.create_bound,
-                rep.cond_expect_ratio - 1.0,
-            )
+    for rep in _norm_bounds(phi, range(cfg.support_max + 1), cfg.p_grid):
+        excess = max(
+            excess,
+            (rep.annihilate_ratio - rep.annihilate_bound) / rep.annihilate_bound,
+            (rep.create_ratio - rep.create_bound) / rep.create_bound,
+            rep.cond_expect_ratio - 1.0,
+        )
     return excess
 
 
@@ -203,11 +201,12 @@ def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
 
 def _covariance_gap(cfg: SuiteConfig, pair: Tuple[FockFunctional, FockFunctional]) -> float:
     top = 0.0
-    for p in cfg.p_grid:
-        rep = cov_identity(*pair, p)
+    # zip steps the three grids together, level by level, in the order of
+    # the single-level calls.
+    levels = zip(_cov_identities(*pair, cfg.p_grid), *(_var_bounds(f, cfg.p_grid) for f in pair))
+    for rep, *bounds in levels:
         top = max(top, rep.gap / (1.0 + abs(rep.lhs)))
-        for f in pair:
-            lhs, rhs = var_bound(f, p)
+        for lhs, rhs in bounds:
             top = max(top, (lhs - rhs) / (1.0 + rhs))
     return top
 

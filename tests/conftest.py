@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,17 @@ def bridge_corpus200():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(99))
+
+
+@pytest.fixture()
+def plant(monkeypatch):
+    """plant(owner, name, replacement) swaps ``owner.name`` for ``replacement``
+    in every fockcalc namespace that binds it, until the test ends."""
+
+    def swap(owner, name, replacement):
+        original = getattr(owner, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "fockcalc" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, replacement)
+
+    return swap

@@ -237,6 +237,25 @@ class TestCovCommand:
         report = json.loads(out)
         assert report["lhs"] == report["rhs"] == [1e308, 0.0]
 
+    def test_terms_cancelling_far_below_the_largest_are_computed(self, capsys, tmp_path):
+        # {1} and {0, 1} pair to 1e400 and -1e400 at one site, so every per-site
+        # entry fits; Cov is what {2} adds, about 2**-2300 of the largest term.
+        from fractions import Fraction
+
+        doc, other = tmp_path / "a.json", tmp_path / "b.json"
+        for path, sign in ((doc, 1), (other, -1)):
+            path.write_text(json.dumps({"terms": [
+                {"set": [1], "coef": [1e200, 0]},
+                {"set": [0, 1], "coef": [sign * 1e200, 0]},
+                {"set": [2], "coef": [1e-150, 0]},
+            ]}))
+        code, out, err = run_cli(capsys, "cov", str(doc), str(other))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        exact = float(Fraction(1e-150) ** 2)
+        assert report["lhs"] == report["rhs"] == [exact, 0.0]
+        assert report["gap"] == 0.0
+
     def test_underflowing_weight_powers_keep_the_covariance(self, capsys, tmp_path):
         # 10! ** -60 underflows a double; times c * conj(c) = 1e300 it does not.
         from fockcalc import SubsetIndex, make_functional, var_p

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -154,13 +155,16 @@ class TestOverflowIsTyped:
         assert report.lhs == report.rhs == 1e308
         assert report.gap == 0.0
 
-    def test_cancellation_below_a_lost_part_is_typed(self):
-        # 1e400 - 1e400 leaves 1e-300, far below what a sum scaled to the
-        # largest term keeps; that raises rather than read 0.0.
+    def test_cancellation_below_a_lost_part_is_computed(self):
+        # 1e400 - 1e400 leaves 1e-300, about 2**-2300 of the largest term; the
+        # exact sum of the terms keeps it.
         a = F(([0], 1e200), ([1], 1e200), ([2], 1e-150))
         b = F(([0], 1e200), ([1], -1e200), ([2], 1e-150))
-        with pytest.raises(NonFiniteResultError):
-            cov_p(a, b, 0.0)
+        exact = sum(
+            Fraction(c) * Fraction(d)
+            for c, d in ((1e200, 1e200), (1e200, -1e200), (1e-150, 1e-150))
+        )
+        assert cov_p(a, b, 0.0) == complex(float(exact), 0.0)
 
 
 def _keeps_bit(phi, k):

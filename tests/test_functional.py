@@ -2,8 +2,10 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
     DuplicateKeyError,
@@ -30,6 +32,7 @@ from fockcalc import (
     norm_p,
     random_functionals,
 )
+from fockcalc.functional import _scaled_sum
 
 E = SubsetIndex([])
 S02 = SubsetIndex([0, 2])
@@ -371,3 +374,39 @@ class TestPairingRange:
                 assert inner_dual(phi, psi, p) == complex(
                     math.fsum(z.real for z in plain), math.fsum(z.imag for z in plain)
                 )
+
+
+def _rounded(exact):
+    # ``exact`` rounded once to 53 bits, kept as a Fraction whatever its range.
+    if not exact:
+        return Fraction(0)
+    order = exact.numerator.bit_length() - exact.denominator.bit_length()
+    return Fraction(float(exact / Fraction(2) ** order)) * Fraction(2) ** order
+
+
+class TestScaledSum:
+    """The scaled sum of (mantissa, binary exponent) parts, against a Fraction sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                      st.integers(-3000, 3000)),
+            max_size=8,
+        ),
+        st.integers(0, 8),
+    )
+    def test_rounds_the_exact_sum_once(self, parts, cancelled):
+        # Negated copies of the first parts cancel them exactly, so the rest of
+        # the sum can lie any distance below the largest part.
+        parts = parts + [(-mant, e) for mant, e in parts[:cancelled]]
+        exact = sum((Fraction(mant) * Fraction(2) ** e for mant, e in parts), Fraction(0))
+        s, shift = _scaled_sum(parts)
+        assert Fraction(s) * Fraction(2) ** shift == _rounded(exact)
+
+    def test_parts_far_apart_stay_small(self):
+        # Integers spanning 10**300 bits could not be built; the parts that
+        # cancel first and the parts far below a nonzero sum leave none to build.
+        assert math.ldexp(*_scaled_sum([(1.0, 10**300), (-1.0, 10**300), (0.75, -5)])) == 0.75 / 32
+        s, shift = _scaled_sum([(0.5, 10**300), (0.75, -5)])
+        assert (s, shift) == (2.0 ** 959, 10**300 - 960)

@@ -1,0 +1,246 @@
+"""The level-grid forms of the covariance and norm-bound checks.
+
+Each grid form must equal its identity's per-level body, kept here as the
+reference, at every level and step; the suites must build the level-free
+pieces once per trial; and an operator fault must still reach the bounds
+record through images built once.
+"""
+
+import json
+import math
+from functools import partial
+
+import pytest
+
+import fockcalc.cli
+import fockcalc.operators as operators
+from fockcalc import FockFunctional, SubsetIndex, make_functional, random_functionals
+from fockcalc.clark_ocone import co_term
+from fockcalc.covariance import (
+    CovarianceReport,
+    SiteTable,
+    _cov_identities,
+    _var_bounds,
+    cov_identity,
+    cov_p,
+    var_bound,
+    var_p,
+)
+from fockcalc.functional import _complex_sum, inner_dual, linear_combine, norm_dual, norm_parts
+from fockcalc.operators import (
+    NORM_BOUND_SLACK,
+    NormBoundReport,
+    _norm_bounds,
+    annihilate,
+    cond_expect,
+    create,
+    verify_norm_bounds,
+)
+from fockcalc.suite import SuiteConfig, _bounds_gap, _covariance_gap, run_suite
+
+
+def F(*pairs):
+    return make_functional([(SubsetIndex(s), c) for s, c in pairs])
+
+
+def _reference_cov_identity(phi, psi, p):
+    direct = cov_p(phi, psi, p)
+    top = max(phi.support_max, psi.support_max)
+    shared = {
+        k: inner_dual(co_term(phi, k), co_term(psi, k), p)
+        for k in sorted(set(phi.sites()).intersection(psi.sites()))
+    }
+    total = _complex_sum(list(shared.values()))
+    return CovarianceReport(
+        lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)
+    )
+
+
+def _reference_var_bound(phi, p):
+    lhs = var_p(phi, p)
+    squares = [norm_dual(create(annihilate(phi, k), k), p) ** 2 for k in phi.sites()]
+    return lhs, _complex_sum(squares).real
+
+
+def _reference_norm_bounds(phi, k, p):
+    base_mant, base_exp2 = norm_parts(phi, -p)
+
+    def ratio(image):
+        if not image:
+            return 0.0
+        mant, exp2 = norm_parts(image, -p)
+        return math.ldexp(mant / base_mant, exp2 - base_exp2)
+
+    ann = ratio(annihilate(phi, k))
+    cre = ratio(create(phi, k))
+    cnd = ratio(cond_expect(phi, k))
+    ann_bound = (1.0 + k) ** p
+    cre_bound = (1.0 + k) ** (-p)
+    return NormBoundReport(
+        annihilate_ratio=ann,
+        annihilate_bound=ann_bound,
+        annihilate_ok=ann <= ann_bound * (1.0 + NORM_BOUND_SLACK),
+        create_ratio=cre,
+        create_bound=cre_bound,
+        create_ok=cre <= cre_bound * (1.0 + NORM_BOUND_SLACK),
+        cond_expect_ratio=cnd,
+        cond_expect_ok=cnd <= 1.0 + NORM_BOUND_SLACK,
+    )
+
+
+def _outcome(call):
+    # The value of call(), or the type of the exception it raises.
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+def _grid_run(results):
+    # What a grid form yields, then the type of what it raises, if it raises.
+    out = []
+    try:
+        for value in results:
+            out.append(value)
+    except Exception as exc:
+        out.append(type(exc))
+    return out
+
+
+def _reference_run(calls):
+    # The reference at each step, up to and including the first raise.
+    out = []
+    for call in calls:
+        out.append(_outcome(call))
+        if isinstance(out[-1], type):
+            break
+    return out
+
+
+LEVELS = (-1.0, 0.0, 0.5, 1.0, 2.0, 30.0)
+SITES = range(12)
+
+#: The inputs of ``test_covariance.TestOverflowIsTyped``.
+EXTREME = [
+    F(([0], 1e154), ([1], 1.3e154)),
+    F(([1], 1e200)),
+    F((range(10), 1e150)),
+    F(([0], 1e154), ([1], 1e154), ([2], 1e154)),
+    F(([0], 1e154), ([1], 1e154), ([2], -1e154)),
+    F(([0], 1e200), ([1], 1e200), ([2], 1e-150)),
+    F(([0], 1e200), ([1], -1e200), ([2], 1e-150)),
+]
+CORPUS = random_functionals(30, seed=61, support_max=10, max_terms=24)
+SINGLES = CORPUS + EXTREME
+# Independent draws share almost no support set, so each pair mixes its first
+# member into its second.
+PAIRS = [(a, linear_combine(1.0 - 0.5j, a, 1.0, b)) for a, b in zip(CORPUS[::2], CORPUS[1::2])]
+PAIRS += [(a, b) for a in EXTREME for b in EXTREME]
+
+
+class TestGridsMatchTheirReferences:
+    def test_cov_identities(self):
+        raised = 0
+        for phi, psi in PAIRS:
+            run = _grid_run(_cov_identities(phi, psi, LEVELS))
+            assert run == _reference_run(
+                [partial(_reference_cov_identity, phi, psi, p) for p in LEVELS]
+            )
+            for p in LEVELS:
+                assert _outcome(partial(cov_identity, phi, psi, p)) == _outcome(
+                    partial(_reference_cov_identity, phi, psi, p)
+                )
+            raised += isinstance(run[-1], type)
+        assert raised  # the overflowing inputs raise
+
+    def test_var_bounds(self):
+        raised = 0
+        for phi in SINGLES:
+            run = _grid_run(_var_bounds(phi, LEVELS))
+            assert run == _reference_run([partial(_reference_var_bound, phi, p) for p in LEVELS])
+            for p in LEVELS:
+                assert _outcome(partial(var_bound, phi, p)) == _outcome(
+                    partial(_reference_var_bound, phi, p)
+                )
+            raised += isinstance(run[-1], type)
+        assert raised
+
+    def test_norm_bounds(self):
+        for phi in SINGLES:
+            assert _grid_run(_norm_bounds(phi, SITES, LEVELS)) == _reference_run(
+                [partial(_reference_norm_bounds, phi, k, p) for k in SITES for p in LEVELS]
+            )
+            for k in SITES:
+                for p in LEVELS:
+                    assert _outcome(partial(verify_norm_bounds, phi, k, p)) == _outcome(
+                        partial(_reference_norm_bounds, phi, k, p)
+                    )
+
+
+def test_images_are_built_once_per_trial(plant):
+    counts = {"annihilate": 0, "create": 0}
+
+    def counting(name):
+        original = getattr(operators, name)
+
+        def counted(phi, k):
+            counts[name] += 1
+            return original(phi, k)
+
+        return counted
+
+    for name in counts:
+        plant(operators, name, counting(name))
+
+    def calls(gap, trial, p_grid):
+        counts.update(dict.fromkeys(counts, 0))
+        gap(SuiteConfig(p_grid=p_grid), trial)
+        return dict(counts)
+
+    phi, psi = random_functionals(2, seed=62, support_max=10, max_terms=24)
+    for gap, trial in ((_covariance_gap, (phi, psi)), (_bounds_gap, phi)):
+        one_level = calls(gap, trial, (0.0,))
+        assert min(one_level.values()) > 0
+        assert calls(gap, trial, (0.0, 1.0, 2.0)) == one_level
+
+
+def _doubling(phi, k):
+    # annihilate with every coefficient doubled.
+    bit = 1 << k
+    return FockFunctional._of_masks({m ^ bit: 2 * c for m, c in phi._terms.items() if m & bit})
+
+
+def _keeping_held_terms(original):
+    def create(phi, k):
+        # create that also keeps the terms already holding k.
+        held = FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m >> k & 1})
+        return linear_combine(1.0, original(phi, k), 1.0, held)
+
+    return create
+
+
+class TestPlantedBoundsFaults:
+    """An operator fault fails the bounds record, through the images built once per trial."""
+
+    @pytest.fixture(params=["annihilate", "create"])
+    def fault(self, request, plant):
+        replacement = {
+            "annihilate": _doubling,
+            "create": _keeping_held_terms(operators.create),
+        }[request.param]
+        plant(operators, request.param, replacement)
+
+    def test_bounds_record_fails(self, fault):
+        cfg = SuiteConfig(suite="bounds", trials=40)
+        report = run_suite(cfg)
+        assert [(c["check"], c["pass"]) for c in report["checks"]] == [("bounds", False)]
+        # The trials fail on their own, not only the tightness witnesses.
+        corpus = random_functionals(40, cfg.seed, support_max=cfg.support_max,
+                                    max_terms=cfg.max_terms)
+        assert max(_bounds_gap(cfg, phi) for phi in corpus) > cfg.tolerance
+
+    def test_verify_exits_1(self, capsys, fault):
+        code = fockcalc.cli.main(["verify", "--suite", "bounds", "--trials", "40"])
+        assert code == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["pass"]) for c in checks] == [("bounds", False)]
