@@ -24,6 +24,16 @@ the 2**(N-1) paths with bit k clear, each level-k conditioning (which holds
 only coordinates 0..k) on the first 2**(k+1) paths, and the mean part on
 one.  An output that meets the coordinates its reduced set fixes, as only a
 faulty operator's can, is realized on every path.
+
+The sweep takes a corpus in blocks of functionals that share one space,
+``max(1, 2**13 >> N)`` at a time, and realizes each path set once per block,
+one row per functional.  Every row is bit for bit what the functional gives
+alone: it adds its own terms in ascending mask order, padded with exact zeros
+up to the block's widest member (a block is ordered by falling term count, so
+few are needed), and every mean, group mean, maximum and second moment is
+reduced per row in path order.  If one member's output meets the fixed
+coordinates, the whole block is realized on every path; a correct member
+repeats its values there, so its gaps do not change.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ MAX_CODED_HORIZON = 63
 
 #: All-pairs orthonormality sweeps square the lattice, so they cap earlier.
 MAX_ORTHONORMALITY_HORIZON = 16
+
+#: Paths the bridge sweep realizes a block of functionals on at once: the
+#: block size is this over 2**horizon, and at least one.
+_BLOCK_PATHS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,17 +141,36 @@ def build_space(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _realize(phi: FockFunctional, down: np.ndarray) -> np.ndarray:
-    """phi's values on the paths whose down-coordinates are ``down``, any shape.
+def _realize(block: Sequence[FockFunctional], down: np.ndarray) -> np.ndarray:
+    """Each functional's values on the paths whose down-coordinates are ``down``.
 
-    A term's sign product is -1 on the paths where its mask meets an odd
-    number of down-coordinates, so each term adds +coef or -coef, in
-    ascending mask order.
+    ``down`` may have any shape; row b of the result, of shape
+    ``(len(block), *down.shape)``, holds ``block[b]``'s values.  A term's sign
+    product is -1 on the paths where its mask meets an odd number of
+    down-coordinates, so each row adds +coef or -coef per term, in ascending
+    mask order.  The j-th pass covers the rows up to the last one that has a
+    j-th term; a row among them with fewer terms adds an exact zero, which
+    leaves its values as they were (a sum begun at +0 never reaches -0).
     """
-    values = np.zeros(down.shape, dtype=np.complex128)
-    for mask, coef in sorted(phi._terms.items()):
-        odd = np.bitwise_count(down & mask) & 1
-        values += np.array([coef, -coef]).take(odd)
+    rows = [sorted(phi._terms.items()) for phi in block]
+    values = np.zeros((len(block), *down.shape), dtype=np.complex128)
+    # Row i's j-th term picks entry 2i (+coef) or 2i + 1 (-coef) of a
+    # flattened (rows, 2) table.
+    row_base = np.arange(0, 2 * len(block), 2).reshape((-1,) + (1,) * down.ndim)
+    for j in range(max(map(len, rows), default=0)):
+        held = max(b for b, terms in enumerate(rows) if len(terms) > j) + 1
+        terms = [row[j] if len(row) > j else (0, 0j) for row in rows[:held]]
+        if held == 1:
+            # One row needs no row offset and adds on its own row view, which
+            # keeps a block of one at the speed of the one-functional loop.
+            mask, coef = terms[0]
+            first = values[0]
+            first += np.array([coef, -coef]).take(np.bitwise_count(down & mask) & 1)
+        else:
+            masks, coefs = zip(*terms)
+            odd = np.bitwise_count(down & np.array(masks).reshape(row_base[:held].shape)) & 1
+            head = values[:held]
+            head += np.array([(c, -c) for c in coefs]).reshape(-1).take(odd | row_base[:held])
     return values
 
 
@@ -154,16 +187,24 @@ def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
     Requires every support index to lie inside the horizon.
     """
     _require_fits(phi, space)
-    return PathObservable(values=_realize(phi, ~space.codes), space=space)
+    return PathObservable(values=_realize((phi,), ~space.codes)[0], space=space)
 
 
 def path_expectation(obs: PathObservable) -> complex:
     """Mean over the equally weighted paths; exact on exhaustive spaces.
 
     The mean is the path sum divided by the path count, so the division is
-    exact where 1/M is not representable.
+    exact where 1/M is not representable.  Where finite values sum past the
+    double range, the sum is taken of the values times 2**-e, with 2**e above
+    the path count, and its mean scaled back: a mean of finite values is finite.
     """
-    return complex(np.sum(obs.values) / obs.space.num_paths)
+    values, m = obs.values, obs.space.num_paths
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(values)
+    if np.isfinite(total) or not np.isfinite(values).all():
+        return complex(total / m)
+    e = m.bit_length()
+    return complex(np.sum(values * 2.0**-e) / m * 2.0**e)
 
 
 def _require_exhaustive(space: PathSpace) -> None:
@@ -190,14 +231,17 @@ def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
 def _group_means(values: np.ndarray, k: int) -> np.ndarray:
     """Mean over the paths sharing coordinates 0..k: entry j for the pattern j.
 
-    ``values`` lists an exhaustive space's paths in code order, so path m
-    sits at [high, low] in the (-1, 2**(k+1)) view, low holding coordinates
-    0..k.  k = -1 gives the one overall mean, k = horizon - 1 the values.
+    Each row (last axis) of ``values`` lists an exhaustive space's paths in
+    code order, so path m sits at [high, low] in its (-1, 2**(k+1)) view,
+    low holding coordinates 0..k.  k = -1 gives each row's one overall mean,
+    k = horizon - 1 the values.
     """
     if k == -1:
-        return np.array([np.sum(values) / values.shape[0]])
+        return np.sum(values, axis=-1, keepdims=True) / values.shape[-1]
     n_low = 1 << (k + 1)
-    return values if n_low == values.shape[0] else values.reshape(-1, n_low).mean(axis=0)
+    if n_low == values.shape[-1]:
+        return values
+    return values.reshape(*values.shape[:-1], -1, n_low).mean(axis=-2)
 
 
 def check_orthonormality(N: int) -> float:
@@ -227,64 +271,95 @@ def check_orthonormality(N: int) -> float:
 
 
 def _sweep(
-    phi: FockFunctional, space: PathSpace, sites: Sequence[int]
-) -> tuple[np.ndarray, Optional[float], list[tuple[float, float, float]]]:
-    """Realize phi once, then its site-k gradient and conditioning once per site.
+    block: Sequence[FockFunctional], space: PathSpace, sites: Sequence[int]
+) -> tuple[list[float], list[Optional[float]], list[list[tuple[float, float, float]]]]:
+    """Realize a block of functionals, then their site-k gradients and conditionings.
 
-    Returns phi's path values, the Clark–Ocone residual when ``sites`` (distinct
-    coordinates) is every coordinate and None otherwise, and per site the
-    three intertwining gaps.  Only the running rebuild and one site's vectors
-    are alive at a time.  Callers check that ``space`` is exhaustive.
-    Operator outputs are realized on reduced path sets, as the module
-    docstring lists.
+    Returns, in block order, each member's pathwise second moment, its
+    Clark–Ocone residual (None unless ``sites``, distinct coordinates, is
+    every coordinate), and per member and site the three
+    intertwining gaps.  Each path set is realized once per block, on the
+    reduced sets the module docstring lists, and every gap is reduced per
+    row.  Callers check that ``space`` is exhaustive.
     """
-    direct = evaluate(phi, space)
-    values = direct.values
-    mean = path_expectation(direct)
+    for phi in block:
+        _require_fits(phi, space)
+    # Ordered by falling term count, the block's operator outputs need few
+    # padding zeros in ``_realize``; the results go back to block order.
+    order = sorted(range(len(block)), key=lambda b: -len(block[b]._terms))
+    block = [block[b] for b in order]
     down = ~space.codes
+    values = _realize(block, down)
+    means = np.sum(values, axis=1, keepdims=True) / space.num_paths
 
-    def realize(psi: FockFunctional, reduced: np.ndarray, fixed: int, full: np.ndarray):
+    def realize(outputs: list[FockFunctional], reduced: np.ndarray, fixed: int, full: np.ndarray):
         # ``reduced`` holds every pattern of the coordinates outside the mask
-        # ``fixed`` and one of those inside it, so a psi whose terms avoid
-        # ``fixed`` takes there, bit for bit, every value it takes at all.
-        # A psi that meets it (a faulty operator) is realized on ``full``.
-        _require_fits(psi, space)
-        return _realize(psi, full if any(m & fixed for m in psi._terms) else reduced)
+        # ``fixed`` and one of those inside it, so an output whose terms avoid
+        # ``fixed`` takes there, bit for bit, every value it takes at all.  If
+        # one output meets it (a faulty operator), the block is realized on
+        # ``full``, where the others repeat their values.
+        for psi in outputs:
+            _require_fits(psi, space)
+        meets = any(m & fixed for psi in outputs for m in psi._terms)
+        return _realize(outputs, full if meets else reduced)
 
-    rebuilt = np.full(space.num_paths, mean) if len(sites) == space.horizon else None
+    def row_max(gaps: np.ndarray) -> np.ndarray:
+        return gaps.max(axis=tuple(range(1, gaps.ndim)))
+
+    rebuilt = np.repeat(means, space.num_paths, axis=1) if len(sites) == space.horizon else None
     # The mean part is the level -1 conditioning: one path fixes every coordinate.
-    mean_part = realize(expect(phi), down[:1], -1, down)
-    gap_mean = float(np.max(np.abs(mean_part - mean)))
-    site_gaps = []
+    mean_part = realize([expect(phi) for phi in block], down[:1], -1, down)
+    gap_mean = row_max(np.abs(mean_part - means))
+    gradient_gaps, cond_gaps = [], []
     for k in sites:
         # Path m sits at [high, bit k of m, low] in these views; bit k clear is -1.
         down_pairs = down.reshape(-1, 2, 1 << k)
         half = np.ascontiguousarray(down_pairs[:, :1, :])
-        gradient = realize(annihilate(phi, k), half, 1 << k, down_pairs)
+        gradient = realize([annihilate(phi, k) for phi in block], half, 1 << k, down_pairs)
+        pairs = values.reshape(len(block), *down_pairs.shape)
         if rebuilt is not None:
             # Add the k-th sign times the predictable part, the gradient's
             # mean given coordinates before k.  It is taken over a copy of
             # the gradient on every path, so its sums run as they always did.
-            whole = np.broadcast_to(gradient, down_pairs.shape).reshape(-1)
-            predictable = _group_means(whole, k - 1)
-            halves = rebuilt.reshape(down_pairs.shape)
-            halves[:, 0, :] -= predictable
-            halves[:, 1, :] += predictable
+            whole = np.broadcast_to(gradient, pairs.shape).reshape(len(block), -1)
+            predictable = _group_means(whole, k - 1)[:, None, :]
+            halves = rebuilt.reshape(pairs.shape)
+            halves[:, :, 0, :] -= predictable
+            halves[:, :, 1, :] += predictable
         # Value with coordinate k forced to +1 minus forced to -1, halved.
-        pairs = values.reshape(down_pairs.shape)
-        finite_difference = 0.5 * (pairs[:, 1:, :] - pairs[:, :1, :])
-        gap_gradient = float(np.max(np.abs(finite_difference - gradient)))
+        finite_difference = 0.5 * (pairs[:, :, 1:, :] - pairs[:, :, :1, :])
+        gradient_gaps.append(row_max(np.abs(finite_difference - gradient)))
         down_low = down.reshape(-1, 1 << (k + 1))
-        cond_functional = realize(cond_expect(phi, k), down_low[:1], -1 << (k + 1), down_low)
-        cond_pathwise = _group_means(values, k)
-        gap_cond = float(np.max(np.abs(cond_functional - cond_pathwise)))
-        site_gaps.append((gap_gradient, gap_mean, gap_cond))
-    clark_ocone_gap = None if rebuilt is None else float(np.max(np.abs(values - rebuilt)))
-    return values, clark_ocone_gap, site_gaps
+        cond_functional = realize(
+            [cond_expect(phi, k) for phi in block], down_low[:1], -1 << (k + 1), down_low
+        )
+        cond_functional -= _group_means(values, k)[:, None, :]
+        cond_gaps.append(row_max(np.abs(cond_functional)))
+    if rebuilt is None:
+        clark_ocone_gaps = [None] * len(block)
+    else:
+        clark_ocone_gaps = row_max(np.abs(values - rebuilt)).tolist()
+    site_gaps = [
+        [(gradient, mean, cond) for gradient, cond in zip(gradients, conds)]
+        for gradients, mean, conds in zip(
+            np.transpose(gradient_gaps).tolist(), gap_mean.tolist(), np.transpose(cond_gaps).tolist()
+        )
+    ]
+    second_moments = _second_moments(values).tolist()
+    back = np.argsort(order)
+    return (
+        [second_moments[b] for b in back],
+        [clark_ocone_gaps[b] for b in back],
+        [site_gaps[b] for b in back],
+    )
 
 
-def _plancherel_gap(phi: FockFunctional, values: np.ndarray) -> float:
-    second_moment = float(np.sum(np.abs(values) ** 2) / values.shape[0])
+def _second_moments(values: np.ndarray) -> np.ndarray:
+    # The pathwise second moment of each row of ``values``.
+    return np.sum(np.abs(values) ** 2, axis=-1) / values.shape[-1]
+
+
+def _plancherel_gap(phi: FockFunctional, second_moment: float) -> float:
     return abs(second_moment - norm_p(phi, 0.0) ** 2)
 
 
@@ -296,6 +371,18 @@ def _require_sweepable(space: PathSpace) -> None:
         )
 
 
+def _swept(corpus: Sequence[FockFunctional], space: PathSpace, sites: Sequence[int]):
+    """``_sweep`` over ``corpus`` block by block, yielding one member at a time.
+
+    A block holds ``max(1, _BLOCK_PATHS >> horizon)`` functionals, so the
+    arrays of one block hold about ``_BLOCK_PATHS`` paths up to horizon 13
+    and one functional's 2**horizon beyond.
+    """
+    step = max(1, _BLOCK_PATHS >> space.horizon)
+    for start in range(0, len(corpus), step):
+        yield from zip(*_sweep(corpus[start : start + step], space, sites))
+
+
 def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
     """Pathwise residual of the classical predictable representation.
 
@@ -305,8 +392,18 @@ def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
     Returns the max path deviation from the direct realization.
     """
     _require_sweepable(space)
-    _, gap, _ = _sweep(phi, space, range(space.horizon))
+    _, (gap,), _ = _sweep((phi,), space, range(space.horizon))
     return gap
+
+
+def _intertwining_gaps(
+    corpus: Sequence[FockFunctional], k: int, space: PathSpace
+) -> list[tuple[float, float, float]]:
+    """``check_intertwining`` of every functional of ``corpus``, swept in blocks."""
+    _require_exhaustive(space)
+    if not 0 <= k < space.horizon:
+        raise ValueError(f"site {k} outside horizon {space.horizon}")
+    return [gaps for _, _, (gaps,) in _swept(corpus, space, (k,))]
 
 
 def check_intertwining(
@@ -319,16 +416,25 @@ def check_intertwining(
     k forced to +1 minus forced to -1, halved), (b) the mean part versus the
     pathwise mean, and (c) level-k conditioning versus pathwise conditioning.
     """
-    _require_exhaustive(space)
-    if not 0 <= k < space.horizon:
-        raise ValueError(f"site {k} outside horizon {space.horizon}")
-    _, _, (gaps,) = _sweep(phi, space, (k,))
+    (gaps,) = _intertwining_gaps((phi,), k, space)
     return gaps
 
 
 def plancherel_check(phi: FockFunctional, space: PathSpace) -> float:
     """Gap between the pathwise second moment and the squared level-0 norm."""
-    return _plancherel_gap(phi, evaluate(phi, space).values)
+    return _plancherel_gap(phi, float(_second_moments(evaluate(phi, space).values)))
+
+
+def _bridge_gaps(
+    corpus: Sequence[FockFunctional], space: PathSpace
+) -> list[tuple[float, float, float]]:
+    """``bridge_gaps`` of every functional of ``corpus``, swept in blocks."""
+    _require_sweepable(space)
+    swept = _swept(corpus, space, range(space.horizon))
+    return [
+        (clark_ocone_gap, max(max(g) for g in site_gaps), _plancherel_gap(phi, second_moment))
+        for phi, (second_moment, clark_ocone_gap, site_gaps) in zip(corpus, swept)
+    ]
 
 
 def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, float]:
@@ -340,9 +446,8 @@ def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, fl
     its mean part on 1, and per site k its gradient on 2**(N-1) and its
     level-k conditioning on 2**(k+1).
     """
-    _require_sweepable(space)
-    values, clark_ocone_gap, site_gaps = _sweep(phi, space, range(space.horizon))
-    return clark_ocone_gap, max(max(g) for g in site_gaps), _plancherel_gap(phi, values)
+    (gaps,) = _bridge_gaps((phi,), space)
+    return gaps
 
 
 def mc_estimate(obs: PathObservable) -> tuple[complex, float]:

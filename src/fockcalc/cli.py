@@ -167,14 +167,18 @@ def _cmd_cov(args) -> int:
     level = args.p if args.p is not None else 0.0
     try:
         report = cov_identity(phi, psi, level)
-    except NonFiniteResultError:
+    except NonFiniteResultError as exc:
         # A negative level raises the weight powers; at any other level only
-        # the coefficients can make the pairings overflow.
+        # the coefficients can make the pairings overflow: the covariance's,
+        # or, where it fits, one site's entry.
+        site = getattr(exc, "site", None)
         raise NonFiniteResultError(
             f"--p {level!r} is too low for these functionals: "
             "their weighted covariance terms overflow a double" if level < 0.0 else
             f"the covariance of {args.file} and {args.other} overflows a double: "
-            "their shared coefficients are too large"
+            "their shared coefficients are too large" if site is None else
+            f"the per-site table of the covariance of {args.file} and {args.other} "
+            f"overflows a double at site {site}, although the covariance fits"
         ) from None
     _write(report_to_json(report), args.out)
     return 0
@@ -227,8 +231,8 @@ def _realize(phi: FockFunctional, space: PathSpace) -> PathObservable:
 
 def _cmd_bridge(args) -> int:
     from .bridge import (
+        _intertwining_gaps,
         build_space,
-        check_intertwining,
         mc_estimate,
         path_expectation,
         write_observable_csv,
@@ -267,7 +271,7 @@ def _cmd_bridge(args) -> int:
         corpus = random_functionals(
             args.trials, args.seed, support_max=args.horizon - 1
         )
-        gap = max(max(check_intertwining(phi, args.k, space)) for phi in corpus)
+        gap = max(max(gaps) for gaps in _intertwining_gaps(corpus, args.k, space))
         record = {
             "check": "intertwining",
             "N": args.horizon,

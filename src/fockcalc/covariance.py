@@ -104,7 +104,8 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
     finitely supported inputs.  The per-site entries are summed in site
     order, through the scaled sum of ``functional`` where that sum leaves the
     double range.  Raises NonFiniteResultError where either route's value or
-    a per-site pairing lies beyond the double range.
+    a per-site pairing lies beyond the double range; where only a pairing
+    does, the error's ``site`` names the first such site.
     """
     return next(_cov_identities(phi, psi, (p,)))
 
@@ -124,7 +125,14 @@ def _cov_identities(
     ]
     for p in levels:
         direct = inner_dual(*centered, p)
-        shared: Dict[int, complex] = {k: inner_dual(a, b, p) for k, a, b in terms}
+        shared: Dict[int, complex] = {}
+        for k, a, b in terms:
+            try:
+                shared[k] = inner_dual(a, b, p)
+            except NonFiniteResultError as exc:
+                # The covariance fits; the error names the site that does not.
+                exc.site = k
+                raise
         total = _complex_sum(list(shared.values()))
         yield CovarianceReport(
             lhs=direct, rhs=total, per_site=SiteTable(top, shared), gap=abs(direct - total)

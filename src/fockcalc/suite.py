@@ -2,8 +2,9 @@
 
 Each suite draws a deterministic corpus, measures the worst normalized gap
 of one family of identities, and reports pass/fail against its tolerance.
-Trials run one after another in corpus order, so a report is a pure function
-of its config (apart from the ``created`` timestamp).
+Trials run in corpus order, one after another or, in the bridge suite, in
+blocks that realize every member's values bit for bit as alone, so a report is
+a pure function of its config (apart from the ``created`` timestamp).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from .bridge import MAX_ORTHONORMALITY_HORIZON, bridge_gaps, build_space, check_orthonormality
+from .bridge import MAX_ORTHONORMALITY_HORIZON, _bridge_gaps, build_space, check_orthonormality
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
 from .covariance import _cov_identities, _var_bounds, var_bound, var_p
@@ -247,8 +248,7 @@ def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
     ortho_gap = check_orthonormality(n)
 
     co_gaps, twine_gaps, plancherel_gaps = [], [], []
-    for phi in corpus:
-        co_gap, twine_gap, plancherel_gap = bridge_gaps(phi, space)
+    for phi, (co_gap, twine_gap, plancherel_gap) in zip(corpus, _bridge_gaps(corpus, space)):
         co_gaps.append(co_gap)
         twine_gaps.append(twine_gap)
         plancherel_gaps.append(plancherel_gap / (1.0 + norm_p(phi, 0.0) ** 2))

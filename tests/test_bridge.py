@@ -23,6 +23,7 @@ from fockcalc import (
     RequiresExhaustiveError,
     SubsetIndex,
     SupportExceedsHorizonError,
+    ZERO,
     annihilate,
     basis_element,
     build_space,
@@ -330,18 +331,19 @@ class TestSpaceArguments:
 
 
 def count_realizations(monkeypatch):
-    """Record, per call of the one realization kernel, how many paths it covers."""
+    """Record, per call of the one realization kernel, how many functionals
+    it realizes and on how many paths each."""
     import fockcalc.bridge as bridge
 
-    paths = []
+    calls = []
     original = bridge._realize
 
-    def counting_realize(phi, down):
-        paths.append(down.size)
-        return original(phi, down)
+    def counting_realize(block, down):
+        calls.append((len(block), down.size))
+        return original(block, down)
 
     monkeypatch.setattr(bridge, "_realize", counting_realize)
-    return paths
+    return calls
 
 
 class TestSharedSweep:
@@ -350,23 +352,26 @@ class TestSharedSweep:
         # Per trial: phi and its mean part, then per site its gradient and
         # its conditioning, each realized exactly once: phi on every path,
         # the mean part on one, each gradient on half of them and the
-        # level-k conditioning on 2**(k+1).
+        # level-k conditioning on 2**(k+1).  The trials fit one block, so
+        # each of those is one call for all of them.
         import fockcalc.suite as suite
 
-        paths = count_realizations(monkeypatch)
+        calls = count_realizations(monkeypatch)
         report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=trials, horizon=n))
         assert report["pass"]
-        assert len(paths) == trials * (2 * n + 2)
+        assert sum(functionals for functionals, _ in calls) == trials * (2 * n + 2)
         per_trial = (1 << n) + 1 + n * (1 << (n - 1)) + sum(1 << (k + 1) for k in range(n))
-        assert sum(paths) == trials * per_trial
+        assert sum(functionals * paths for functionals, paths in calls) == trials * per_trial
+        assert [functionals for functionals, _ in calls] == [trials] * (2 * n + 2)
 
     def test_single_site_command_makes_four_per_trial(self, monkeypatch, capsys):
         from fockcalc.cli import main
 
-        paths = count_realizations(monkeypatch)
+        calls = count_realizations(monkeypatch)
         assert main(["bridge", "--horizon", "5", "--trials", "6", "--k", "2"]) == 0
         capsys.readouterr()
-        assert len(paths) == 6 * 4
+        assert sum(functionals for functionals, _ in calls) == 6 * 4
+        assert [paths for _, paths in calls] == [32, 1, 16, 8]
 
     def test_gaps_equal_the_separate_checks(self):
         from fockcalc.bridge import bridge_gaps
@@ -505,6 +510,125 @@ class TestPlantedFaults:
         monkeypatch.setattr(bridge, name, fault)
         report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=40, horizon=6))
         assert {c["check"] for c in report["checks"] if not c["pass"]} == failing
+
+
+def mixed_corpus(n, count, seed):
+    """``count`` functionals on horizon n whose term counts differ: a random
+    corpus with ``ZERO``, a constant-only functional and one holding every
+    mask below 2**min(n, 6) placed inside it."""
+    corpus = list(random_functionals(count - 3, seed=seed, support_max=n - 1, max_terms=24))
+    every_mask = FockFunctional._of_masks(
+        {m: complex(m + 1, -m) for m in range(1 << min(n, 6))}
+    )
+    corpus.insert(1, ZERO)
+    corpus.insert(len(corpus) // 2, F(([], 2 - 0.5j)))
+    corpus.insert(len(corpus) - 1, every_mask)
+    return corpus
+
+
+class TestBlocks:
+    # The sweep takes the corpus in blocks of max(1, _BLOCK_PATHS >> horizon)
+    # functionals; 2 * block + 1 trials end in a block of one after two full ones.
+    @pytest.mark.parametrize("n", [4, 8, 10, 12])
+    def test_every_member_gets_the_gaps_of_its_own_sweep(self, monkeypatch, n):
+        import fockcalc.bridge as bridge
+
+        step = max(1, bridge._BLOCK_PATHS >> n)
+        count = 2 * step + 1 if n > 4 else 11
+        space = build_space(n)
+        corpus = mixed_corpus(n, count, seed=61 + n)
+        calls = count_realizations(monkeypatch)
+        gaps = bridge._bridge_gaps(corpus, space)
+        blocks = [step, step, 1] if n > 4 else [count]
+        assert [b for b, _ in calls] == [b for b in blocks for _ in range(2 * n + 2)]
+        assert gaps == [bridge.bridge_gaps(phi, space) for phi in corpus]
+        for k in range(n):
+            assert bridge._intertwining_gaps(corpus, k, space) == [
+                check_intertwining(phi, k, space) for phi in corpus
+            ]
+        for phi, (co_gap, twine_gap, plancherel_gap) in zip(corpus, gaps):
+            full_co_gap, site_gaps = full_space_sweep(phi, space)
+            assert co_gap == full_co_gap == classical_clark_ocone_check(phi, space)
+            assert twine_gap == max(max(g) for g in site_gaps)
+            assert plancherel_gap == plancherel_check(phi, space)
+
+    def test_block_values_are_each_members_evaluation(self):
+        import fockcalc.bridge as bridge
+
+        space = build_space(7)
+        corpus = mixed_corpus(7, 20, seed=62)
+        values = bridge._realize(corpus, ~space.codes)
+        assert values.shape == (20, 128)
+        for phi, row in zip(corpus, values):
+            assert bitwise_equal(row, evaluate(phi, space).values)
+            assert bitwise_equal(row, product_reference(phi, space))
+        assert bridge._realize([], ~space.codes).shape == (0, 128)
+
+    @pytest.mark.parametrize(
+        "name, fault", [("annihilate", _keeps_bit_negated), ("cond_expect", _keeps_level_boundary)]
+    )
+    def test_a_fault_in_one_member_moves_the_whole_block_to_every_path(
+        self, monkeypatch, name, fault
+    ):
+        # Only the fourth member's operator output meets the coordinates its
+        # reduced path set fixes, so the whole block is realized on every
+        # path; the others keep their gaps, bit for bit.
+        import fockcalc.bridge as bridge
+
+        space = build_space(6)
+        corpus = mixed_corpus(6, 10, seed=63)
+        clean = bridge._bridge_gaps(corpus, space)
+        correct = getattr(bridge, name)
+
+        def faulty(phi, k):
+            return fault(phi, k) if phi is corpus[3] else correct(phi, k)
+
+        monkeypatch.setattr(bridge, name, faulty)
+        alone = bridge.bridge_gaps(corpus[3], space)
+        calls = count_realizations(monkeypatch)
+        gaps = bridge._bridge_gaps(corpus, space)
+        assert gaps[:3] == clean[:3] and gaps[4:] == clean[4:]
+        assert gaps[3] == alone
+        assert max(alone) > 1e-10
+        assert calls.count((10, 64)) > 1
+
+
+def product_functional(a):
+    """phi_a with coefficient prod_{k in sigma} a_k at every mask of len(a) sites."""
+    coefs = [1 + 0j]
+    for a_k in a:
+        coefs += [c * a_k for c in coefs]
+    return FockFunctional._of_masks(dict(enumerate(coefs)))
+
+
+class TestProductOracle:
+    # phi_a(omega) = sum over sigma of prod_{k in sigma} a_k omega_k
+    # = prod_k (1 + a_k omega_k), an O(N) value per path that shares no code
+    # with the parity sum.
+    @pytest.mark.parametrize("seed, width", [(64, 0.5), (65, 2.0), (66, 1.0)])
+    def test_product_functionals_of_horizons_1_to_12_in_one_block(self, seed, width):
+        import fockcalc.bridge as bridge
+
+        rng = np.random.default_rng(seed)
+        space = build_space(12)
+        signs = signs_of(space)
+        factors = [
+            rng.uniform(-width, width, n) + 1j * rng.uniform(-width, width, n)
+            for n in range(1, 13)
+        ]
+        values = bridge._realize([product_functional(a) for a in factors], ~space.codes)
+        eps = np.finfo(np.float64).eps
+        for a, row in zip(factors, values):
+            n = len(a)
+            oracle = np.ones(space.num_paths, dtype=np.complex128)
+            for k in range(n):
+                oracle *= 1 + a[k] * signs[:, k]
+            # Every coefficient and oracle value is a product of at most n
+            # complex factors; the path value sums the terms, whose moduli add
+            # up to prod(1 + |a_k|).  4 * n * eps of that covers the products'
+            # roundings with room for the sum's own.
+            tolerance = 4 * n * eps * np.prod(1 + np.abs(a))
+            assert np.max(np.abs(row - oracle)) <= tolerance
 
 
 class TestIntertwining:

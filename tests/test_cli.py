@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -186,6 +187,33 @@ class TestCovCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: the covariance of {doc} and {doc} overflows a double")
         assert not report.exists()
+
+    def test_overflowing_site_entry_is_named_when_the_covariance_fits(self, capsys, tmp_path):
+        # The covariance is 1e-300, but the entries at sites 0 and 1 are
+        # +-1e400, which the per-site table of the report must hold.
+        doc, other = tmp_path / "c1.json", tmp_path / "c2.json"
+        for path, sign in ((doc, 1), (other, -1)):
+            path.write_text(json.dumps({"terms": [
+                {"set": [0], "coef": [1e200, 0]},
+                {"set": [1], "coef": [sign * 1e200, 0]},
+                {"set": [2], "coef": [1e-150, 0]},
+            ]}))
+        assert fockcalc.cov_p(
+            fockcalc.parse_functional(doc.read_text()),
+            fockcalc.parse_functional(other.read_text()), 0.0,
+        ) == complex(1e-300, 0)
+        code, out, err = run_cli(capsys, "cov", str(doc), str(other))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the per-site table of the covariance of {doc} and {other} "
+            "overflows a double at site 0, although the covariance fits\n"
+        )
+        code, out, err = run_cli(capsys, "cov", str(doc), str(other), "--p", "-1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --p -1.0 is too low for these functionals: "
+            "their weighted covariance terms overflow a double\n"
+        )
 
     def test_coefficient_past_the_modulus_range_names_both_files(self, capsys, tmp_path):
         # |c| is 2.4e308, beyond the double range although both parts are not.
@@ -657,6 +685,16 @@ _DOCUMENTS = st.lists(
     unique_by=lambda term: frozenset(term["set"]),
 ).map(lambda terms: {"terms": terms})
 _LEVELS = st.one_of(st.floats(0.0, 1e308), st.floats(-1e308, 0.0))
+# Documents on the sites of horizon 4, for the exhaustive path evaluation.
+_PATH_DOCUMENTS = st.lists(
+    st.fixed_dictionaries({
+        "set": st.lists(st.integers(0, 3), max_size=4, unique=True).map(sorted),
+        "coef": st.tuples(_PART, _PART).map(list),
+    }),
+    max_size=6,
+    unique_by=lambda term: frozenset(term["set"]),
+).map(lambda terms: {"terms": terms})
+
 
 
 class TestExtremeDocuments:
@@ -687,6 +725,37 @@ class TestExtremeDocuments:
             else:
                 assert out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_PATH_DOCUMENTS)
+    def test_path_evaluation_is_finite_or_names_the_path(self, capsys, tmp_path, doc):
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "bridge", "--eval", str(first), "--horizon", "4")
+        assert code in (0, 2), err
+        if code == 0:
+            assert err == ""
+
+            def non_finite(constant):
+                raise AssertionError(f"{constant} in the expectation of {doc}")
+
+            report = json.loads(out, parse_constant=non_finite)
+            assert report["paths"] == 16
+        else:
+            assert out == ""
+            assert re.fullmatch(
+                r"error: the realized value at path index \d+ is not a finite number\n", err
+            ), err
+
+    @pytest.mark.parametrize("coef", [[1e308, 0.0], [1.7e308, -1.7e308], [-1.7e308, 1e-320]])
+    def test_expectation_of_values_summing_past_the_range(self, capsys, tmp_path, coef):
+        # Every path holds the constant, whose 16 copies sum past the double range.
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"terms": [{"set": [], "coef": coef}]}))
+        code, out, err = run_cli(capsys, "bridge", "--eval", str(doc), "--horizon", "4")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["expectation"] == pytest.approx(coef, rel=1e-15)
 
 
 def _exact_pairings(doc, other):
