@@ -11,7 +11,10 @@ Both are pure coefficient selections, so for finitely supported functionals
 the series terminates exactly at the largest support index and the identity
 holds with zero residual.  ``decompose`` reports the partial-sum residuals
 across a grid of dual levels; ``reconstruct_check`` measures the stochastic
-integral form and the agreement between the two pipelines.
+integral form and the agreement between the two pipelines, its integrand
+route read from the predictable sequence it integrates.
+``verify_convergence_window`` walks the partial sums once, scoring a probe
+only when a site term changes it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import PredictabilityViolatedError
-from .functional import FockFunctional, linear_combine, norm_dual, sum_functionals
+from .functional import ZERO, FockFunctional, linear_combine, norm_dual, sum_functionals
 from .operators import annihilate, cond_expect, create, expect
 
 DEFAULT_Q_PROBE = (0.0, 1.0, 2.0)
+
+
+def _centered(phi: FockFunctional) -> FockFunctional:
+    return linear_combine(1.0, phi, -1.0, expect(phi))
 
 
 def co_term(phi: FockFunctional, k: int) -> FockFunctional:
@@ -154,13 +161,15 @@ class PredictableSequence:
         for k, u in self.terms.items():
             if k < 0:
                 raise ValueError(f"site index must be >= 0, got {k}")
-            if cond_expect(u, k - 1) != u:
-                raise PredictabilityViolatedError(
-                    f"entry at site {k} is not measurable before level {k}"
-                )
+            _require_predictable(k, u)
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _require_predictable(k: int, u: FockFunctional) -> None:
+    if cond_expect(u, k - 1) != u:
+        raise PredictabilityViolatedError(f"entry at site {k} is not measurable before level {k}")
 
 
 def predictable_sequence(phi: FockFunctional) -> PredictableSequence:
@@ -180,10 +189,7 @@ def integrate(u: PredictableSequence) -> FockFunctional:
     entry so hand-built sequences fail loudly rather than integrate wrongly.
     """
     for k, uk in u.terms.items():
-        if cond_expect(uk, k - 1) != uk:
-            raise PredictabilityViolatedError(
-                f"entry at site {k} is not measurable before level {k}"
-            )
+        _require_predictable(k, uk)
     return sum_functionals(create(u.terms[k], k) for k in sorted(u.terms))
 
 
@@ -199,22 +205,22 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
     partial sum draws its coefficients verbatim from phi, so all functionals
     involved vanish identically off that finite window.
     """
-    centered = linear_combine(1.0, phi, -1.0, expect(phi))
-    # Probe masks: phi's support plus the empty set (mask 0).
-    probes = list(phi._terms)
-    if 0 not in phi._terms:
-        probes.append(0)
+    centered = _centered(phi)._terms
     source = phi._terms
+    # Probe masks: phi's support plus the empty set (mask 0).
+    probes = list(source)
+    if 0 not in source:
+        probes.append(0)
     excess = 0.0
-    running = FockFunctional({})
-    # At an unoccupied site the running sum, and so its excess, is unchanged.
+    # The running partial sum: a coefficient changes only where a site term
+    # holds its mask, so each probe is scored there (an unreached one scores <= 0).
+    running: Dict[int, complex] = {}
     for n in phi.sites():
-        running = linear_combine(1.0, running, 1.0, co_term(phi, n))
-        for m in probes:
-            excess = max(excess, abs(running._terms.get(m, 0j)) - abs(source.get(m, 0j)))
-    # The final running sum is the terminal partial sum.
-    terminal = running._terms
-    return max(abs(terminal.get(m, 0j) - centered._terms.get(m, 0j)) for m in probes), excess
+        for m, c in co_term(phi, n)._terms.items():
+            running[m] = value = running.get(m, 0j) + c
+            if m in source or m == 0:
+                excess = max(excess, abs(value) - abs(source.get(m, 0j)))
+    return max(abs(running.get(m, 0j) - centered.get(m, 0j)) for m in probes), excess
 
 
 def reconstruct_check(phi: FockFunctional) -> float:
@@ -225,16 +231,13 @@ def reconstruct_check(phi: FockFunctional) -> float:
     and integrate-the-predictable pipelines.  Both vanish in exact
     arithmetic; the returned value is the larger of the two measured norms.
     """
-    mean = expect(phi)
-    integral = integrate(predictable_sequence(phi))
-    residual = norm_dual(
-        linear_combine(1.0, linear_combine(1.0, phi, -1.0, mean), -1.0, integral), 0.0
-    )
+    u = predictable_sequence(phi)
+    residual = norm_dual(linear_combine(1.0, _centered(phi), -1.0, integrate(u)), 0.0)
     form_gap = 0.0
     for k in phi.sites():
         via_truncation = co_term(phi, k)
-        via_integrand = create(cond_expect(annihilate(phi, k), k - 1), k)
+        # u_k is cond_expect(annihilate(phi, k), k - 1); a zero one is not stored.
+        via_integrand = create(u.terms.get(k, ZERO), k)
         gap = norm_dual(linear_combine(1.0, via_truncation, -1.0, via_integrand), 0.0)
-        if gap > form_gap:
-            form_gap = gap
+        form_gap = max(form_gap, gap)
     return max(residual, form_gap)

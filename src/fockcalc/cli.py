@@ -100,6 +100,10 @@ def _named_levels(option: str, *levels: Optional[float]):
 
 def _cmd_lambda(args) -> int:
     _finite_level(args.p, "--p")
+    if args.n is not None and not args.sum:
+        raise FockCalcError("lambda --n applies only with --sum")
+    if args.p is not None and args.subset is not None:
+        raise FockCalcError("lambda --p does not apply to a subset weight")
     if args.sum:
         if args.p is None or args.n is None:
             raise FockCalcError("lambda --sum needs --p and --n")
@@ -153,9 +157,8 @@ def _cmd_decompose(args) -> int:
     for q in args.q or ():
         _finite_level(q, "--q")
     phi = _load_functional(args.file)
-    q_probe = tuple(args.q) if args.q else (0.0, 1.0, 2.0)
     with _named_levels("--q", *(args.q or ())):
-        report = decompose(phi, q_probe)
+        report = decompose(phi, args.q) if args.q else decompose(phi)
     _write(report_to_json(report), args.out)
     return 0
 
@@ -300,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lambda = sub.add_parser("lambda", help="subset weights and weight sums")
-    p_lambda.add_argument("subset", nargs="?", help="JSON array, e.g. '[1,3]'")
-    p_lambda.add_argument("--sum", action="store_true", help="truncated weight sum over subsets of {0..n-1}")
-    p_lambda.add_argument("--bound", action="store_true", help="series upper bound for the untruncated sum")
+    what = p_lambda.add_mutually_exclusive_group()
+    what.add_argument("subset", nargs="?", help="JSON array, e.g. '[1,3]'")
+    what.add_argument("--sum", action="store_true", help="truncated weight sum over subsets of {0..n-1}")
+    what.add_argument("--bound", action="store_true", help="series upper bound for the untruncated sum")
     p_lambda.add_argument("--p", type=float, help="weight exponent")
     p_lambda.add_argument("--n", type=int, help="truncation: exclusive upper bound on subset elements")
     p_lambda.set_defaults(func=_cmd_lambda)

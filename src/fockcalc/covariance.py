@@ -20,14 +20,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator
 
-from .clark_ocone import co_term
+from .clark_ocone import _centered, co_term
 from .errors import NonFiniteResultError
-from .functional import FockFunctional, _complex_sum, inner_dual, linear_combine, norm_dual
-from .operators import annihilate, create, expect
-
-
-def _centered(phi: FockFunctional) -> FockFunctional:
-    return linear_combine(1.0, phi, -1.0, expect(phi))
+from .functional import FockFunctional, _complex_sum, inner_dual, norm_dual
+from .operators import annihilate, create
 
 
 def cov_p(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:

@@ -55,6 +55,26 @@ class TestLambdaCommand:
         code, _, err = run_cli(capsys, "lambda")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--sum", "--bound", "--p", "2", "--n", "3"], ("--sum", "--bound")),
+            (["[1,3]", "--sum", "--p", "2", "--n", "3"], ("subset", "--sum")),
+            (["--bound", "[1,3]", "--p", "2"], ("subset", "--bound")),
+            (["[1,3]", "--n", "4"], ("--n", "--sum")),
+            (["--bound", "--p", "2", "--n", "3"], ("--n", "--sum")),
+            (["[1,3]", "--p", "2"], ("--p", "subset")),
+        ],
+    )
+    def test_conflicting_options_are_usage_errors(self, capsys, argv, named):
+        try:
+            code = main(["lambda", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert all(name in err for name in named), err
+
     def test_overflowing_bound_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "lambda", "--bound", "--p", "1.0000001")
         assert code == 2
@@ -678,7 +698,7 @@ _PART = st.one_of(
 )
 _DOCUMENTS = st.lists(
     st.fixed_dictionaries({
-        "set": st.lists(st.integers(0, 400), max_size=200, unique=True),
+        "set": st.lists(st.integers(0, 400), max_size=200, unique=True).map(sorted),
         "coef": st.tuples(_PART, _PART).map(list),
     }),
     max_size=4,
