@@ -17,6 +17,14 @@ reads every term from one popcount parity.  Terms are added in ascending
 mask order and path reductions run in ascending path order, so results are
 bit-stable for a given functional and space.
 
+From 2**10 paths per functional on (``_TABLE_PATHS``), the realization
+kernel reads the first t terms, t at most log2 of the path count, from a
+prefix table: the 2**t sums that their sign choices give.  A path's sign
+pattern (bit j: the j-th term's parity) is linear over GF(2) in its bits, so
+it is looked up per chunk of at most 16 coordinates and the chunks XORed.
+The table is built by the per-term additions, in their order, so each path
+reads its partial sum bit for bit, and the later terms are added as before.
+
 The bridge sweep realizes each operator output only on the paths its value
 depends on, bit for bit the values it takes on all of them: with horizon N,
 phi on all 2**N paths, each site-k gradient (which holds no term at k) on
@@ -67,6 +75,10 @@ MAX_ORTHONORMALITY_HORIZON = 16
 #: Paths the bridge sweep realizes a block of functionals on at once: the
 #: block size is this over 2**horizon, and at least one.
 _BLOCK_PATHS = 1 << 13
+
+#: Paths per row from which ``_realize`` reads its first terms from a table
+#: of partial sums; below it, the table costs more than the passes it saves.
+_TABLE_PATHS = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +163,25 @@ def _realize(block: Sequence[FockFunctional], down: np.ndarray) -> np.ndarray:
     mask order.  The j-th pass covers the rows up to the last one that has a
     j-th term; a row among them with fewer terms adds an exact zero, which
     leaves its values as they were (a sum begun at +0 never reaches -0).
+
+    From ``_TABLE_PATHS`` (2**10) paths per row on, the first t passes (t
+    the widest row's term count, at most log2 of the paths per row) are read
+    instead from ``_prefix_sums``: per row, a prefix table of the 2**t
+    partial sums, indexed by each path's sign pattern, which is looked up
+    per chunk of at most 16 coordinates.  The table is built by the passes'
+    own additions in their order, so each row stays bit for bit what the
+    passes give; they go on from term t.  Below the threshold, t is 0.
     """
     rows = [sorted(phi._terms.items()) for phi in block]
-    values = np.zeros((len(block), *down.shape), dtype=np.complex128)
+    widest = max(map(len, rows), default=0)
+    t = min(widest, down.size.bit_length() - 1) if down.size >= _TABLE_PATHS else 0
+    values = _prefix_sums(rows, t, down) if t else None
+    if values is None:
+        t, values = 0, np.zeros((len(block), *down.shape), dtype=np.complex128)
     # Row i's j-th term picks entry 2i (+coef) or 2i + 1 (-coef) of a
     # flattened (rows, 2) table.
     row_base = np.arange(0, 2 * len(block), 2).reshape((-1,) + (1,) * down.ndim)
-    for j in range(max(map(len, rows), default=0)):
+    for j in range(t, widest):
         held = max(b for b, terms in enumerate(rows) if len(terms) > j) + 1
         terms = [row[j] if len(row) > j else (0, 0j) for row in rows[:held]]
         if held == 1:
@@ -172,6 +196,61 @@ def _realize(block: Sequence[FockFunctional], down: np.ndarray) -> np.ndarray:
             head = values[:held]
             head += np.array([(c, -c) for c in coefs]).reshape(-1).take(odd | row_base[:held])
     return values
+
+
+def _prefix_sums(rows: list, t: int, down: np.ndarray) -> Optional[np.ndarray]:
+    """The first ``t`` passes of ``_realize``, read from one table per row.
+
+    Entry p of row b's table is the sum, begun at +0 and in term order, of
+    the row's first t terms with the j-th negated where bit j of p is set (a
+    row with fewer terms pads with 0j, as a pass does).  The table doubles
+    per term: the upper half is the lower one plus -coef, then the lower
+    half adds +coef.  These are a pass's own additions in its order, so
+    every entry is that sign pattern's partial sum bit for bit.
+
+    Bit j of a path's sign pattern is the parity of ``down & mask_j``, which
+    is linear over GF(2) in the path's bits.  So per chunk of at most 16
+    coordinates, one table, doubled per coordinate, holds for every value of
+    the chunk the XOR of the term sets of its bits; a path's pattern XORs
+    its chunks' entries.  Returns None if a table entry is not finite: the
+    passes then add every term, so an overflow is reported as it always was.
+    """
+    leading = [row[:t] + [(0, 0j)] * (t - len(row)) for row in rows]
+    masks = np.array([[m for m, _ in row] for row in leading], dtype=np.int64)
+    plus = np.array([[c for _, c in row] for row in leading], dtype=np.complex128).T[:, :, None]
+    minus = -plus
+    sums = np.zeros((len(rows), 1 << t), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(t):
+            h = 1 << j
+            np.add(sums[:, :h], minus[j], out=sums[:, h : 2 * h])
+            np.add(sums[:, :h], plus[j], out=sums[:, :h])
+    if not np.isfinite(sums).all():
+        return None
+    width = int(masks.max()).bit_length()
+    # Bit j of terms_at[i, b] is set iff row b's j-th term holds coordinate i.
+    terms_at = (((masks >> np.arange(width)[:, None, None]) & 1) << np.arange(t)).sum(-1)
+    chunks = max(1, -(-width // 16))
+    for c in range(chunks):
+        start, stop = width * c // chunks, width * (c + 1) // chunks
+        sets = np.zeros((len(rows), 1 << (stop - start)), dtype=np.int64)
+        for i in range(start, stop):
+            h = 1 << (i - start)
+            np.bitwise_xor(sets[:, :h], terms_at[i, :, None], out=sets[:, h : 2 * h])
+        index = (down >> start if start else down) & (sets.shape[1] - 1)
+        chunk = _take_rows(sets, index, down.shape)
+        pattern = chunk if c == 0 else np.bitwise_xor(pattern, chunk, out=pattern)
+    return _take_rows(sums, pattern, down.shape)
+
+
+def _take_rows(table: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
+    # Row b of ``table`` read at ``index``, or at ``index[b]`` where it has a
+    # row axis: an array of shape (rows, *shape).  One row needs no offsets,
+    # which spares a block of one a pass over its paths.
+    if table.shape[0] == 1:
+        return table[0].take(index).reshape(1, *shape)
+    offsets = np.arange(0, table.size, table.shape[1]).reshape((-1,) + (1,) * len(shape))
+    return table.reshape(-1).take(index + offsets)
 
 
 def _require_fits(phi: FockFunctional, space: PathSpace) -> None:
@@ -277,7 +356,7 @@ def _sweep(
 
     Returns, in block order, each member's pathwise second moment, its
     Clark–Ocone residual (None unless ``sites``, distinct coordinates, is
-    every coordinate), and per member and site the three
+    every coordinate, in ascending order), and per member and site the three
     intertwining gaps.  Each path set is realized once per block, on the
     reduced sets the module docstring lists, and every gap is reduced per
     row.  Callers check that ``space`` is exhaustive.
@@ -306,7 +385,7 @@ def _sweep(
     def row_max(gaps: np.ndarray) -> np.ndarray:
         return gaps.max(axis=tuple(range(1, gaps.ndim)))
 
-    rebuilt = np.repeat(means, space.num_paths, axis=1) if len(sites) == space.horizon else None
+    rebuilt = means if len(sites) == space.horizon else None
     # The mean part is the level -1 conditioning: one path fixes every coordinate.
     mean_part = realize([expect(phi) for phi in block], down[:1], -1, down)
     gap_mean = row_max(np.abs(mean_part - means))
@@ -321,11 +400,13 @@ def _sweep(
             # Add the k-th sign times the predictable part, the gradient's
             # mean given coordinates before k.  It is taken over a copy of
             # the gradient on every path, so its sums run as they always did.
+            # After sites 0..k the rebuild depends only on coordinates 0..k,
+            # so it lives on their 2**(k+1) patterns in code order: the k-th
+            # sign is -1 in the lower half.  Every path takes the same
+            # additions, in site order, that it takes on all 2**N paths.
             whole = np.broadcast_to(gradient, pairs.shape).reshape(len(block), -1)
-            predictable = _group_means(whole, k - 1)[:, None, :]
-            halves = rebuilt.reshape(pairs.shape)
-            halves[:, :, 0, :] -= predictable
-            halves[:, :, 1, :] += predictable
+            predictable = _group_means(whole, k - 1)
+            rebuilt = np.concatenate((rebuilt - predictable, rebuilt + predictable), axis=1)
         # Value with coordinate k forced to +1 minus forced to -1, halved.
         finite_difference = 0.5 * (pairs[:, :, 1:, :] - pairs[:, :, :1, :])
         gradient_gaps.append(row_max(np.abs(finite_difference - gradient)))

@@ -557,6 +557,37 @@ class TestBridgeCommand:
         assert expected > 0.0
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--eval", "PHI", "--k", "2"], "--k cannot be used with --eval"),
+            (["--eval", "PHI", "--trials", "3", "--mode", "sampled", "--paths", "10"],
+             "--trials cannot be used with --eval"),
+            (["--eval", "PHI", "--paths", "10"],
+             "--paths without --mode sampled cannot be used with --eval"),
+            (["--trials", "3", "--mode", "sampled", "--paths", "10"],
+             "--paths, --mode sampled cannot be used without --eval"),
+            (["--trials", "3", "--csv", "CSV"], "--csv cannot be used without --eval"),
+            (["--k", "1", "--mode", "sampled"], "--mode sampled cannot be used without --eval"),
+        ],
+    )
+    def test_an_option_the_form_would_not_read_is_refused(
+        self, capsys, phi_file, tmp_path, argv, message
+    ):
+        csv_path = tmp_path / "obs.csv"
+        argv = [{"PHI": phi_file, "CSV": str(csv_path)}.get(arg, arg) for arg in argv]
+        code, out, err = run_cli(capsys, "bridge", "--horizon", "4", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not csv_path.exists()
+
+    def test_checks_keep_their_defaults(self, capsys, monkeypatch):
+        import fockcalc.suite as suite
+
+        configs = []
+        monkeypatch.setattr(suite, "run_suite", lambda cfg: configs.append(cfg) or {"pass": True})
+        assert run_cli(capsys, "bridge")[0] == 0
+        assert (configs[0].horizon, configs[0].trials, configs[0].seed) == (8, 200, 0)
+
+    @pytest.mark.parametrize(
         "mode, first", [(["--mode", "exhaustive"], 1), (["--mode", "sampled", "--paths", "8"], 5)]
     )
     def test_eval_overflow_is_typed_and_writes_nothing(self, capsys, tmp_path, mode, first):

@@ -14,7 +14,9 @@ from math import fsum, log1p
 import pytest
 
 from fockcalc import (
+    GammaCursor,
     SubsetIndex,
+    check_strong_convergence,
     cov_identity,
     cov_p,
     decompose,
@@ -115,3 +117,24 @@ def test_dual_norm_bound_is_tight_up_to_the_missing_sites():
     slack = SERIES_CUTOFF**-2.0 + SERIES_CUTOFF**-3.0 / 6
     ratio = norm_dual(phi, q) / dual_norm_bound(env, q)
     assert expected * math.exp(-slack / 2) * (1 - TOL) <= ratio <= expected * (1 + TOL)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.75, 1.0, 2.0])
+def test_truncations_converge_under_the_unit_envelope(p):
+    # The truncations phi_a|_{<=n} keep the sets inside 0..n.  With
+    # a_k = (k+1)**p every coefficient is weight**p, so each truncation fits
+    # the envelope with C = 1, and the largest coefficient a truncation drops
+    # is that of the full set, (N!)**p.
+    a = [(k + 1.0) ** p for k in range(N)]
+    limit = product_functional(a)
+    truncations = [product_functional(a[: n + 1]) for n in range(N)]
+    probe = GammaCursor(N)
+    for truncation in truncations:
+        envelope = check_strong_convergence([truncation], limit, probe, p_grid=(p,)).envelopes[p]
+        assert envelope.C == pytest.approx(1.0, rel=TOL)
+    diag = check_strong_convergence(truncations, limit, probe, p_grid=(p,))
+    dropped = math.factorial(N) ** p
+    for gap in diag.pointwise_gaps[:-1]:
+        assert gap == pytest.approx(dropped, rel=TOL)
+    assert diag.tail_gap == 0.0
+    assert diag.envelopes[p].C == pytest.approx(1.0, rel=TOL)
