@@ -21,9 +21,11 @@ From 2**10 paths per functional on (``_TABLE_PATHS``), the realization
 kernel reads the first t terms, t at most log2 of the path count, from a
 prefix table: the 2**t sums that their sign choices give.  A path's sign
 pattern (bit j: the j-th term's parity) is linear over GF(2) in its bits, so
-it is looked up per chunk of at most 16 coordinates and the chunks XORed.
-The table is built by the per-term additions, in their order, so each path
-reads its partial sum bit for bit, and the later terms are added as before.
+it is read from a table indexed by the bits the t terms span; that span must
+be at most 16 bits and the table at most twice the path count, or every term
+takes its own pass.  The sums are built by the per-term additions, in their
+order, so each path reads its partial sum bit for bit, and the later terms
+are added as before.
 
 The bridge sweep realizes each operator output only on the paths its value
 depends on, bit for bit the values it takes on all of them: with horizon N,
@@ -167,10 +169,10 @@ def _realize(block: Sequence[FockFunctional], down: np.ndarray) -> np.ndarray:
     From ``_TABLE_PATHS`` (2**10) paths per row on, the first t passes (t
     the widest row's term count, at most log2 of the paths per row) are read
     instead from ``_prefix_sums``: per row, a prefix table of the 2**t
-    partial sums, indexed by each path's sign pattern, which is looked up
-    per chunk of at most 16 coordinates.  The table is built by the passes'
-    own additions in their order, so each row stays bit for bit what the
-    passes give; they go on from term t.  Below the threshold, t is 0.
+    partial sums, indexed by each path's sign pattern.  The table is built
+    by the passes' own additions in their order, so each row stays bit for
+    bit what the passes give; they go on from term t.  Below the threshold,
+    or where ``_prefix_sums`` declines, t is 0.
     """
     rows = [sorted(phi._terms.items()) for phi in block]
     widest = max(map(len, rows), default=0)
@@ -209,14 +211,20 @@ def _prefix_sums(rows: list, t: int, down: np.ndarray) -> Optional[np.ndarray]:
     every entry is that sign pattern's partial sum bit for bit.
 
     Bit j of a path's sign pattern is the parity of ``down & mask_j``, which
-    is linear over GF(2) in the path's bits.  So per chunk of at most 16
-    coordinates, one table, doubled per coordinate, holds for every value of
-    the chunk the XOR of the term sets of its bits; a path's pattern XORs
-    its chunks' entries.  Returns None if a table entry is not finite: the
-    passes then add every term, so an overflow is reported as it always was.
+    is linear over GF(2) in the path's bits.  So one table, doubled per bit
+    up to the highest the t masks hold (their span), holds for every value
+    of those bits the XOR of the term sets of its set bits, and a path reads
+    its pattern there.  That table has 2**span entries per row whatever the
+    path count, so this returns None where the span passes 16 bits or the
+    table twice the paths (an exhaustive gradient's half set spans all its
+    bits), and where a sum is not finite, so that an overflow is reported
+    as it always was; the passes then add every term.
     """
     leading = [row[:t] + [(0, 0j)] * (t - len(row)) for row in rows]
     masks = np.array([[m for m, _ in row] for row in leading], dtype=np.int64)
+    width = int(masks.max()).bit_length()
+    if width > 16 or 1 << width > 2 * down.size:
+        return None
     plus = np.array([[c for _, c in row] for row in leading], dtype=np.complex128).T[:, :, None]
     minus = -plus
     sums = np.zeros((len(rows), 1 << t), dtype=np.complex128)
@@ -227,19 +235,13 @@ def _prefix_sums(rows: list, t: int, down: np.ndarray) -> Optional[np.ndarray]:
             np.add(sums[:, :h], plus[j], out=sums[:, :h])
     if not np.isfinite(sums).all():
         return None
-    width = int(masks.max()).bit_length()
     # Bit j of terms_at[i, b] is set iff row b's j-th term holds coordinate i.
     terms_at = (((masks >> np.arange(width)[:, None, None]) & 1) << np.arange(t)).sum(-1)
-    chunks = max(1, -(-width // 16))
-    for c in range(chunks):
-        start, stop = width * c // chunks, width * (c + 1) // chunks
-        sets = np.zeros((len(rows), 1 << (stop - start)), dtype=np.int64)
-        for i in range(start, stop):
-            h = 1 << (i - start)
-            np.bitwise_xor(sets[:, :h], terms_at[i, :, None], out=sets[:, h : 2 * h])
-        index = (down >> start if start else down) & (sets.shape[1] - 1)
-        chunk = _take_rows(sets, index, down.shape)
-        pattern = chunk if c == 0 else np.bitwise_xor(pattern, chunk, out=pattern)
+    sets = np.zeros((len(rows), 1 << width), dtype=np.int64)
+    for i in range(width):
+        h = 1 << i
+        np.bitwise_xor(sets[:, :h], terms_at[i, :, None], out=sets[:, h : 2 * h])
+    pattern = _take_rows(sets, down & (sets.shape[1] - 1), down.shape)
     return _take_rows(sums, pattern, down.shape)
 
 

@@ -1,10 +1,11 @@
 """``bridge._realize`` against its per-term body.
 
 From ``_TABLE_PATHS`` paths per row on, the kernel reads its first terms
-from a table of partial sums indexed by each path's sign pattern.  The body
-that adds every term in a pass of its own is kept here as the reference: on
-every path set that ``evaluate`` and the bridge sweep realize, each row must
-be its bytes exactly, the positions that leave the double range included.
+from a table of partial sums indexed by each path's sign pattern, where
+those terms span few enough bits.  The body that adds every term in a pass
+of its own is kept here as the reference: on every path set that
+``evaluate`` and the bridge sweep realize, each row must be its bytes
+exactly, the positions that leave the double range included.
 """
 
 import random
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from fockcalc import ZERO, build_space
-from fockcalc.bridge import _TABLE_PATHS, _realize
+from fockcalc.bridge import _TABLE_PATHS, _prefix_sums, _realize
 from fockcalc.functional import FockFunctional
 
 
@@ -102,9 +103,24 @@ def test_mixed_blocks_match_the_passes(size):
 @pytest.mark.parametrize("horizon", [20, 40, 63])
 @pytest.mark.parametrize("paths", [1024, 4096])
 def test_sampled_spaces_match_the_passes(horizon, paths):
+    # Terms on the first 11 sites are read from the table; terms reaching
+    # the horizon span too many bits for it and take their passes.
     down = ~build_space(horizon, "sampled", M=paths, seed=horizon).codes
-    for size in (1, 3):
-        _assert_same(_block(size, horizon, seed=paths + size), down)
+    for sites in (11, horizon):
+        for size in (1, 3):
+            _assert_same(_block(size, sites, seed=paths + size), down)
+
+
+def test_the_table_is_built_only_where_it_is_small():
+    # The sign-set table has 2**span entries per row whatever the paths, so
+    # it is declined past 16 bits of span or twice the path count.
+    def tabled(sites, paths):
+        rows = [[(m, 1 + 0j) for m in range(1, 10)] + [(1 << (sites - 1), 1 + 0j)]]
+        down = ~build_space(20, "sampled", M=paths, seed=sites).codes
+        return _prefix_sums(rows, 10, down) is not None
+
+    assert tabled(11, 1024) and tabled(16, 1 << 15)
+    assert not tabled(12, 1024) and not tabled(17, 1 << 17)
 
 
 @pytest.mark.parametrize("horizon", [10, 14])
