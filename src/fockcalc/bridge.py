@@ -14,8 +14,16 @@ index is its code; a sampled space packs its seeded sign draws into codes.
 A term's sign product on a path is then -1 exactly when the term's mask and
 the path's down-coordinates share an odd number of bits, so ``evaluate``
 reads every term from one popcount parity.  Terms are added in ascending
-mask order and path reductions run in ascending path order, so results are
-bit-stable for a given functional and space.
+mask order, and every reduction over paths runs in a fixed order, so results
+are bit-stable for a given functional and space.
+
+Conditioning on coordinates 0..k is a halving tree (``_group_means``): the
+two halves of a row of path values are added, from the top coordinate down
+to coordinate k + 1, and the sums divided once by a power of two.  Values
+that repeat along a coordinate above k thus add as 2a there, exactly, and
+average bit for bit as one copy, and the tree that ends at level k passes
+through every level above it.  Overall means and second moments are
+``np.sum`` over the paths, divided by their count.
 
 From 2**10 paths per functional on (``_TABLE_PATHS``), the realization
 kernel reads the first t terms, t at most log2 of the path count, from a
@@ -32,18 +40,27 @@ depends on, bit for bit the values it takes on all of them: with horizon N,
 phi on all 2**N paths, each site-k gradient (which holds no term at k) on
 the 2**(N-1) paths with bit k clear, each level-k conditioning (which holds
 only coordinates 0..k) on the first 2**(k+1) paths, and the mean part on
-one.  An output that meets the coordinates its reduced set fixes, as only a
-faulty operator's can, is realized on every path.
+one.  A level-k conditioning that holds exactly phi's terms, as it always
+does at k = N-1, is not realized again: its values are phi's on those
+paths.  An output that meets the coordinates its reduced set fixes, as only
+a faulty operator's can, is realized on every path.
+
+The sweep's means come from the same trees.  The Clark–Ocone rebuild's
+predictable part, the gradient's mean given coordinates before k, is taken
+on the half set: the gradient repeats along coordinate k, so this is its
+tree on every path.  The level-k group means of phi all come from one tree
+of phi's values per block, built down to the lowest site swept; its sums are
+those of each level's own tree.
 
 The sweep takes a corpus in blocks of functionals that share one space,
-``max(1, 2**13 >> N)`` at a time, and realizes each path set once per block,
-one row per functional.  Every row is bit for bit what the functional gives
+``max(1, 2**13 >> N)`` at a time, and realizes each path set at most once
+per block, one row per functional.  Every row is bit for bit what the functional gives
 alone: it adds its own terms in ascending mask order, padded with exact zeros
 up to the block's widest member (a block is ordered by falling term count, so
 few are needed), and every mean, group mean, maximum and second moment is
-reduced per row in path order.  If one member's output meets the fixed
-coordinates, the whole block is realized on every path; a correct member
-repeats its values there, so its gaps do not change.
+reduced per row.  If one member's output meets the fixed coordinates, the
+whole block is realized on every path; a correct member repeats its values
+there, so its gaps do not change.
 """
 
 from __future__ import annotations
@@ -297,7 +314,10 @@ def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
     """Average over the paths sharing coordinates 0..k (exhaustive only).
 
     k = -1 returns the constant mean observable; k beyond the horizon
-    conditions on everything and returns the values unchanged.
+    conditions on everything and returns the values unchanged.  The averages
+    are ``_group_means``'s halving-tree means, so a mean of finite values is
+    finite, and values repeated along a coordinate above k average as one
+    copy, bit for bit.
     """
     space = obs.space
     _require_exhaustive(space)
@@ -309,20 +329,42 @@ def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
     return PathObservable(values=np.tile(means, space.num_paths // means.shape[0]), space=space)
 
 
+def _halving_sums(values: np.ndarray, k: int) -> list[np.ndarray]:
+    """The halving tree of each row (last axis) of ``values``, down to level ``k``.
+
+    Entry j adds the two halves of entry j - 1, so it sums each row over its
+    top j coordinates; the last entry has 2**(k+1) columns.  A sum that is not
+    finite leaves every sum built from it so, so the last entry shows any.
+    """
+    sums = [values]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while sums[-1].shape[-1] > 1 << (k + 1):
+            top = sums[-1]
+            half = top.shape[-1] // 2
+            sums.append(top[..., :half] + top[..., half:])
+    return sums
+
+
 def _group_means(values: np.ndarray, k: int) -> np.ndarray:
     """Mean over the paths sharing coordinates 0..k: entry j for the pattern j.
 
-    Each row (last axis) of ``values`` lists an exhaustive space's paths in
-    code order, so path m sits at [high, low] in its (-1, 2**(k+1)) view,
-    low holding coordinates 0..k.  k = -1 gives each row's one overall mean,
-    k = horizon - 1 the values.
+    Each row (last axis) of ``values`` lists the paths of an exhaustive space,
+    or of one with coordinates fixed, in code order, so coordinates 0..k are
+    its low 2**(k+1) columns.  The mean adds the two halves of the row from
+    the top coordinate down to coordinate k + 1 (``_halving_sums``), then
+    divides once by the power of two summed.  A coordinate whose two halves
+    are equal adds as 2a, exactly, so rows repeated along any coordinate
+    above k give the means of one copy, bit for bit.  k = -1 gives each row's
+    one overall mean.  Where finite values sum past the double range, the
+    tree is taken of the values times 2**-e, with 2**e above the count, and
+    scaled back, as in ``path_expectation``.
     """
-    if k == -1:
-        return np.sum(values, axis=-1, keepdims=True) / values.shape[-1]
-    n_low = 1 << (k + 1)
-    if n_low == values.shape[-1]:
-        return values
-    return values.reshape(*values.shape[:-1], -1, n_low).mean(axis=-2)
+    count = values.shape[-1] >> (k + 1)
+    total = _halving_sums(values, k)[-1]
+    if np.isfinite(total).all() or not np.isfinite(values).all():
+        return total / count
+    e = count.bit_length()
+    return _halving_sums(values * 2.0**-e, k)[-1] / count * 2.0**e
 
 
 def check_orthonormality(N: int) -> float:
@@ -359,8 +401,8 @@ def _sweep(
     Returns, in block order, each member's pathwise second moment, its
     Clark–Ocone residual (None unless ``sites``, distinct coordinates, is
     every coordinate, in ascending order), and per member and site the three
-    intertwining gaps.  Each path set is realized once per block, on the
-    reduced sets the module docstring lists, and every gap is reduced per
+    intertwining gaps.  Each path set is realized at most once per block, on
+    the reduced sets the module docstring lists, and every gap is reduced per
     row.  Callers check that ``space`` is exhaustive.
     """
     for phi in block:
@@ -391,6 +433,10 @@ def _sweep(
     # The mean part is the level -1 conditioning: one path fixes every coordinate.
     mean_part = realize([expect(phi) for phi in block], down[:1], -1, down)
     gap_mean = row_max(np.abs(mean_part - means))
+    # Level k's group means are the halving tree's sums over the top N-1-k
+    # coordinates, divided once: one tree serves every level, and its sums
+    # are ``_group_means``'s own.
+    sums = _halving_sums(values, min(sites))
     gradient_gaps, cond_gaps = [], []
     for k in sites:
         # Path m sits at [high, bit k of m, low] in these views; bit k clear is -1.
@@ -400,24 +446,28 @@ def _sweep(
         pairs = values.reshape(len(block), *down_pairs.shape)
         if rebuilt is not None:
             # Add the k-th sign times the predictable part, the gradient's
-            # mean given coordinates before k.  It is taken over a copy of
-            # the gradient on every path, so its sums run as they always did.
-            # After sites 0..k the rebuild depends only on coordinates 0..k,
-            # so it lives on their 2**(k+1) patterns in code order: the k-th
-            # sign is -1 in the lower half.  Every path takes the same
-            # additions, in site order, that it takes on all 2**N paths.
-            whole = np.broadcast_to(gradient, pairs.shape).reshape(len(block), -1)
-            predictable = _group_means(whole, k - 1)
+            # mean given coordinates before k.  The gradient repeats along
+            # coordinate k, so its group means on the half set are those on
+            # every path, bit for bit.  After sites 0..k the rebuild depends
+            # only on coordinates 0..k, so it lives on their 2**(k+1)
+            # patterns in code order: the k-th sign is -1 in the lower half.
+            # Every path takes the same additions, in site order, that it
+            # takes on all 2**N paths.
+            predictable = _group_means(gradient.reshape(len(block), -1), k - 1)
             rebuilt = np.concatenate((rebuilt - predictable, rebuilt + predictable), axis=1)
         # Value with coordinate k forced to +1 minus forced to -1, halved.
         finite_difference = 0.5 * (pairs[:, :, 1:, :] - pairs[:, :, :1, :])
         gradient_gaps.append(row_max(np.abs(finite_difference - gradient)))
-        down_low = down.reshape(-1, 1 << (k + 1))
-        cond_functional = realize(
-            [cond_expect(phi, k) for phi in block], down_low[:1], -1 << (k + 1), down_low
-        )
-        cond_functional -= _group_means(values, k)[:, None, :]
-        cond_gaps.append(row_max(np.abs(cond_functional)))
+        conditionings = [cond_expect(phi, k) for phi in block]
+        if all(psi._terms == phi._terms for psi, phi in zip(conditionings, block)):
+            # Each conditioning is its functional, whose values on the first
+            # 2**(k+1) paths are already realized.
+            cond_functional = values[:, None, : 1 << (k + 1)]
+        else:
+            down_low = down.reshape(-1, 1 << (k + 1))
+            cond_functional = realize(conditionings, down_low[:1], -1 << (k + 1), down_low)
+        above = space.horizon - 1 - k
+        cond_gaps.append(row_max(np.abs(cond_functional - sums[above][:, None, :] / (1 << above))))
     if rebuilt is None:
         clark_ocone_gaps = [None] * len(block)
     else:
@@ -526,8 +576,8 @@ def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, fl
     Returns the ``classical_clark_ocone_check`` residual, the worst
     ``check_intertwining`` gap over every site, and the ``plancherel_check``
     gap, with the same values those give.  It realizes phi on all 2**N paths,
-    its mean part on 1, and per site k its gradient on 2**(N-1) and its
-    level-k conditioning on 2**(k+1).
+    its mean part on 1, and per site k its gradient on 2**(N-1) and, unless
+    it is phi itself (always at k = N-1), its level-k conditioning on 2**(k+1).
     """
     (gaps,) = _bridge_gaps((phi,), space)
     return gaps

@@ -246,13 +246,15 @@ def _cmd_bridge(args) -> int:
     _at_least(args.horizon, 1, "--horizon")
     if args.eval is not None:
         form, unread = "with --eval", {"--k": args.k, "--trials": args.trials}
-        unread["--paths without --mode sampled"] = args.paths if args.mode != "sampled" else None
+        for option, value in (("--paths", args.paths), ("--seed", args.seed)):
+            unread[f"{option} without --mode sampled"] = value if args.mode != "sampled" else None
     else:
         form, unread = "without --eval", {"--paths": args.paths, "--csv": args.csv}
         unread["--mode sampled"] = True if args.mode == "sampled" else None
         args.trials = 200 if args.trials is None else args.trials
     if named := [option for option, value in unread.items() if value is not None]:
         raise ConfigError(f"{', '.join(named)} cannot be used {form}")
+    args.seed = 0 if args.seed is None else args.seed
     if args.eval is not None:
         if args.mode == "sampled" and (args.paths is None or args.paths < 1):
             raise ConfigError(f"--mode sampled needs --paths >= 1, got {args.paths}")
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bridge = sub.add_parser("bridge", help="pathwise oracle checks and evaluation")
     p_bridge.add_argument("--horizon", type=int, default=8)
     p_bridge.add_argument("--trials", type=int, help="functionals to check (default 200)")
-    p_bridge.add_argument("--seed", type=int, default=0)
+    p_bridge.add_argument("--seed", type=int, help="corpus or sample seed (default 0)")
     p_bridge.add_argument("--k", type=int, help="restrict to the intertwining check at this site")
     p_bridge.add_argument("--eval", help="evaluate this functional JSON on the path space")
     p_bridge.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")

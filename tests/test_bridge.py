@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,68 @@ class TestPathConditioning:
                     once = path_cond_expect(obs, min(j, k)).values
                     assert np.max(np.abs(twice - once)) <= 1e-14
 
+    @pytest.mark.parametrize("coef", [1e308, -1.7e308 + 1.7e308j])
+    def test_finite_values_summing_past_the_range_keep_their_mean(self, coef):
+        # Every path holds the constant; its group sums overflow a double.
+        obs = evaluate(F(([], coef)), build_space(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-1, 0, 1):
+                assert np.all(path_cond_expect(obs, k).values == coef)
+            assert path_expectation(obs) == coef
+
+
+def _random_rows(rng, rows, n):
+    # Complex values spread over 16 decades, so that the order of the
+    # additions shows in the rounding.
+    shape = (rows, 1 << n)
+    scale = 10.0 ** rng.uniform(-8, 8, shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+
+
+class TestHalvingTree:
+    # ``_group_means`` adds the two halves of each row from the top
+    # coordinate down, then divides once by a power of two.
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rows_repeated_along_a_coordinate_above_k_average_as_one_copy(self, n):
+        from fockcalc.bridge import _group_means
+
+        copy = _random_rows(np.random.default_rng(70 + n), 2, n - 1)
+        for c in range(n):
+            # Coordinate c of ``repeated`` is a copy of ``copy``'s coordinates
+            # 0..c-1 and c..n-2 with bit c dropped.
+            high_low = copy.reshape(2, -1, 1, 1 << c)
+            repeated = np.broadcast_to(high_low, (2, high_low.shape[1], 2, 1 << c)).reshape(2, -1)
+            for k in range(-1, c):
+                assert _group_means(repeated, k).tobytes() == _group_means(copy, k).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 13, 16])
+    def test_each_level_is_the_mean_of_the_level_above(self, n):
+        # The tree that ends at level k passes through level j > k, so
+        # conditioning on j first changes nothing, bit for bit.
+        from fockcalc.bridge import _group_means
+
+        values = _random_rows(np.random.default_rng(80 + n), 2, n)
+        for j in range(n):
+            above = _group_means(values, j)
+            for k in range(-1, j):
+                assert _group_means(above, k).tobytes() == _group_means(values, k).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 12])
+    def test_each_group_mean_is_within_n_roundings_of_the_exact_mean(self, n):
+        from fockcalc.bridge import _group_means
+
+        values = _random_rows(np.random.default_rng(90 + n), 1, n)[0]
+        eps = np.finfo(np.float64).eps
+        for k in range(-1, n):
+            groups = values.reshape(-1, 1 << (k + 1)).T
+            means = _group_means(values, k)
+            for mean, group in zip(means, groups):
+                for part in (np.real, np.imag):
+                    exact = math.fsum(part(group)) / len(group)
+                    bound = n * eps * math.fsum(np.abs(part(group))) / len(group)
+                    assert abs(part(mean) - exact) <= bound
+
 
 class TestOrthonormality:
     def test_small_horizons_exact(self):
@@ -349,20 +412,21 @@ def count_realizations(monkeypatch):
 class TestSharedSweep:
     @pytest.mark.parametrize("n, trials", [(1, 2), (5, 3), (7, 4)])
     def test_bridge_suite_realizes_each_functional_once(self, monkeypatch, n, trials):
-        # Per trial: phi and its mean part, then per site its gradient and
-        # its conditioning, each realized exactly once: phi on every path,
-        # the mean part on one, each gradient on half of them and the
-        # level-k conditioning on 2**(k+1).  The trials fit one block, so
-        # each of those is one call for all of them.
+        # Per trial: phi and its mean part, then per site its gradient and,
+        # below the top site, its conditioning, each realized exactly once:
+        # phi on every path, the mean part on one, each gradient on half of
+        # them and the level-k conditioning on 2**(k+1).  The level N-1
+        # conditioning is phi itself, read from phi's values.  The trials fit
+        # one block, so each of those is one call for all of them.
         import fockcalc.suite as suite
 
         calls = count_realizations(monkeypatch)
         report = suite.run_suite(suite.SuiteConfig(suite="bridge", trials=trials, horizon=n))
         assert report["pass"]
-        assert sum(functionals for functionals, _ in calls) == trials * (2 * n + 2)
-        per_trial = (1 << n) + 1 + n * (1 << (n - 1)) + sum(1 << (k + 1) for k in range(n))
+        assert sum(functionals for functionals, _ in calls) == trials * (2 * n + 1)
+        per_trial = (1 << n) + 1 + n * (1 << (n - 1)) + sum(1 << (k + 1) for k in range(n - 1))
         assert sum(functionals * paths for functionals, paths in calls) == trials * per_trial
-        assert [functionals for functionals, _ in calls] == [trials] * (2 * n + 2)
+        assert [functionals for functionals, _ in calls] == [trials] * (2 * n + 1)
 
     def test_single_site_command_makes_four_per_trial(self, monkeypatch, capsys):
         from fockcalc.cli import main
@@ -540,7 +604,15 @@ class TestBlocks:
         calls = count_realizations(monkeypatch)
         gaps = bridge._bridge_gaps(corpus, space)
         blocks = [step, step, 1] if n > 4 else [count]
-        assert [b for b, _ in calls] == [b for b in blocks for _ in range(2 * n + 2)]
+        # Per block: phi, its mean part and n gradients, and the conditioning
+        # at each site below the block's highest one; from there on it is
+        # phi itself, read from phi's values.
+        starts = itertools.accumulate([0, *blocks])
+        realized = [
+            n + 2 + max(phi.support_max for phi in corpus[start : start + b])
+            for start, b in zip(starts, blocks)
+        ]
+        assert [b for b, _ in calls] == [b for b, r in zip(blocks, realized) for _ in range(r)]
         assert gaps == [bridge.bridge_gaps(phi, space) for phi in corpus]
         for k in range(n):
             assert bridge._intertwining_gaps(corpus, k, space) == [

@@ -564,6 +564,8 @@ class TestBridgeCommand:
              "--trials cannot be used with --eval"),
             (["--eval", "PHI", "--paths", "10"],
              "--paths without --mode sampled cannot be used with --eval"),
+            (["--eval", "PHI", "--seed", "7"],
+             "--seed without --mode sampled cannot be used with --eval"),
             (["--trials", "3", "--mode", "sampled", "--paths", "10"],
              "--paths, --mode sampled cannot be used without --eval"),
             (["--trials", "3", "--csv", "CSV"], "--csv cannot be used without --eval"),
@@ -588,7 +590,8 @@ class TestBridgeCommand:
         assert (configs[0].horizon, configs[0].trials, configs[0].seed) == (8, 200, 0)
 
     @pytest.mark.parametrize(
-        "mode, first", [(["--mode", "exhaustive"], 1), (["--mode", "sampled", "--paths", "8"], 5)]
+        "mode, first",
+        [(["--mode", "exhaustive"], 1), (["--mode", "sampled", "--paths", "8", "--seed", "15"], 5)],
     )
     def test_eval_overflow_is_typed_and_writes_nothing(self, capsys, tmp_path, mode, first):
         # Both terms add +1e308 exactly on the paths whose coordinate 0 is +1;
@@ -599,8 +602,7 @@ class TestBridgeCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
-                capsys, "bridge", "--horizon", "2", "--eval", str(doc), "--csv", str(csv_path),
-                "--seed", "15", *mode,
+                capsys, "bridge", "--horizon", "2", "--eval", str(doc), "--csv", str(csv_path), *mode,
             )
         assert code == 2
         assert out == ""
@@ -736,6 +738,38 @@ _DOCUMENTS = st.lists(
     unique_by=lambda term: frozenset(term["set"]),
 ).map(lambda terms: {"terms": terms})
 _LEVELS = st.one_of(st.floats(0.0, 1e308), st.floats(-1e308, 0.0))
+# Sites up to 1e8, for the documents of ``apply`` and the subsets of ``lambda``.
+_FAR_SITES = st.one_of(st.integers(0, 64), st.integers(0, 10**8))
+_FAR_DOCUMENTS = st.lists(
+    st.fixed_dictionaries({
+        "set": st.lists(_FAR_SITES, max_size=6, unique=True).map(sorted),
+        "coef": st.tuples(_PART, _PART).map(list),
+    }),
+    max_size=4,
+    unique_by=lambda term: frozenset(term["set"]),
+).map(lambda terms: {"terms": terms})
+_PIPELINES = st.lists(
+    st.one_of(
+        st.just("expect"),
+        st.tuples(
+            st.sampled_from(["annihilate", "create", "condexp"]),
+            st.one_of(_FAR_SITES, st.integers(-2, -1)),
+        ).map(lambda tag: f"{tag[0]}:{tag[1]}"),
+    ),
+    min_size=1,
+    max_size=4,
+).map(",".join)
+# The levels at which the suites' ceiling (1 + support_max) ** |p| leaves the
+# double range, at the default and at the largest support_max, their
+# neighbours, and the edges of the lambda forms' ranges.
+_SUITE_LIMITS = [math.log(sys.float_info.max) / math.log(1 + s) for s in (10, 61)]
+_EDGE_LEVELS = st.one_of(
+    _LEVELS,
+    st.sampled_from(_SUITE_LIMITS).flatmap(
+        lambda p: st.sampled_from([p, math.nextafter(p, math.inf), -p, 1e4 * p])
+    ),
+    st.sampled_from([0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), 1e308]),
+)
 # Documents on the sites of horizon 4, for the exhaustive path evaluation.
 _PATH_DOCUMENTS = st.lists(
     st.fixed_dictionaries({
@@ -764,18 +798,47 @@ class TestExtremeDocuments:
             ["cov", str(first), str(second), f"--p={level!r}"],
             ["decompose", str(first), f"--q={level!r}"],
         ):
-            code, out, err = run_cli(capsys, *argv)
-            assert code in (0, 2), (argv, err)
-            if code == 0:
-                assert err == ""
+            self.assert_computes_or_fails(capsys, argv)
 
-                def non_finite(constant):
-                    raise AssertionError(f"{constant} in the output of {argv}")
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_FAR_DOCUMENTS, _PIPELINES)
+    def test_apply_computes_or_fails_with_one_error_line(self, capsys, tmp_path, doc, pipeline):
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(doc))
+        self.assert_computes_or_fails(capsys, ["apply", str(first), f"--pipeline={pipeline}"])
 
-                json.loads(out, parse_constant=non_finite)
-            else:
-                assert out == ""
-                assert err.startswith("error: ") and err.count("\n") == 1, err
+    # --n stops at 16: the sum enumerates 2**n weights, and 25 passes the cap.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(_FAR_SITES, max_size=8, unique=True).map(sorted),
+        _EDGE_LEVELS,
+        st.one_of(st.integers(0, 16), st.just(25)),
+    )
+    def test_lambda_computes_or_fails_with_one_error_line(self, capsys, subset, level, n):
+        for argv in (
+            ["lambda", json.dumps(subset)],
+            ["lambda", "--sum", f"--p={level!r}", "--n", str(n)],
+            ["lambda", "--bound", f"--p={level!r}"],
+        ):
+            self.assert_computes_or_fails(capsys, argv)
+
+    @staticmethod
+    def assert_computes_or_fails(capsys, argv):
+        # Exit 0 with a finite JSON result, or exit 2 with one error line.
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+        if code == 0:
+            assert err == ""
+
+            def non_finite(constant):
+                raise AssertionError(f"{constant} in the output of {argv}")
+
+            json.loads(out, parse_constant=non_finite)
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
