@@ -75,6 +75,7 @@ import numpy as np
 from .errors import (
     CapExceededError,
     HorizonTooLargeError,
+    NonFiniteResultError,
     RequiresExhaustiveError,
     SupportExceedsHorizonError,
 )
@@ -488,12 +489,20 @@ def _sweep(
 
 
 def _second_moments(values: np.ndarray) -> np.ndarray:
-    # The pathwise second moment of each row of ``values``.
-    return np.sum(np.abs(values) ** 2, axis=-1) / values.shape[-1]
+    # The pathwise second moment of each row of ``values``, inf where it
+    # overflows; only ``_plancherel_gap`` reads it, and raises there.
+    with np.errstate(over="ignore"):
+        return np.sum(np.abs(values) ** 2, axis=-1) / values.shape[-1]
 
 
 def _plancherel_gap(phi: FockFunctional, second_moment: float) -> float:
-    return abs(second_moment - norm_p(phi, 0.0) ** 2)
+    try:
+        gap = abs(second_moment - norm_p(phi, 0.0) ** 2)
+    except OverflowError:
+        gap = math.inf
+    if not math.isfinite(gap):
+        raise NonFiniteResultError("the second moment or the squared norm overflows a double")
+    return gap
 
 
 def _require_sweepable(space: PathSpace) -> None:
@@ -554,7 +563,10 @@ def check_intertwining(
 
 
 def plancherel_check(phi: FockFunctional, space: PathSpace) -> float:
-    """Gap between the pathwise second moment and the squared level-0 norm."""
+    """Gap between the pathwise second moment and the squared level-0 norm.
+
+    Raises NonFiniteResultError where either overflows a double.
+    """
     return _plancherel_gap(phi, float(_second_moments(evaluate(phi, space).values)))
 
 

@@ -10,9 +10,10 @@ equivalent pipelines produce that term:
 Both are pure coefficient selections, so for finitely supported functionals
 the series terminates exactly at the largest support index and the identity
 holds with zero residual.  ``decompose`` reports the partial-sum residuals
-across a grid of dual levels; ``reconstruct_check`` measures the stochastic
-integral form and the agreement between the two pipelines, its integrand
-route read from the predictable sequence it integrates.
+across a grid of dual levels; ``reconstruct_check`` compares the stochastic
+integral form and the two pipelines term by term, taking a norm only where
+terms differ, its integrand route read from the predictable sequence it
+integrates.
 ``verify_convergence_window`` walks the partial sums once, scoring a probe
 only when a site term changes it.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import PredictabilityViolatedError
-from .functional import ZERO, FockFunctional, linear_combine, norm_dual, sum_functionals
+from .functional import ZERO, FockFunctional, _residual, linear_combine, norm_dual, sum_functionals
 from .operators import annihilate, cond_expect, create, expect
 
 DEFAULT_Q_PROBE = (0.0, 1.0, 2.0)
@@ -224,20 +225,18 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
 
 
 def reconstruct_check(phi: FockFunctional) -> float:
-    """Max residual over both decomposition routes, at dual level 0.
+    """Max gap over both decomposition routes.
 
-    Measures (a) phi minus mean minus the integral of its predictable
-    sequence, and (b) the per-site gap between the truncate-after-recombine
-    and integrate-the-predictable pipelines.  Both vanish in exact
-    arithmetic; the returned value is the larger of the two measured norms.
+    Compares (a) phi minus its mean with the integral of its predictable
+    sequence, and (b) per site the truncate-after-recombine and
+    integrate-the-predictable pipelines.  Each pair holds the same terms, so
+    each gap is 0.0; where terms differ it is the level-0 dual norm of the
+    difference (``functional._residual``).  Returns the larger of the two.
     """
     u = predictable_sequence(phi)
-    residual = norm_dual(linear_combine(1.0, _centered(phi), -1.0, integrate(u)), 0.0)
+    residual = _residual(_centered(phi), integrate(u))
     form_gap = 0.0
     for k in phi.sites():
-        via_truncation = co_term(phi, k)
         # u_k is cond_expect(annihilate(phi, k), k - 1); a zero one is not stored.
-        via_integrand = create(u.terms.get(k, ZERO), k)
-        gap = norm_dual(linear_combine(1.0, via_truncation, -1.0, via_integrand), 0.0)
-        form_gap = max(form_gap, gap)
+        form_gap = max(form_gap, _residual(co_term(phi, k), create(u.terms.get(k, ZERO), k)))
     return max(residual, form_gap)

@@ -25,6 +25,12 @@ covariance sum: the plain double formula wherever every bit survives (a
 norm's sum of squares is a normal finite double; every pairing term's
 magnitude is, and so is their sum), else one scaled sum of the terms kept
 as mantissa times power of two, joined with ``ldexp`` at the end.
+
+Gap rule, fixed here once for the exact identities (operator relations and
+the Clark-Ocone decomposition, whose sides select the same coefficients):
+``_residual`` is 0.0 where both sides hold the same terms, else the level-0
+dual norm of their difference.  Zeros are dropped on construction and no
+coefficient is infinite or NaN, so equal terms are an empty difference.
 """
 
 from __future__ import annotations
@@ -129,16 +135,22 @@ class FockFunctional:
         return f"FockFunctional({{{parts}}})"
 
 
-def _finite(sigma: SubsetIndex, coef: complex) -> complex:
+def _finite(sigma: SubsetIndex, coef: complex, error: type = NonFiniteCoefficientError) -> complex:
     value = complex(coef)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NonFiniteCoefficientError(
+        raise error(
             f"coefficient of subset {list(sigma.elements)} is not finite: {value}"
         )
     return value
 
 
 def _nonzero(terms: Dict[int, complex]) -> FockFunctional:
+    # An infinite or NaN coefficient shows in the total, which finite ones
+    # leave finite unless their sum overflows.
+    total = sum(terms.values(), 0j)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        for m, c in terms.items():
+            _finite(SubsetIndex.from_mask(m), c, NonFiniteResultError)
     return FockFunctional._of_masks({m: c for m, c in terms.items() if c != 0})
 
 
@@ -167,7 +179,9 @@ ZERO = FockFunctional._of_masks({})
 def linear_combine(
     a: complex, phi: FockFunctional, b: complex, psi: FockFunctional
 ) -> FockFunctional:
-    """Coefficient-wise a*phi + b*psi; exact cancellations drop the key."""
+    """Coefficient-wise a*phi + b*psi; exact cancellations drop the key, and a
+    coefficient that is not finite raises NonFiniteResultError naming its subset.
+    """
     out = {m: a * c for m, c in phi._terms.items()}
     for m, c in psi._terms.items():
         out[m] = out.get(m, 0j) + b * c
@@ -175,7 +189,7 @@ def linear_combine(
 
 
 def sum_functionals(phis: Iterable[FockFunctional]) -> FockFunctional:
-    """Coefficient-wise sum, accumulated in the given order."""
+    """Coefficient-wise sum, accumulated in the given order; raises as ``linear_combine``."""
     out: Dict[int, complex] = {}
     for phi in phis:
         for m, c in phi._terms.items():
@@ -205,27 +219,43 @@ def _weight_power(m: int, exponent: float) -> Tuple[float, int]:
     return 2.0 ** (w_log - w_exp), w_exp
 
 
+def _leading_run(split: List[Tuple[int, int]]) -> Tuple[int, int, List[Tuple[int, int]]]:
+    # (total, low, rest): total * 2**low is the exact sum of the (order, n)
+    # parts, n * 2**(order - 53) in falling order, up to the first part more
+    # than _SUM_SPAN bits below a nonzero running sum; rest holds the others.
+    total = low = 0
+    for i, (order, n) in enumerate(split):
+        if not total:
+            total, low = n, order - 53
+        elif order >= total.bit_length() + low - _SUM_SPAN:
+            total, low = (total << (low - order + 53)) + n, order - 53
+        else:
+            return total, low, split[i:]
+    return total, low, []
+
+
 def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
     # (s, shift) with s * 2**shift the sum of mant * 2**e, rounded once.  Each
     # part is an integer times a power of two; they are summed exactly, largest
     # first, and s is the sum scaled by its own binary order to about 2**960,
     # so it keeps every bit however far the parts cancel.  Parts more than
-    # _SUM_SPAN bits below a nonzero running sum are left out: together they
-    # move it by less than 2**-4000 of itself.  That bounds the integers.
+    # _SUM_SPAN bits below a nonzero running sum together move it by less than
+    # 2**-4000 of itself, so only their sign is kept.  That bounds the integers.
     split = []
     for mant, e in parts:
         f, x = math.frexp(mant)
         if f:
             split.append((e + x, int(math.ldexp(f, 53))))
     split.sort(reverse=True)
-    total = low = 0  # the running sum is total * 2**low
-    for order, n in split:
-        if not total:
-            total, low = n, order - 53
-        elif order >= total.bit_length() + low - _SUM_SPAN:
-            total, low = (total << (low - order + 53)) + n, order - 53
-        else:
-            break
+    total, low, rest = _leading_run(split)
+    if rest:
+        # The parts left out lie far below the rounding position, so it reads
+        # there only the sign of the sum less its nearest multiple of 2**d
+        # plus those parts: a sticky bit two places below that multiple.
+        d = max(total.bit_length() - 64, 0)
+        high = (total + (1 << d >> 1)) >> d
+        below, _, _ = _leading_run([(low + 53, total - (high << d))] + rest)
+        total, low = 4 * high + (below > 0) - (below < 0), low + d - 2
     if not total:
         return 0.0, 0
     k = 960 - total.bit_length()
@@ -340,6 +370,13 @@ def norm_p(xi: FockFunctional, p: float) -> float:
 def norm_dual(phi: FockFunctional, p: float) -> float:
     """Dual-chain norm sqrt(sum(weight**(-2p) * |coef|**2)), ranged as ``norm_p``."""
     return _weighted_norm(phi, -p)
+
+
+def _residual(a: FockFunctional, b: FockFunctional) -> float:
+    # The gap of the exact identity a == b, as the module docstring states.
+    if a._terms == b._terms:
+        return 0.0
+    return norm_dual(linear_combine(1.0, a, -1.0, b), 0.0)
 
 
 def inner_dual(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:

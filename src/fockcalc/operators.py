@@ -14,7 +14,9 @@ values, so they compose freely:
 Composing create after annihilate at the same site keeps the terms containing
 that site; the opposite order keeps the terms missing it.  Their sum is the
 identity (the equal-time anti-commutation relation), which ``verify_car``
-measures as a residual norm.
+checks.  ``verify_car`` and ``verify_commutation`` compare the two sides of
+an identity term by term and take the level-0 dual norm of their difference
+only where the terms differ (``functional._residual``).
 
 ``verify_norm_bounds`` is a one-site, one-level call of a grid form over
 sites and dual levels.  The work that does not depend on the level (the
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadTagError, NegativeIndexError
-from .functional import FockFunctional, linear_combine, norm_dual, norm_parts
+from .functional import FockFunctional, _residual, linear_combine, norm_parts
 
 #: Relative slack each norm inequality of ``verify_norm_bounds`` allows.
 NORM_BOUND_SLACK = 1e-12
@@ -72,16 +74,16 @@ def expect(phi: FockFunctional) -> FockFunctional:
 
 
 def verify_car(phi: FockFunctional, k: int) -> float:
-    """Residual norm of (create∘annihilate + annihilate∘create - id) at site k.
+    """Gap of create∘annihilate + annihilate∘create = id at site k.
 
-    Exactly zero in exact arithmetic for every functional; returns the
-    measured dual norm at level 0 so callers can compare against a scaled
-    tolerance.
+    Both sides hold the same terms for every functional, so the gap is 0.0;
+    where they differ it is the level-0 dual norm of their difference, for
+    callers to compare against a scaled tolerance.
     """
     recombined = linear_combine(
         1.0, create(annihilate(phi, k), k), 1.0, annihilate(create(phi, k), k)
     )
-    return norm_dual(linear_combine(1.0, recombined, -1.0, phi), 0.0)
+    return _residual(recombined, phi)
 
 
 @dataclass(frozen=True)
@@ -157,20 +159,15 @@ def _norm_ratio(image: FockFunctional, p: float, base: tuple[float, int]) -> flo
 
 
 def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:
-    """Residual norms of the two conditioning/shift exchange identities.
+    """Gaps of the two conditioning/shift exchange identities, as ``verify_car``'s.
 
     First: conditioning at k commutes with creation at k.  Second:
     conditioning at k after annihilation at k equals conditioning at k-1
-    (level -1 meaning the plain mean).  Both vanish in exact arithmetic.
+    (level -1 meaning the plain mean).  Both sides of each hold the same terms.
     """
-    lhs1 = cond_expect(create(phi, k), k)
-    rhs1 = create(cond_expect(phi, k), k)
-    gap1 = norm_dual(linear_combine(1.0, lhs1, -1.0, rhs1), 0.0)
-
-    lhs2 = cond_expect(annihilate(phi, k), k)
-    rhs2 = cond_expect(annihilate(phi, k), k - 1)
-    gap2 = norm_dual(linear_combine(1.0, lhs2, -1.0, rhs2), 0.0)
-    return gap1, gap2
+    gap1 = _residual(cond_expect(create(phi, k), k), create(cond_expect(phi, k), k))
+    gradient = annihilate(phi, k)
+    return gap1, _residual(cond_expect(gradient, k), cond_expect(gradient, k - 1))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from .covariance import _cov_identities, _var_bounds, var_bound, var_p
 from .errors import ConfigError
 from .functional import (
     FockFunctional,
+    _residual,
     basis_element,
-    linear_combine,
     make_functional,
     norm_dual,
     norm_p,
@@ -184,10 +184,7 @@ def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
     top = reconstruct_check(phi) / scale
     report = decompose(phi, tuple(float(q) for q in cfg.p_grid))
     # The reconstruction must reproduce phi coefficient for coefficient.
-    top = max(
-        top,
-        norm_dual(linear_combine(1.0, report.reconstruction(), -1.0, phi), 0.0) / scale,
-    )
+    top = max(top, _residual(report.reconstruction(), phi) / scale)
     # The residuals must not grow with n and must end at zero.  The n of one
     # stored run share its row, so only the steps between runs can grow.
     rows = [row for _, row in report.residual_norms.runs()]

@@ -2,10 +2,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fockcalc import random_functionals
 
 ACCEPTANCE_SEED = 20260811
+
+# Hypothesis's "ci" profile (loaded where the CI variable is set) replays the
+# same examples on every run; this one draws new ones, still with no deadline,
+# and prints the blob that replays a failure: pytest --hypothesis-profile=ci-explore
+settings.register_profile("ci-explore", parent=settings.get_profile("ci"), derandomize=False)
 
 
 @pytest.fixture(scope="session")

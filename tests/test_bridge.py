@@ -20,6 +20,7 @@ from fockcalc import (
     CapExceededError,
     FockFunctional,
     HorizonTooLargeError,
+    NonFiniteResultError,
     PathSpace,
     RequiresExhaustiveError,
     SubsetIndex,
@@ -752,6 +753,26 @@ class TestPlancherel:
         for phi in random_functionals(20, seed=56, support_max=6, max_terms=14):
             gap = plancherel_check(phi, space)
             assert gap <= 1e-12 * (1 + norm_p(phi, 0.0) ** 2)
+
+
+class TestLargeFiniteFunctionals:
+    """Values near 1e160 are finite, and so are their gaps; their squares are not."""
+
+    PHI = F(([], 1e160), ([1], 1e160))
+
+    def test_checks_that_read_no_second_moment_warn_of_none(self):
+        space = build_space(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classical_clark_ocone_check(self.PHI, space) == 0.0
+            for k in range(2):
+                assert check_intertwining(self.PHI, k, space) == (0.0, 0.0, 0.0)
+
+    def test_plancherel_raises_a_typed_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="second moment"):
+                plancherel_check(self.PHI, build_space(2))
 
 
 class TestMonteCarlo:

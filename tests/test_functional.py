@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockcalc import (
     DuplicateKeyError,
@@ -31,8 +31,9 @@ from fockcalc import (
     norm_dual,
     norm_p,
     random_functionals,
+    sum_functionals,
 )
-from fockcalc.functional import _scaled_sum
+from fockcalc.functional import _residual, _scaled_sum
 
 E = SubsetIndex([])
 S02 = SubsetIndex([0, 2])
@@ -101,6 +102,46 @@ class TestLinearCombine:
     def test_disjoint_supports(self):
         got = linear_combine(1, F(([0], 1)), 1, F(([1], 1)))
         assert got == F(([0], 1), ([1], 1))
+
+    def test_overflowing_coefficient_is_refused(self):
+        # Every public builder refuses an infinite coefficient, so the sums do
+        # too, naming the subset, where finite coefficients add past the range.
+        big = F(([], 1.0), ([0], 1e308))
+        with pytest.raises(NonFiniteResultError, match=r"subset \[0\]"):
+            linear_combine(2.0, big, 1.0, ZERO)
+        with pytest.raises(NonFiniteResultError, match=r"subset \[0\]"):
+            sum_functionals([big, big])
+        with pytest.raises(NonFiniteResultError, match=r"subset \[1\]"):
+            linear_combine(1.0, F(([1], 1e308j)), 1.0, F(([1], 1e308j)))
+
+    def test_finite_coefficients_past_the_range_together_are_kept(self):
+        # Each coefficient is finite although their total is not.
+        phi = F(([0], 1e308), ([1], 1e308), ([2], -1e308j))
+        assert linear_combine(1.0, phi, 0.5, phi) == F(
+            ([0], 1.5e308), ([1], 1.5e308), ([2], -1.5e308j)
+        )
+        assert sum_functionals([phi, ZERO]) == phi
+
+
+class TestResidual:
+    """The gap of an exact identity: 0.0 on equal terms, else the norm of the difference."""
+
+    def test_equal_terms_give_zero(self):
+        phi = F(([], 1.5), ([0, 2], 3 - 1j))
+        assert _residual(phi, F(([0, 2], 3 - 1j), ([], 1.5))) == 0.0
+        assert _residual(ZERO, ZERO) == 0.0
+
+    @pytest.mark.parametrize("other", [
+        F(([], 1.5), ([0, 2], 3 - 1j)),
+        F(([], 1.5)),
+        F(([], 1.5), ([0, 2], 3 - 1j), ([7], 1e-300)),
+        F(([], math.nextafter(1.5, 2.0)), ([0, 2], 3 - 1j)),
+    ])
+    def test_unequal_terms_give_the_norm_of_the_difference(self, other):
+        phi = F(([], 1.5), ([0, 2], complex(3, math.nextafter(-1.0, 0.0))))
+        gap = _residual(phi, other)
+        assert gap == norm_dual(linear_combine(1.0, phi, -1.0, other), 0.0)
+        assert gap > 0.0
 
 
 class TestInnerProductsAndNorms:
@@ -396,6 +437,9 @@ class TestScaledSum:
         ),
         st.integers(0, 8),
     )
+    # The parts far below the others break the tie the rest of the sum makes.
+    @example([(1.0, -3000), (1.9, 1095), (1.9, 1095), (1.9, 1095)], 0)
+    @example([(-1.0, -3000), (-1.9, 1095), (-1.9, 1095), (-1.9, 1095)], 0)
     def test_rounds_the_exact_sum_once(self, parts, cancelled):
         # Negated copies of the first parts cancel them exactly, so the rest of
         # the sum can lie any distance below the largest part.
