@@ -17,13 +17,15 @@ reads every term from one popcount parity.  Terms are added in ascending
 mask order, and every reduction over paths runs in a fixed order, so results
 are bit-stable for a given functional and space.
 
-Conditioning on coordinates 0..k is a halving tree (``_group_means``): the
+Conditioning on coordinates 0..k is a halving tree (``_halving_sums``): the
 two halves of a row of path values are added, from the top coordinate down
 to coordinate k + 1, and the sums divided once by a power of two.  Values
 that repeat along a coordinate above k thus add as 2a there, exactly, and
 average bit for bit as one copy, and the tree that ends at level k passes
 through every level above it.  Overall means and second moments are
-``np.sum`` over the paths, divided by their count.
+``_path_means``: ``np.sum`` over the paths, divided by their count.  Where
+finite values sum past the double range, both sum them times 2**-e instead,
+2**e above the count, and scale back.
 
 From 2**10 paths per functional on (``_TABLE_PATHS``), the realization
 kernel reads the first t terms, t at most log2 of the path count, from a
@@ -292,18 +294,23 @@ def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
 def path_expectation(obs: PathObservable) -> complex:
     """Mean over the equally weighted paths; exact on exhaustive spaces.
 
-    The mean is the path sum divided by the path count, so the division is
-    exact where 1/M is not representable.  Where finite values sum past the
-    double range, the sum is taken of the values times 2**-e, with 2**e above
-    the path count, and its mean scaled back: a mean of finite values is finite.
+    The mean is the path sum divided by the path count (``_path_means``),
+    so the division is exact where 1/M is not representable, and a mean of
+    finite values is finite.
     """
-    values, m = obs.values, obs.space.num_paths
+    return complex(_path_means(obs.values))
+
+
+def _path_means(values: np.ndarray) -> np.ndarray:
+    # Each row's (last axis) sum over its paths divided by their count,
+    # rescued as the module docstring states.
+    count = values.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(values)
-    if np.isfinite(total) or not np.isfinite(values).all():
-        return complex(total / m)
-    e = m.bit_length()
-    return complex(np.sum(values * 2.0**-e) / m * 2.0**e)
+        total = np.sum(values, axis=-1)
+    if np.isfinite(total).all() or not np.isfinite(values).all():
+        return total / count
+    e = count.bit_length()
+    return np.sum(values * 2.0**-e, axis=-1) / count * 2.0**e
 
 
 def _require_exhaustive(space: PathSpace) -> None:
@@ -330,12 +337,13 @@ def path_cond_expect(obs: PathObservable, k: int) -> PathObservable:
     return PathObservable(values=np.tile(means, space.num_paths // means.shape[0]), space=space)
 
 
-def _halving_sums(values: np.ndarray, k: int) -> list[np.ndarray]:
-    """The halving tree of each row (last axis) of ``values``, down to level ``k``.
+def _halving_sums(values: np.ndarray, k: int) -> tuple[list[np.ndarray], float]:
+    """The halving tree of each row (last axis) of ``values`` to level ``k``, and its scale.
 
-    Entry j adds the two halves of entry j - 1, so it sums each row over its
-    top j coordinates; the last entry has 2**(k+1) columns.  A sum that is not
-    finite leaves every sum built from it so, so the last entry shows any.
+    Entry j sums each row over its top j coordinates, of the values over the
+    scale; the last entry has 2**(k+1) columns.  The scale is 1.0 unless that
+    entry holds a sum of finite values past the range (a sum that is not
+    finite leaves every sum built from it so), and then 2**e above its count.
     """
     sums = [values]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +351,16 @@ def _halving_sums(values: np.ndarray, k: int) -> list[np.ndarray]:
             top = sums[-1]
             half = top.shape[-1] // 2
             sums.append(top[..., :half] + top[..., half:])
-    return sums
+    if np.isfinite(sums[-1]).all() or not np.isfinite(values).all():
+        return sums, 1.0
+    # A group adds fewer than 2**e values over 2**e, so no scaled sum overflows.
+    scale = 2.0 ** (values.shape[-1] >> (k + 1)).bit_length()
+    return _halving_sums(values / scale, k)[0], scale
+
+
+def _tree_means(sums: list[np.ndarray], scale: float, j: int) -> np.ndarray:
+    # Entry j's group means: its sums over the paths each adds, scaled back.
+    return sums[j] / (sums[0].shape[-1] // sums[j].shape[-1] / scale)
 
 
 def _group_means(values: np.ndarray, k: int) -> np.ndarray:
@@ -356,16 +373,9 @@ def _group_means(values: np.ndarray, k: int) -> np.ndarray:
     divides once by the power of two summed.  A coordinate whose two halves
     are equal adds as 2a, exactly, so rows repeated along any coordinate
     above k give the means of one copy, bit for bit.  k = -1 gives each row's
-    one overall mean.  Where finite values sum past the double range, the
-    tree is taken of the values times 2**-e, with 2**e above the count, and
-    scaled back, as in ``path_expectation``.
+    one overall mean.  A mean of finite values is finite.
     """
-    count = values.shape[-1] >> (k + 1)
-    total = _halving_sums(values, k)[-1]
-    if np.isfinite(total).all() or not np.isfinite(values).all():
-        return total / count
-    e = count.bit_length()
-    return _halving_sums(values * 2.0**-e, k)[-1] / count * 2.0**e
+    return _tree_means(*_halving_sums(values, k), -1)
 
 
 def check_orthonormality(N: int) -> float:
@@ -414,7 +424,7 @@ def _sweep(
     block = [block[b] for b in order]
     down = ~space.codes
     values = _realize(block, down)
-    means = np.sum(values, axis=1, keepdims=True) / space.num_paths
+    means = _path_means(values)[:, None]
 
     def realize(outputs: list[FockFunctional], reduced: np.ndarray, fixed: int, full: np.ndarray):
         # ``reduced`` holds every pattern of the coordinates outside the mask
@@ -435,9 +445,9 @@ def _sweep(
     mean_part = realize([expect(phi) for phi in block], down[:1], -1, down)
     gap_mean = row_max(np.abs(mean_part - means))
     # Level k's group means are the halving tree's sums over the top N-1-k
-    # coordinates, divided once: one tree serves every level, and its sums
+    # coordinates, divided once: one tree serves every level, and its means
     # are ``_group_means``'s own.
-    sums = _halving_sums(values, min(sites))
+    tree = _halving_sums(values, min(sites))
     gradient_gaps, cond_gaps = [], []
     for k in sites:
         # Path m sits at [high, bit k of m, low] in these views; bit k clear is -1.
@@ -467,8 +477,8 @@ def _sweep(
         else:
             down_low = down.reshape(-1, 1 << (k + 1))
             cond_functional = realize(conditionings, down_low[:1], -1 << (k + 1), down_low)
-        above = space.horizon - 1 - k
-        cond_gaps.append(row_max(np.abs(cond_functional - sums[above][:, None, :] / (1 << above))))
+        group_means = _tree_means(*tree, space.horizon - 1 - k)
+        cond_gaps.append(row_max(np.abs(cond_functional - group_means[:, None, :])))
     if rebuilt is None:
         clark_ocone_gaps = [None] * len(block)
     else:
@@ -489,10 +499,10 @@ def _sweep(
 
 
 def _second_moments(values: np.ndarray) -> np.ndarray:
-    # The pathwise second moment of each row of ``values``, inf where it
+    # The ``_path_means`` of each row's |values|**2, inf where a square
     # overflows; only ``_plancherel_gap`` reads it, and raises there.
     with np.errstate(over="ignore"):
-        return np.sum(np.abs(values) ** 2, axis=-1) / values.shape[-1]
+        return _path_means(np.abs(values) ** 2)
 
 
 def _plancherel_gap(phi: FockFunctional, second_moment: float) -> float:

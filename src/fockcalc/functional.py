@@ -23,8 +23,8 @@ Pairing conventions, fixed here once for the whole package:
 Range rule, fixed here once for the norms, the pairings and the per-site
 covariance sum: the plain double formula wherever every bit survives (a
 norm's sum of squares is a normal finite double; every pairing term's
-magnitude is, and so is their sum), else one scaled sum of the terms kept
-as mantissa times power of two, joined with ``ldexp`` at the end.
+magnitude is, and so is their sum), else one exact sum of the terms kept
+as mantissa times power of two, rounded once at the end.
 
 Gap rule, fixed here once for the exact identities (operator relations and
 the Clark-Ocone decomposition, whose sides select the same coefficients):
@@ -234,13 +234,13 @@ def _leading_run(split: List[Tuple[int, int]]) -> Tuple[int, int, List[Tuple[int
     return total, low, []
 
 
-def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
-    # (s, shift) with s * 2**shift the sum of mant * 2**e, rounded once.  Each
-    # part is an integer times a power of two; they are summed exactly, largest
-    # first, and s is the sum scaled by its own binary order to about 2**960,
-    # so it keeps every bit however far the parts cancel.  Parts more than
-    # _SUM_SPAN bits below a nonzero running sum together move it by less than
-    # 2**-4000 of itself, so only their sign is kept.  That bounds the integers.
+def _exact_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[int, int]:
+    # (total, low) with total * 2**low the sum of mant * 2**e, unrounded.
+    # Each part is an integer times a power of two; they are summed exactly,
+    # largest first.  Parts more than _SUM_SPAN bits below a nonzero running
+    # sum together move it by less than 2**-4000 of itself, so only their sign
+    # is kept, as a sticky bit that rounds as they would.  That bounds the
+    # integers.
     split = []
     for mant, e in parts:
         f, x = math.frexp(mant)
@@ -256,19 +256,35 @@ def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
         high = (total + (1 << d >> 1)) >> d
         below, _, _ = _leading_run([(low + 53, total - (high << d))] + rest)
         total, low = 4 * high + (below > 0) - (below < 0), low + d - 2
-    if not total:
-        return 0.0, 0
+    return total, low
+
+
+def _rounded(total: int, low: int) -> float:
+    # total * 2**low rounded once: int true division rounds correctly,
+    # subnormals included, and raises OverflowError past the double range.
+    # A shift past 1100 bits moves no result, which then overflows or lies
+    # below 2**-1100, so it is capped.
+    if low >= 0:
+        return float(total << min(low, 1100))
+    return total / (1 << min(-low, total.bit_length() + 1100))
+
+
+def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
+    # (s, shift) with s * 2**shift the sum of mant * 2**e, rounded once, and
+    # s scaled by the sum's own binary order to about 2**960, so it keeps
+    # every bit however far the parts cancel; ``norm_parts`` takes its root.
+    total, low = _exact_sum(parts)
     k = 960 - total.bit_length()
-    return (float(total << k) if k >= 0 else total / (1 << -k)), low - k
+    return (_rounded(total, k), low - k) if total else (0.0, 0)
 
 
 def _join(parts: Sequence[Tuple[complex, int]]) -> complex:
-    # The sum of mant * 2**e, one scaled sum per component, as a complex;
-    # raises NonFiniteResultError where it lies beyond the double range.
+    # The sum of mant * 2**e, one exact sum per component rounded once, as a
+    # complex; raises NonFiniteResultError where it lies beyond the double range.
     try:
         return complex(
-            math.ldexp(*_scaled_sum([(z.real, e) for z, e in parts])),
-            math.ldexp(*_scaled_sum([(z.imag, e) for z, e in parts])),
+            _rounded(*_exact_sum([(z.real, e) for z, e in parts])),
+            _rounded(*_exact_sum([(z.imag, e) for z, e in parts])),
         )
     except OverflowError:
         raise NonFiniteResultError("a sum overflows a double") from None

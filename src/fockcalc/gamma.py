@@ -43,6 +43,10 @@ SERIES_CUTOFF = 10**6
 #: Distinct masks whose weights ``mask_weight`` keeps memoised.
 WEIGHT_CACHE_SIZE = 1 << 14
 
+#: Largest site a parsed subset or operator tag may name: a subset is a mask
+#: with one bit per site, so a site costs its index over 8 in bytes.
+_MAX_SITE = 1 << 27
+
 
 class SubsetIndex:
     """An immutable finite subset of the nonnegative integers.

@@ -30,8 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadTagError, NegativeIndexError
+from .errors import BadTagError, CapExceededError, NegativeIndexError
 from .functional import FockFunctional, _residual, linear_combine, norm_parts
+from .gamma import _MAX_SITE
 
 #: Relative slack each norm inequality of ``verify_norm_bounds`` allows.
 NORM_BOUND_SLACK = 1e-12
@@ -203,8 +204,9 @@ class OperatorTag:
 def parse_pipeline(text: str) -> list[OperatorTag]:
     """Parse a comma-separated pipeline like ``annihilate:2,create:2,expect``.
 
-    Tags apply left to right.  Raises BadTagError on malformed tags and
-    NegativeIndexError on negative shift sites.
+    Tags apply left to right.  Raises BadTagError on malformed tags,
+    NegativeIndexError on negative shift sites and CapExceededError on sites
+    past the site cap.
     """
     tags = []
     for raw in text.split(","):
@@ -223,6 +225,8 @@ def parse_pipeline(text: str) -> list[OperatorTag]:
             site = int(arg)
         except ValueError:
             raise BadTagError(f"bad site {arg!r} in {part!r}") from None
+        if site > _MAX_SITE:
+            raise CapExceededError(f"{name}: site {site} exceeds the site cap {_MAX_SITE}")
         tags.append(OperatorTag(name, site))
     return tags
 

@@ -24,9 +24,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .clark_ocone import DecompositionReport, ResidualTable
 from .covariance import CovarianceReport, SiteTable
-from .errors import NegativeIndexError, NonFiniteResultError, SchemaError
+from .errors import CapExceededError, NegativeIndexError, NonFiniteResultError, SchemaError
 from .functional import FockFunctional, GrowthEnvelope, make_functional
-from .gamma import SubsetIndex
+from .gamma import _MAX_SITE, SubsetIndex
 
 
 def _number(value: Any, where: str) -> float:
@@ -50,6 +50,8 @@ def parse_subset(raw: Any, where: str = "subset") -> SubsetIndex:
             raise SchemaError(f"{where}[{i}]: expected an integer, got {entry!r}")
         if entry < 0:
             raise NegativeIndexError(f"{where}[{i}]: negative index {entry}")
+        if entry > _MAX_SITE:
+            raise CapExceededError(f"{where}[{i}]: site {entry} exceeds the site cap {_MAX_SITE}")
         elements.append(entry)
     for i in range(1, len(elements)):
         if elements[i] <= elements[i - 1]:

@@ -775,6 +775,49 @@ class TestLargeFiniteFunctionals:
                 plancherel_check(self.PHI, build_space(2))
 
 
+class TestFiniteValuesPastTheRange:
+    """Finite values whose path sums leave the double range keep finite means."""
+
+    def test_constant_passes_every_check(self):
+        # Its sum over 2 or more paths overflows; its means are the constant.
+        phi, space = F(([], 1e308)), build_space(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classical_clark_ocone_check(phi, space) == 0.0
+            for k in range(3):
+                assert check_intertwining(phi, k, space) == (0.0, 0.0, 0.0)
+
+    def test_second_moment_that_fits_is_read(self):
+        # Squares up to 2.5e307 sum past the range over 2**14 paths; their
+        # mean, 5e306, is the squared norm.
+        phi = F(*[(s, 1e153) for s in ([], [0], [1], [2], [3])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert plancherel_check(phi, build_space(14)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 12])
+    def test_each_level_the_sweep_reads_is_the_group_mean(self, n):
+        from fockcalc.bridge import _group_means, _halving_sums, _path_means, _tree_means
+
+        # Any two values may or may not sum past the range, so some levels
+        # of a tree overflow and others do not.
+        parts = np.random.default_rng(60 + n).uniform(-1.0, 1.0, (2, 3, 1 << n))
+        values = 1.7e308 * (parts[0] + 1j * parts[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for low in range(-1, n):
+                tree = _halving_sums(values, low)
+                for k in range(low, n):
+                    level = _tree_means(*tree, n - 1 - k)
+                    assert np.isfinite(level).all()
+                    assert level.tobytes() == _group_means(values, k).tobytes()
+            means = _path_means(values)
+        for row, mean in zip(values, means):
+            for part in (np.real, np.imag):
+                exact = math.fsum(part(row) / len(row))
+                assert abs(part(mean) - exact) <= n * 1.7e308 * np.finfo(float).eps
+
+
 class TestMonteCarlo:
     def test_constant_is_exact(self):
         space = build_space(4, "sampled", M=500, seed=3)

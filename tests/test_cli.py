@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fockcalc
 from fockcalc.cli import build_parser, main
+from fockcalc.gamma import _MAX_SITE
 
 PHI_JSON = '{"terms":[{"set":[],"coef":[2,0]},{"set":[0,2],"coef":[3,0]}]}'
 
@@ -608,6 +609,40 @@ class TestBridgeCommand:
         assert out == ""
         assert err == f"error: the realized value at path index {first} is not a finite number\n"
         assert not csv_path.exists()
+
+
+class TestSiteCap:
+    """A site past the cap is refused where it is parsed, before any mask is built."""
+
+    @pytest.mark.parametrize("tag", ["create", "annihilate", "condexp"])
+    @pytest.mark.parametrize("excess", [1, 10**21])
+    def test_pipeline_site(self, capsys, phi_file, tag, excess):
+        site = _MAX_SITE + excess
+        code, out, err = run_cli(capsys, "apply", phi_file, "--pipeline", f"expect,{tag}:{site}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {tag}: site {site} exceeds the site cap {_MAX_SITE}\n"
+
+    def test_document_site(self, capsys, tmp_path):
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"terms": [{"set": [0, _MAX_SITE + 1], "coef": [1, 0]}]}))
+        code, out, err = run_cli(capsys, "norm", str(far))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: terms[0].set[1]: site {_MAX_SITE + 1} exceeds the site cap {_MAX_SITE}\n"
+        )
+
+    def test_lambda_subset_site(self, capsys):
+        code, out, err = run_cli(capsys, "lambda", f"[{_MAX_SITE + 1}]")
+        assert (code, out) == (2, "")
+        assert err == f"error: subset[0]: site {_MAX_SITE + 1} exceeds the site cap {_MAX_SITE}\n"
+
+    def test_the_cap_itself_parses(self):
+        from fockcalc.operators import parse_pipeline
+        from fockcalc.serialization import parse_subset
+
+        assert _MAX_SITE > 10**8
+        assert [tag.site for tag in parse_pipeline(f"create:{_MAX_SITE}")] == [_MAX_SITE]
+        assert parse_subset([_MAX_SITE]).elements == (_MAX_SITE,)
 
 
 class TestExitCodes:

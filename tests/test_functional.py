@@ -33,7 +33,7 @@ from fockcalc import (
     random_functionals,
     sum_functionals,
 )
-from fockcalc.functional import _residual, _scaled_sum
+from fockcalc.functional import _join, _residual, _scaled_sum
 
 E = SubsetIndex([])
 S02 = SubsetIndex([0, 2])
@@ -454,3 +454,35 @@ class TestScaledSum:
         assert math.ldexp(*_scaled_sum([(1.0, 10**300), (-1.0, 10**300), (0.75, -5)])) == 0.75 / 32
         s, shift = _scaled_sum([(0.5, 10**300), (0.75, -5)])
         assert (s, shift) == (2.0 ** 959, 10**300 - 960)
+
+
+class TestJoinBelowTheNormalRange:
+    """A pairing's scaled parts, summed into the subnormal range, round once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**53), 2**53), st.integers(-(2**53), 2**53),
+                # Parts up to 2**-1027, and parts far below those.
+                st.one_of(st.integers(-1200, -1080), st.integers(-6000, -5000)),
+            ),
+            max_size=8,
+        )
+    )
+    # 2**-1075 + 2**-1135 lies above the tie at half the smallest subnormal.
+    @example([(1, 0, -1075), (1, 0, -1135)])
+    def test_rounds_the_exact_sum_once(self, drawn):
+        parts = [(complex(re, im), e) for re, im, e in drawn]
+        exact = [
+            sum((Fraction(n) * Fraction(2) ** e for n, e in components), Fraction(0))
+            for components in ([(re, e) for re, _, e in drawn], [(im, e) for _, im, e in drawn])
+        ]
+        assert all(abs(x) < Fraction(2) ** -1022 for x in exact)
+        joined = _join(parts)
+        assert (joined.real, joined.imag) == (float(exact[0]), float(exact[1]))
+
+    def test_pairing_of_subnormal_terms(self):
+        a = F(([], 2.0**-537), ([0], 2.0**-567))
+        b = F(([], 2.0**-538), ([0], 2.0**-568))
+        assert inner_dual(a, b, 0.0) == 5e-324
