@@ -25,7 +25,10 @@ average bit for bit as one copy, and the tree that ends at level k passes
 through every level above it.  Overall means and second moments are
 ``_path_means``: ``np.sum`` over the paths, divided by their count.  Where
 finite values sum past the double range, both sum them times 2**-e instead,
-2**e above the count, and scale back.
+2**e above the count, and scale back.  Where the squares of finite values
+leave the range, a second moment is taken of the values over 2**e, e their
+binary order, and scaled back in factors that stay in range, so it is inf
+only where it overflows itself.  A sweep gap that is not finite raises.
 
 From 2**10 paths per functional on (``_TABLE_PATHS``), the realization
 kernel reads the first t terms, t at most log2 of the path count, from a
@@ -91,7 +94,9 @@ MAX_EXHAUSTIVE_HORIZON = 20
 #: Path codes are int64 with the sign bit unused, so a path holds 63 signs.
 MAX_CODED_HORIZON = 63
 
-#: All-pairs orthonormality sweeps square the lattice, so they cap earlier.
+#: Largest horizon of the sweeps over every subset or site, which run N times
+#: over all 2**N paths: the orthonormality butterfly and the bridge sweep
+#: (``_require_sweepable``), and so of ``SuiteConfig.horizon``.
 MAX_ORTHONORMALITY_HORIZON = 16
 
 #: Paths the bridge sweep realizes a block of functionals on at once: the
@@ -404,6 +409,7 @@ def check_orthonormality(N: int) -> float:
     return float(max(abs(means[0] - 1.0), np.max(np.abs(means[1:]))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     block: Sequence[FockFunctional], space: PathSpace, sites: Sequence[int]
 ) -> tuple[list[float], list[Optional[float]], list[list[tuple[float, float, float]]]]:
@@ -414,7 +420,8 @@ def _sweep(
     every coordinate, in ascending order), and per member and site the three
     intertwining gaps.  Each path set is realized at most once per block, on
     the reduced sets the module docstring lists, and every gap is reduced per
-    row.  Callers check that ``space`` is exhaustive.
+    row.  Callers check that ``space`` is exhaustive.  Raises
+    NonFiniteResultError where a gap is not finite.
     """
     for phi in block:
         _require_fits(phi, space)
@@ -479,10 +486,12 @@ def _sweep(
             cond_functional = realize(conditionings, down_low[:1], -1 << (k + 1), down_low)
         group_means = _tree_means(*tree, space.horizon - 1 - k)
         cond_gaps.append(row_max(np.abs(cond_functional - group_means[:, None, :])))
-    if rebuilt is None:
-        clark_ocone_gaps = [None] * len(block)
-    else:
-        clark_ocone_gaps = row_max(np.abs(values - rebuilt)).tolist()
+    gaps = [gap_mean, *gradient_gaps, *cond_gaps]
+    if rebuilt is not None:
+        gaps.append(row_max(np.abs(values - rebuilt)))
+    if not np.isfinite(np.concatenate(gaps)).all():
+        raise NonFiniteResultError("a pathwise gap is not finite: the path values overflow a double")
+    clark_ocone_gaps = [None] * len(block) if rebuilt is None else gaps[-1].tolist()
     site_gaps = [
         [(gradient, mean, cond) for gradient, cond in zip(gradients, conds)]
         for gradients, mean, conds in zip(
@@ -499,10 +508,22 @@ def _sweep(
 
 
 def _second_moments(values: np.ndarray) -> np.ndarray:
-    # The ``_path_means`` of each row's |values|**2, inf where a square
-    # overflows; only ``_plancherel_gap`` reads it, and raises there.
+    # The ``_path_means`` of each row's |values|**2, rescued as the module
+    # docstring states; only ``_plancherel_gap`` reads it, and raises on inf.
+    rows = values.reshape(-1, values.shape[-1])
     with np.errstate(over="ignore"):
-        return _path_means(np.abs(values) ** 2)
+        moments = _path_means(np.abs(rows) ** 2)
+        for b in np.flatnonzero(~np.isfinite(moments)):
+            up, down = _binary_order(rows[b])
+            moments[b] = _path_means(np.abs(rows[b] / up / down) ** 2) * up * up * down * down
+    return moments.reshape(values.shape[:-1])
+
+
+def _binary_order(values: np.ndarray) -> tuple[float, float]:
+    # 2**(e//2) and 2**(e - e//2), e the binary order of the largest part of
+    # ``values``: over both, every part lies below 1, and exactly so.
+    _, e = math.frexp(float(max(np.max(np.abs(values.real)), np.max(np.abs(values.imag)))))
+    return math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
 
 
 def _plancherel_gap(phi: FockFunctional, second_moment: float) -> float:
@@ -617,11 +638,9 @@ def mc_estimate(obs: PathObservable) -> tuple[complex, float]:
     m = obs.space.num_paths
     if m < 2:
         return mean, 0.0
-    # Deviations are taken of the values times 2**-e, e the binary order of
-    # their largest part, so no square leaves the double range.  Powers of two
-    # scale exactly; each is applied as two factors that stay in range.
-    _, e = math.frexp(float(max(np.max(np.abs(values.real)), np.max(np.abs(values.imag)))))
-    up, down = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    # Deviations are taken of the values over ``_binary_order``'s two
+    # factors, so no square leaves the double range.
+    up, down = _binary_order(values)
     spread = float(np.sum(np.abs(values / up / down - mean / up / down) ** 2))
     return mean, float(np.sqrt(spread / (m * (m - 1)))) * up * down
 

@@ -15,8 +15,9 @@ set iff k is a member, and ``mask_weight`` weighs it directly.
 ``SubsetIndex`` is the boundary type: it wraps a mask with its element tuple
 for the callers that see subsets (term listings, lookups and JSON I/O).
 
-Only the three weight-sum evaluations use numpy, and each imports it when
-called, so the coefficient layers built on this module never load it.
+The truncated weight sum is the n-factor product it equals.  Only the two
+series bounds use numpy, and import it when called, so the coefficient
+layers built on this module never load it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .errors import (
     WeightOverflowError,
 )
 
-#: Hard cap on exhaustive subset enumeration (2**cap subsets must stay desk-scale).
+#: Largest window of ``GammaCursor`` (whose enumeration yields 2**cap subsets)
+#: and of ``gamma_weight_sum``; the CLI's ``lambda --sum --n`` stops at it.
 GAMMA_HARD_CAP = 24
 
 #: Number of leading terms summed before switching to the integral tail bound.
@@ -204,71 +206,56 @@ def lambda_weight(sigma: SubsetIndex) -> float:
 def gamma_weight_sum(p: float, max_index: int) -> float:
     """Sum of weight(sigma)**(-p) over all subsets of {0, ..., max_index - 1}.
 
-    Enumerates all 2**max_index terms (one per bit-mask) and sums them; the
-    factorized closed form prod_{k=1..max_index} (1 + k**-p) agrees to within
-    1e-12 relative and serves as an independent cross-check in the tests.
+    Each k below max_index is in sigma or not, so the sum factorizes into
+    prod_{k=1..max_index} (1 + k**-p), evaluated in max_index steps; the
+    tests enumerate the 2**max_index subsets as the independent check.
+    """
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    GammaCursor(max_index)  # the window's bounds, checked as enumeration checks them
+    return math.prod((1.0 + float(k) ** -p for k in range(1, max_index + 1)), start=1.0)
+
+
+def _series_exp(p: float, diverges: str, overflows: str, logs: bool) -> float:
+    """exp of sum_{m>=1} of m**-p, or of log1p(m**-p) where ``logs``, bounded above.
+
+    The first ``SERIES_CUTOFF`` terms are summed and the rest covered by the
+    integral tail SERIES_CUTOFF**(1-p)/(p-1), which bounds both kinds of term
+    (log1p(x) <= x).  Requires p > 1, else raises DivergentSeriesError saying
+    ``diverges``; raises NonFiniteResultError saying ``overflows`` where the
+    result overflows a double, which happens for p just above 1.
     """
     import numpy as np
 
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    if max_index < 0:
-        raise ValueError(f"max_index must be >= 0, got {max_index}")
-    if max_index > GAMMA_HARD_CAP:
-        raise CapExceededError(
-            f"max_index {max_index} exceeds the hard cap {GAMMA_HARD_CAP}"
-        )
-    terms = np.empty(1 << max_index)
-    terms[0] = 1.0
-    width = 1
-    for k in range(max_index):
-        # Masks with bit k set mirror the masks below them, scaled by the
-        # new element's weight factor.
-        terms[width : 2 * width] = terms[:width] * float(k + 1) ** (-p)
-        width *= 2
-    return float(np.sum(terms))
+    if p <= 1:
+        raise DivergentSeriesError(f"{diverges} for p = {p}")
+    terms = np.arange(SERIES_CUTOFF, 0, -1, dtype=np.float64) ** (-p)
+    partial = float(np.sum(np.log1p(terms) if logs else terms))
+    tail = SERIES_CUTOFF ** (1.0 - p) / (p - 1.0)
+    try:
+        return math.exp(partial + tail)
+    except OverflowError:
+        raise NonFiniteResultError(f"{overflows} overflows a double") from None
 
 
 def weight_sum_bound(p: float) -> float:
     """Upper bound exp(sum_{k>=1} k**-p) for the untruncated weight sum.
 
-    The exponent is evaluated as the partial sum of the first
-    ``SERIES_CUTOFF`` terms plus the integral tail estimate
-    SERIES_CUTOFF**(1-p)/(p-1), so the result is a certified upper bound.  Requires p > 1; below that the series diverges.
-    Raises NonFiniteResultError where the bound overflows a double, which
-    happens for p just above 1.
+    The exponent is the ``_series_exp`` partial sum plus its integral tail,
+    so the result is a certified upper bound.  Requires p > 1; below that
+    the series diverges.  Raises NonFiniteResultError where the bound
+    overflows a double.
     """
-    import numpy as np
-
-    if p <= 1:
-        raise DivergentSeriesError(f"sum of k**-p diverges for p = {p}")
-    k = np.arange(SERIES_CUTOFF, 0, -1, dtype=np.float64)
-    partial = float(np.sum(k ** (-p)))
-    tail = SERIES_CUTOFF ** (1.0 - p) / (p - 1.0)
-    try:
-        return math.exp(partial + tail)
-    except OverflowError:
-        raise NonFiniteResultError("the weight-sum bound overflows a double") from None
+    return _series_exp(p, "sum of k**-p diverges", "the weight-sum bound", logs=False)
 
 
 def gamma_weight_sum_limit(p: float) -> float:
     """Certified upper evaluation of the full-lattice sum of weight**(-p).
 
     Over all finite subsets the sum factorizes into prod_{m>=1} (1 + m**-p);
-    this evaluates the log of the first ``SERIES_CUTOFF`` factors exactly and
-    covers the rest with the integral tail bound, so the result dominates the
-    true series while staying far sharper than ``weight_sum_bound``.  Raises
-    NonFiniteResultError where the sum overflows a double, which happens for
-    p just above 1.
+    ``_series_exp`` sums the log of its first factors and covers the rest
+    with the integral tail bound, so the result dominates the true series
+    while staying far sharper than ``weight_sum_bound``.  Raises
+    NonFiniteResultError where the sum overflows a double.
     """
-    import numpy as np
-
-    if p <= 1:
-        raise DivergentSeriesError(f"the full weight sum diverges for p = {p}")
-    m = np.arange(SERIES_CUTOFF, 0, -1, dtype=np.float64)
-    partial = float(np.sum(np.log1p(m ** (-p))))
-    tail = SERIES_CUTOFF ** (1.0 - p) / (p - 1.0)
-    try:
-        return math.exp(partial + tail)
-    except OverflowError:
-        raise NonFiniteResultError("the full weight sum overflows a double") from None
+    return _series_exp(p, "the full weight sum diverges", "the full weight sum", logs=True)

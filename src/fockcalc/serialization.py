@@ -260,13 +260,23 @@ def report_to_json(report: Union[DecompositionReport, CovarianceReport]) -> str:
     table, and the table's text, expanded from the stored rows, replaces it,
     so the dense payload is never built.  If a value is not finite, the dense
     payload is built after all, and its NonFiniteResultError names the field.
+    A table dense over more than 2**20 rows raises CapExceededError before
+    any row text is built.
     """
     if isinstance(report, DecompositionReport):
         payload = _decomposition_payload(report, _SLOT)
         write_table, table, dense = _residual_rows, report.residual_norms, decomposition_to_obj
+        name = "decompose residual"
     else:
         payload = _covariance_payload(report, _SLOT)
         write_table, table, dense = _site_entries, report.per_site, covariance_to_obj
+        name = "cov per_k"
+    # Both tables hold a row for every site up to the top one, and a row
+    # costs a few dozen bytes of text, so a far site costs gigabytes.
+    if len(table) > 1 << 20:
+        raise CapExceededError(
+            f"the {name} table has {len(table)} rows, past the cap of {1 << 20}"
+        )
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
         return text.replace(_SLOT_TEXT, write_table(table), 1)

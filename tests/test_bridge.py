@@ -795,6 +795,20 @@ class TestFiniteValuesPastTheRange:
             warnings.simplefilter("error")
             assert plancherel_check(phi, build_space(14)) == 0.0
 
+    def test_second_moment_whose_squares_overflow_is_read(self):
+        # Every subset of {0..3} at 3e153: the all-plus path's value, 4.8e154,
+        # squares past the range, but the second moment and the squared norm
+        # are both 1.44e308.
+        from fockcalc.bridge import bridge_gaps
+
+        phi = F(*[(s, 3e153) for r in range(5) for s in itertools.combinations(range(4), r)])
+        space = build_space(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = plancherel_check(phi, space)
+            assert bridge_gaps(phi, space)[2] == gap
+        assert gap <= 4 * 1.44e308 * np.finfo(float).eps
+
     @pytest.mark.parametrize("n", [1, 3, 8, 12])
     def test_each_level_the_sweep_reads_is_the_group_mean(self, n):
         from fockcalc.bridge import _group_means, _halving_sums, _path_means, _tree_means
@@ -816,6 +830,26 @@ class TestFiniteValuesPastTheRange:
             for part in (np.real, np.imag):
                 exact = math.fsum(part(row) / len(row))
                 assert abs(part(mean) - exact) <= n * 1.7e308 * np.finfo(float).eps
+
+
+class TestNonFiniteGaps:
+    """A path value past the double range makes the sweep raise, not return NaN or inf."""
+
+    # 3e308 on the path with coordinate 0 up and 1 down.
+    PHI = F(([], 1e308), ([0], 1e308), ([1], -1e308))
+
+    def test_every_sweep_check_raises_a_typed_error(self):
+        from fockcalc.bridge import bridge_gaps
+
+        space = build_space(2)
+        checks = [lambda: classical_clark_ocone_check(self.PHI, space),
+                  lambda: bridge_gaps(self.PHI, space)]
+        checks += [lambda k=k: check_intertwining(self.PHI, k, space) for k in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in checks:
+                with pytest.raises(NonFiniteResultError, match="pathwise gap is not finite"):
+                    check()
 
 
 class TestMonteCarlo:

@@ -636,6 +636,22 @@ class TestSiteCap:
         assert (code, out) == (2, "")
         assert err == f"error: subset[0]: site {_MAX_SITE + 1} exceeds the site cap {_MAX_SITE}\n"
 
+    def test_dense_tables_of_a_site_at_the_cap_are_refused(self, capsys, tmp_path):
+        # Both tables hold a row per site up to the top one (decompose: one
+        # per site and level), far past their cap of 2**20 rows.
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"terms": [
+            {"set": [_MAX_SITE], "coef": [1, 0]}, {"set": [0, _MAX_SITE], "coef": [1, 2]},
+        ]}))
+        rows = _MAX_SITE + 1
+        for argv, table in (
+            (["decompose", str(far)], f"decompose residual table has {3 * rows}"),
+            (["cov", str(far), str(far)], f"cov per_k table has {rows}"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: the {table} rows, past the cap of {2**20}\n"
+
     def test_the_cap_itself_parses(self):
         from fockcalc.operators import parse_pipeline
         from fockcalc.serialization import parse_subset
@@ -843,7 +859,8 @@ class TestExtremeDocuments:
         first.write_text(json.dumps(doc))
         self.assert_computes_or_fails(capsys, ["apply", str(first), f"--pipeline={pipeline}"])
 
-    # --n stops at 16: the sum enumerates 2**n weights, and 25 passes the cap.
+    # --n draws windows up to 16 and 25, one past the cap; the sum is an
+    # n-factor product, so a window costs n steps.
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

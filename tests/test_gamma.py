@@ -1,11 +1,12 @@
 """Subset encoding, enumeration, and weight-sum machinery.
 
 The brute-force oracles here enumerate subsets with itertools and sum with
-math.fsum, independent of the array-based implementation they check.
+math.fsum, independent of the factorized product they check.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,11 +156,23 @@ class TestWeightSum:
             assert gamma_weight_sum(2.0, n) <= EXP_PI_SQ_OVER_6
 
     def test_matches_small_brute_force(self):
-        for p in (1.0, 2.5):
-            for n in range(0, 9):
+        # The enumeration is the independent reference: the implementation
+        # is the product that test_factorizes writes out again.
+        for p in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            for n in range(0, 13):
                 assert gamma_weight_sum(p, n) == pytest.approx(
                     brute_weight_sum(p, n), rel=1e-13
                 )
+
+    def test_memory_stays_flat_at_the_cap(self):
+        # One factor per element, not one term per subset (2**24 at the cap).
+        tracemalloc.start()
+        try:
+            gamma_weight_sum(2.0, 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSeriesBounds:

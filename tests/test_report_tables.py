@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
+    CapExceededError,
     DecompositionReport,
     NonFiniteResultError,
     SubsetIndex,
@@ -231,3 +232,23 @@ def test_non_finite_table_value_names_its_field(report, field):
     with pytest.raises(NonFiniteResultError) as info:
         report_to_json(report)
     assert str(info.value) == f"output field {field} is not a finite number"
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        (
+            CovarianceReport(0j, 0j, SiteTable(2**20, {}), 0.0),
+            f"the cov per_k table has {2**20 + 1} rows, past the cap of {2**20}",
+        ),
+        (
+            DecompositionReport(F(), {}, 2**19, ResidualTable([0], [(1.0, 1.0)], (0.0, 1.0), 2**19)),
+            f"the decompose residual table has {2**20 + 2} rows, past the cap of {2**20}",
+        ),
+    ],
+)
+def test_table_past_the_row_cap_is_refused(report, message):
+    # One row past the cap is refused before any row text is built.
+    with pytest.raises(CapExceededError) as info:
+        report_to_json(report)
+    assert str(info.value) == message
