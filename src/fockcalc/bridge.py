@@ -66,6 +66,20 @@ few are needed), and every mean, group mean, maximum and second moment is
 reduced per row.  If one member's output meets the fixed coordinates, the
 whole block is realized on every path; a correct member repeats its values
 there, so its gaps do not change.
+
+A sweep returns one table (``_sweep``, and ``_swept`` for a whole corpus):
+a dict of arrays with one row per functional, in corpus order.
+
+- ``mean``, shape (B,): the mean part's gap;
+- ``gradient`` and ``conditioning``, shape (B, len(sites)): per swept site
+  k, the site-k gradient's and the level-k conditioning's gap;
+- ``second_moment``, shape (B,): the pathwise mean of |phi|**2;
+- ``clark_ocone``, shape (B,), present only when every site is swept, in
+  ascending order: the Clark–Ocone rebuild's residual.
+
+``check_intertwining`` reads one row of the first three,
+``classical_clark_ocone_check`` one of ``clark_ocone``, and the bridge suite
+and ``fockcalc bridge --k`` the worst of each column over their corpus.
 """
 
 from __future__ import annotations
@@ -290,10 +304,19 @@ def _require_fits(phi: FockFunctional, space: PathSpace) -> None:
 def evaluate(phi: FockFunctional, space: PathSpace) -> PathObservable:
     """Realize the functional pathwise: sum of coef * product of member signs.
 
-    Requires every support index to lie inside the horizon.
+    Requires every support index to lie inside the horizon.  Finite
+    coefficients can still sum past the double range on a path: that raises
+    NonFiniteResultError naming the first such path, so every mean, estimate
+    and export of the observable reads finite values.
     """
     _require_fits(phi, space)
-    return PathObservable(values=_realize((phi,), ~space.codes)[0], space=space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _realize((phi,), ~space.codes)[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise NonFiniteResultError(f"the realized value at path index {index} is not a finite number")
+    return PathObservable(values=values, space=space)
 
 
 def path_expectation(obs: PathObservable) -> complex:
@@ -412,16 +435,25 @@ def check_orthonormality(N: int) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(
     block: Sequence[FockFunctional], space: PathSpace, sites: Sequence[int]
-) -> tuple[list[float], list[Optional[float]], list[list[tuple[float, float, float]]]]:
+) -> dict[str, np.ndarray]:
     """Realize a block of functionals, then their site-k gradients and conditionings.
 
-    Returns, in block order, each member's pathwise second moment, its
-    Clark–Ocone residual (None unless ``sites``, distinct coordinates, is
-    every coordinate, in ascending order), and per member and site the three
-    intertwining gaps.  Each path set is realized at most once per block, on
-    the reduced sets the module docstring lists, and every gap is reduced per
-    row.  Callers check that ``space`` is exhaustive.  Raises
-    NonFiniteResultError where a gap is not finite.
+    Returns the block's table: one row per member, in block order, of
+
+    - ``mean``, shape (B,): the mean part's gap to the pathwise mean;
+    - ``gradient``, shape (B, len(sites)): per site, the gradient's gap to
+      the sign-flip finite difference;
+    - ``conditioning``, shape (B, len(sites)): per site, the level-k
+      conditioning's gap to the pathwise group means;
+    - ``second_moment``, shape (B,): the pathwise mean of |phi|**2;
+    - ``clark_ocone``, shape (B,), only where ``sites`` (distinct
+      coordinates) is every coordinate in ascending order: the residual of
+      the pathwise Clark–Ocone rebuild.
+
+    Each path set is realized at most once per block, on the reduced sets
+    the module docstring lists, and every gap is reduced per row.  Callers
+    check that ``space`` is exhaustive.  Raises NonFiniteResultError where a
+    gap is not finite.
     """
     for phi in block:
         _require_fits(phi, space)
@@ -447,7 +479,7 @@ def _sweep(
     def row_max(gaps: np.ndarray) -> np.ndarray:
         return gaps.max(axis=tuple(range(1, gaps.ndim)))
 
-    rebuilt = means if len(sites) == space.horizon else None
+    rebuilt = means if list(sites) == list(range(space.horizon)) else None
     # The mean part is the level -1 conditioning: one path fixes every coordinate.
     mean_part = realize([expect(phi) for phi in block], down[:1], -1, down)
     gap_mean = row_max(np.abs(mean_part - means))
@@ -486,25 +518,18 @@ def _sweep(
             cond_functional = realize(conditionings, down_low[:1], -1 << (k + 1), down_low)
         group_means = _tree_means(*tree, space.horizon - 1 - k)
         cond_gaps.append(row_max(np.abs(cond_functional - group_means[:, None, :])))
-    gaps = [gap_mean, *gradient_gaps, *cond_gaps]
+    table = {
+        "mean": gap_mean,
+        "gradient": np.stack(gradient_gaps, axis=1),
+        "conditioning": np.stack(cond_gaps, axis=1),
+    }
     if rebuilt is not None:
-        gaps.append(row_max(np.abs(values - rebuilt)))
-    if not np.isfinite(np.concatenate(gaps)).all():
+        table["clark_ocone"] = row_max(np.abs(values - rebuilt))
+    if not all(np.isfinite(gaps).all() for gaps in table.values()):
         raise NonFiniteResultError("a pathwise gap is not finite: the path values overflow a double")
-    clark_ocone_gaps = [None] * len(block) if rebuilt is None else gaps[-1].tolist()
-    site_gaps = [
-        [(gradient, mean, cond) for gradient, cond in zip(gradients, conds)]
-        for gradients, mean, conds in zip(
-            np.transpose(gradient_gaps).tolist(), gap_mean.tolist(), np.transpose(cond_gaps).tolist()
-        )
-    ]
-    second_moments = _second_moments(values).tolist()
+    table["second_moment"] = _second_moments(values)
     back = np.argsort(order)
-    return (
-        [second_moments[b] for b in back],
-        [clark_ocone_gaps[b] for b in back],
-        [site_gaps[b] for b in back],
-    )
+    return {name: column[back] for name, column in table.items()}
 
 
 def _second_moments(values: np.ndarray) -> np.ndarray:
@@ -544,16 +569,24 @@ def _require_sweepable(space: PathSpace) -> None:
         )
 
 
-def _swept(corpus: Sequence[FockFunctional], space: PathSpace, sites: Sequence[int]):
-    """``_sweep`` over ``corpus`` block by block, yielding one member at a time.
+def _swept(
+    corpus: Sequence[FockFunctional], space: PathSpace, sites: Sequence[int]
+) -> dict[str, np.ndarray]:
+    """``_sweep``'s table of every functional of ``corpus``, in corpus order.
 
-    A block holds ``max(1, _BLOCK_PATHS >> horizon)`` functionals, so the
-    arrays of one block hold about ``_BLOCK_PATHS`` paths up to horizon 13
-    and one functional's 2**horizon beyond.
+    The corpus is swept in blocks of ``max(1, _BLOCK_PATHS >> horizon)``
+    functionals, so the arrays of one block hold about ``_BLOCK_PATHS``
+    paths up to horizon 13 and one functional's 2**horizon beyond; the
+    blocks' tables are concatenated row by row.  ``space`` must be
+    exhaustive and every site inside its horizon.
     """
+    _require_exhaustive(space)
+    for k in sites:
+        if not 0 <= k < space.horizon:
+            raise ValueError(f"site {k} outside horizon {space.horizon}")
     step = max(1, _BLOCK_PATHS >> space.horizon)
-    for start in range(0, len(corpus), step):
-        yield from zip(*_sweep(corpus[start : start + step], space, sites))
+    tables = [_sweep(corpus[b : b + step], space, sites) for b in range(0, len(corpus), step)]
+    return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
 
 
 def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
@@ -565,18 +598,7 @@ def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
     Returns the max path deviation from the direct realization.
     """
     _require_sweepable(space)
-    _, (gap,), _ = _sweep((phi,), space, range(space.horizon))
-    return gap
-
-
-def _intertwining_gaps(
-    corpus: Sequence[FockFunctional], k: int, space: PathSpace
-) -> list[tuple[float, float, float]]:
-    """``check_intertwining`` of every functional of ``corpus``, swept in blocks."""
-    _require_exhaustive(space)
-    if not 0 <= k < space.horizon:
-        raise ValueError(f"site {k} outside horizon {space.horizon}")
-    return [gaps for _, _, (gaps,) in _swept(corpus, space, (k,))]
+    return float(_sweep((phi,), space, range(space.horizon))["clark_ocone"][0])
 
 
 def check_intertwining(
@@ -589,8 +611,8 @@ def check_intertwining(
     k forced to +1 minus forced to -1, halved), (b) the mean part versus the
     pathwise mean, and (c) level-k conditioning versus pathwise conditioning.
     """
-    (gaps,) = _intertwining_gaps((phi,), k, space)
-    return gaps
+    table = _swept((phi,), space, (k,))
+    return tuple(float(table[name].flat[0]) for name in ("gradient", "mean", "conditioning"))
 
 
 def plancherel_check(phi: FockFunctional, space: PathSpace) -> float:
@@ -599,31 +621,6 @@ def plancherel_check(phi: FockFunctional, space: PathSpace) -> float:
     Raises NonFiniteResultError where either overflows a double.
     """
     return _plancherel_gap(phi, float(_second_moments(evaluate(phi, space).values)))
-
-
-def _bridge_gaps(
-    corpus: Sequence[FockFunctional], space: PathSpace
-) -> list[tuple[float, float, float]]:
-    """``bridge_gaps`` of every functional of ``corpus``, swept in blocks."""
-    _require_sweepable(space)
-    swept = _swept(corpus, space, range(space.horizon))
-    return [
-        (clark_ocone_gap, max(max(g) for g in site_gaps), _plancherel_gap(phi, second_moment))
-        for phi, (second_moment, clark_ocone_gap, site_gaps) in zip(corpus, swept)
-    ]
-
-
-def bridge_gaps(phi: FockFunctional, space: PathSpace) -> tuple[float, float, float]:
-    """The bridge suite's three pathwise gaps for one functional, in one sweep.
-
-    Returns the ``classical_clark_ocone_check`` residual, the worst
-    ``check_intertwining`` gap over every site, and the ``plancherel_check``
-    gap, with the same values those give.  It realizes phi on all 2**N paths,
-    its mean part on 1, and per site k its gradient on 2**(N-1) and, unless
-    it is phi itself (always at k = N-1), its level-k conditioning on 2**(k+1).
-    """
-    (gaps,) = _bridge_gaps((phi,), space)
-    return gaps
 
 
 def mc_estimate(obs: PathObservable) -> tuple[complex, float]:

@@ -29,13 +29,14 @@ import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
-from .clark_ocone import decompose
+from .clark_ocone import DEFAULT_Q_PROBE, decompose
 from .covariance import cov_identity
 from .errors import CapExceededError, ConfigError, FockCalcError, NonFiniteResultError
 from .functional import FockFunctional, norm_dual, norm_p
 from .gamma import GAMMA_HARD_CAP, gamma_weight_sum, lambda_weight, weight_sum_bound
 from .operators import apply_pipeline
 from .serialization import (
+    _require_table_rows,
     functional_to_obj,
     parse_functional,
     parse_subset,
@@ -47,7 +48,6 @@ from .suite_names import SUITE_NAMES
 # The path oracle, the corpus and the suites load numpy; only ``verify`` and
 # ``bridge`` import them, so the coefficient commands start without numpy.
 if TYPE_CHECKING:
-    from .bridge import PathObservable, PathSpace
     from .suite import SuiteConfig
 
 
@@ -157,8 +157,12 @@ def _cmd_decompose(args) -> int:
     for q in args.q or ():
         _finite_level(q, "--q")
     phi = _load_functional(args.file)
+    levels = args.q or DEFAULT_Q_PROBE
+    # The table holds a row per distinct level and per site up to the top one.
+    rows = len(set(map(float, levels))) * (phi.support_max + 1)
+    _require_table_rows("decompose residual", rows)
     with _named_levels("--q", *(args.q or ())):
-        report = decompose(phi, args.q) if args.q else decompose(phi)
+        report = decompose(phi, levels)
     _write(report_to_json(report), args.out)
     return 0
 
@@ -167,6 +171,7 @@ def _cmd_cov(args) -> int:
     _finite_level(args.p, "--p")
     phi = _load_functional(args.file)
     psi = _load_functional(args.other)
+    _require_table_rows("cov per_k", max(phi.support_max, psi.support_max) + 1)
     level = args.p if args.p is not None else 0.0
     try:
         report = cov_identity(phi, psi, level)
@@ -214,34 +219,17 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _realize(phi: FockFunctional, space: PathSpace) -> PathObservable:
-    import numpy as np
-
-    from .bridge import evaluate
-
-    # Finite coefficients can still sum past the double range on a path; that
-    # is reported here, before any mean is taken or any CSV row written.
-    with np.errstate(over="ignore", invalid="ignore"):
-        obs = evaluate(phi, space)
-    finite = np.isfinite(obs.values)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise NonFiniteResultError(
-            f"the realized value at path index {index} is not a finite number"
-        )
-    return obs
-
-
 def _cmd_bridge(args) -> int:
     from .bridge import (
-        _intertwining_gaps,
+        _swept,
         build_space,
+        evaluate,
         mc_estimate,
         path_expectation,
         write_observable_csv,
     )
     from .corpus import random_functionals
-    from .suite import BRIDGE_TOLERANCE, run_suite
+    from .suite import _intertwining_record, run_suite
 
     _at_least(args.horizon, 1, "--horizon")
     if args.eval is not None:
@@ -260,7 +248,7 @@ def _cmd_bridge(args) -> int:
             raise ConfigError(f"--mode sampled needs --paths >= 1, got {args.paths}")
         phi = _load_functional(args.eval)
         space = build_space(args.horizon, args.mode, M=args.paths, seed=args.seed)
-        obs = _realize(phi, space)
+        obs = evaluate(phi, space)
         if args.mode == "sampled":
             mean, stderr = mc_estimate(obs)
             payload = {"mean": [mean.real, mean.imag], "stderr": stderr,
@@ -285,16 +273,8 @@ def _cmd_bridge(args) -> int:
         corpus = random_functionals(
             args.trials, args.seed, support_max=args.horizon - 1
         )
-        gap = max(max(gaps) for gaps in _intertwining_gaps(corpus, args.k, space))
-        record = {
-            "check": "intertwining",
-            "N": args.horizon,
-            "k": args.k,
-            "trials": len(corpus),
-            "max_gap": gap,
-            "tolerance": BRIDGE_TOLERANCE,
-            "pass": bool(gap <= BRIDGE_TOLERANCE),
-        }
+        table = _swept(corpus, space, (args.k,))
+        record = _intertwining_record(table, N=args.horizon, k=args.k, trials=len(corpus))
         report = {"suite": "bridge", "checks": [record], "pass": record["pass"]}
         _emit(report, args.out)
         return 0 if record["pass"] else 1

@@ -253,6 +253,17 @@ def _site_entries(table: SiteTable) -> str:
     return _table_text([f'"{k}": {stored.get(k, zero)}' for k in table], "{}")
 
 
+def _require_table_rows(name: str, rows: int) -> None:
+    """Refuse the ``name`` table ("decompose residual" or "cov per_k") past 2**20 rows.
+
+    Both tables hold a row for every site up to the top one, and a row costs
+    a few dozen bytes of text, so a far site costs gigabytes.  The row count
+    is known from the input, so a command checks it before any operator runs.
+    """
+    if rows > 1 << 20:
+        raise CapExceededError(f"the {name} table has {rows} rows, past the cap of {1 << 20}")
+
+
 def report_to_json(report: Union[DecompositionReport, CovarianceReport]) -> str:
     """``to_json(<report>_to_obj(report), indent=2)``, byte for byte.
 
@@ -271,12 +282,7 @@ def report_to_json(report: Union[DecompositionReport, CovarianceReport]) -> str:
         payload = _covariance_payload(report, _SLOT)
         write_table, table, dense = _site_entries, report.per_site, covariance_to_obj
         name = "cov per_k"
-    # Both tables hold a row for every site up to the top one, and a row
-    # costs a few dozen bytes of text, so a far site costs gigabytes.
-    if len(table) > 1 << 20:
-        raise CapExceededError(
-            f"the {name} table has {len(table)} rows, past the cap of {1 << 20}"
-        )
+    _require_table_rows(name, len(table))
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
         return text.replace(_SLOT_TEXT, write_table(table), 1)

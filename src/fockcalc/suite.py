@@ -15,7 +15,13 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from .bridge import MAX_ORTHONORMALITY_HORIZON, _bridge_gaps, build_space, check_orthonormality
+from .bridge import (
+    MAX_ORTHONORMALITY_HORIZON,
+    _plancherel_gap,
+    _swept,
+    build_space,
+    check_orthonormality,
+)
 from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
 from .covariance import _cov_identities, _var_bounds, var_bound, var_p
@@ -139,6 +145,13 @@ def _check_record(name: str, max_gap: float, tolerance: float, **extra: Any) -> 
     return record
 
 
+def _intertwining_record(table: Dict[str, Any], **extra: Any) -> Dict[str, Any]:
+    # The worst intertwining gap of a sweep's table: the mean part's, and per
+    # swept site the gradient's and the conditioning's.
+    gap = max(float(table[name].max()) for name in ("mean", "gradient", "conditioning"))
+    return _check_record("intertwining", gap, BRIDGE_TOLERANCE, **extra)
+
+
 def _car_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
     return max(verify_car(phi, k) for k in range(cfg.support_max + 1)) / _scale(phi)
 
@@ -244,23 +257,18 @@ def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
 
     ortho_gap = check_orthonormality(n)
 
-    co_gaps, twine_gaps, plancherel_gaps = [], [], []
-    for phi, (co_gap, twine_gap, plancherel_gap) in zip(corpus, _bridge_gaps(corpus, space)):
-        co_gaps.append(co_gap)
-        twine_gaps.append(twine_gap)
-        plancherel_gaps.append(plancherel_gap / (1.0 + norm_p(phi, 0.0) ** 2))
+    table = _swept(corpus, space, range(n))
+    co_gap = float(table["clark_ocone"].max())
+    plancherel_gap = max(
+        _plancherel_gap(phi, second_moment) / (1.0 + norm_p(phi, 0.0) ** 2)
+        for phi, second_moment in zip(corpus, table["second_moment"].tolist())
+    )
 
     return [
         _check_record("orthonormality", ortho_gap, cfg.tolerance, N=n),
-        _check_record(
-            "clark_ocone_pathwise", max(co_gaps), BRIDGE_TOLERANCE, N=n, trials=len(corpus)
-        ),
-        _check_record(
-            "intertwining", max(twine_gaps), BRIDGE_TOLERANCE, N=n, trials=len(corpus)
-        ),
-        _check_record(
-            "plancherel", max(plancherel_gaps), cfg.tolerance, N=n, trials=len(corpus)
-        ),
+        _check_record("clark_ocone_pathwise", co_gap, BRIDGE_TOLERANCE, N=n, trials=len(corpus)),
+        _intertwining_record(table, N=n, trials=len(corpus)),
+        _check_record("plancherel", plancherel_gap, cfg.tolerance, N=n, trials=len(corpus)),
     ]
 
 

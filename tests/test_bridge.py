@@ -202,9 +202,18 @@ class TestEvaluate:
 @given(functional_and_space())
 def test_evaluate_matches_product_of_signs(drawn):
     phi, space = drawn
-    # Sums of coefficients near the double limit may overflow, in both alike.
+    # Sums of coefficients near the double limit may overflow, in both alike;
+    # evaluate then names the first path that holds no finite value.
     with np.errstate(over="ignore", invalid="ignore"):
-        assert bitwise_equal(evaluate(phi, space).values, product_reference(phi, space))
+        reference = product_reference(phi, space)
+    finite = np.isfinite(reference)
+    if finite.all():
+        assert bitwise_equal(evaluate(phi, space).values, reference)
+    else:
+        with pytest.raises(NonFiniteResultError) as info:
+            evaluate(phi, space)
+        first = int(np.argmin(finite))
+        assert str(info.value) == f"the realized value at path index {first} is not a finite number"
 
 
 class TestPathExpectation:
@@ -438,23 +447,83 @@ class TestSharedSweep:
         assert sum(functionals for functionals, _ in calls) == 6 * 4
         assert [paths for _, paths in calls] == [32, 1, 16, 8]
 
-    def test_gaps_equal_the_separate_checks(self):
-        from fockcalc.bridge import bridge_gaps
+    def test_table_rows_equal_the_separate_checks(self):
+        from fockcalc.bridge import _plancherel_gap, _swept
 
         space = build_space(6)
-        for phi in random_functionals(15, seed=58, support_max=5, max_terms=16):
-            co_gap, twine_gap, plancherel_gap = bridge_gaps(phi, space)
-            assert co_gap == classical_clark_ocone_check(phi, space)
-            assert twine_gap == max(max(check_intertwining(phi, k, space)) for k in range(6))
-            assert plancherel_gap == plancherel_check(phi, space)
+        corpus = random_functionals(15, seed=58, support_max=5, max_terms=16)
+        table = _swept(corpus, space, range(6))
+        for b, phi in enumerate(corpus):
+            assert table["clark_ocone"][b] == classical_clark_ocone_check(phi, space)
+            assert site_gaps(table, b) == [check_intertwining(phi, k, space) for k in range(6)]
+            second_moment = table["second_moment"][b]
+            assert _plancherel_gap(phi, second_moment) == plancherel_check(phi, space)
 
-    def test_gaps_need_the_capped_exhaustive_space(self):
-        from fockcalc.bridge import bridge_gaps
+    def test_sweeps_need_the_exhaustive_space_and_its_sites(self):
+        from fockcalc.bridge import _swept
 
         with pytest.raises(RequiresExhaustiveError):
-            bridge_gaps(MIXED, build_space(3, "sampled", M=10, seed=1))
+            _swept([MIXED], build_space(3, "sampled", M=10, seed=1), range(3))
+        with pytest.raises(ValueError, match="site 3 outside horizon 3"):
+            _swept([MIXED], build_space(3), (0, 3))
         with pytest.raises(HorizonTooLargeError):
-            bridge_gaps(MIXED, build_space(17))
+            classical_clark_ocone_check(MIXED, build_space(17))
+
+
+def site_gaps(table, b):
+    """Row b of a sweep's table as (gradient, mean, conditioning) per swept site,
+    the tuples ``check_intertwining`` returns."""
+    mean = table["mean"][b]
+    return [
+        (gradient, mean, conditioning)
+        for gradient, conditioning in zip(table["gradient"][b], table["conditioning"][b])
+    ]
+
+
+def swept_alone(corpus, space, sites):
+    """The table of every functional of ``corpus`` swept on its own, row by row."""
+    from fockcalc.bridge import _swept
+
+    tables = [_swept([phi], space, sites) for phi in corpus]
+    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+
+
+def assert_same_rows(table, other, rows):
+    """``table`` and ``other`` hold the same names and, in ``rows``, the same bits."""
+    assert table.keys() == other.keys()
+    for name in table:
+        assert table[name][rows].tobytes() == other[name][rows].tobytes(), name
+
+
+class TestSweepTable:
+    # The sweep's one result: named arrays with a row per functional, in
+    # corpus order, over blocks of max(1, _BLOCK_PATHS >> horizon).
+    @pytest.mark.parametrize("n, count", [(3, 7), (10, 19)])
+    def test_names_shapes_and_corpus_order(self, n, count):
+        # At horizon 3 the corpus is one block; at 10, blocks of 8, 8 and 3.
+        from fockcalc.bridge import _second_moments, _swept
+
+        space = build_space(n)
+        corpus = mixed_corpus(n, count, seed=67 + n)
+        shapes = {"mean": (count,), "second_moment": (count,)}
+        # Every site in ascending order rebuilds phi; in another order it does not.
+        for sites in (range(n), range(n - 1, -1, -1), (n - 1, 0), (n // 2,)):
+            table = _swept(corpus, space, sites)
+            expected = shapes | {
+                "gradient": (count, len(sites)), "conditioning": (count, len(sites))
+            }
+            if sites == range(n):
+                expected["clark_ocone"] = (count,)
+            assert {name: column.shape for name, column in table.items()} == expected
+            assert all(column.dtype == np.float64 for column in table.values())
+            # A block is swept by falling term count; its rows come back in
+            # corpus order, each that of its member swept alone.
+            assert_same_rows(table, swept_alone(corpus, space, sites), slice(None))
+            for b, phi in enumerate(corpus):
+                moment = _second_moments(evaluate(phi, space).values)
+                assert table["second_moment"][b] == moment
+                for j, k in enumerate(sites):
+                    assert site_gaps(table, b)[j] == check_intertwining(phi, k, space)
 
 
 def full_space_sweep(phi, space):
@@ -491,18 +560,21 @@ class TestReducedPathSweep:
         "n, count", [(1, 6), (2, 6), (3, 6), (4, 5), (5, 5), (6, 4), (7, 4), (8, 3), (14, 1), (16, 1)]
     )
     def test_every_gap_equals_the_full_space_sweep(self, n, count):
-        from fockcalc.bridge import bridge_gaps
+        from fockcalc.bridge import _plancherel_gap, _swept
 
         space = build_space(n)
         for seed in (59, 60):
-            for phi in random_functionals(count, seed=seed + n, support_max=n - 1):
-                co_gap, site_gaps = full_space_sweep(phi, space)
-                assert bridge_gaps(phi, space) == (
-                    co_gap, max(max(g) for g in site_gaps), plancherel_check(phi, space)
-                )
+            corpus = random_functionals(count, seed=seed + n, support_max=n - 1)
+            table = _swept(corpus, space, range(n))
+            for b, phi in enumerate(corpus):
+                co_gap, full_site_gaps = full_space_sweep(phi, space)
+                assert table["clark_ocone"][b] == co_gap
+                assert site_gaps(table, b) == full_site_gaps
+                second_moment = table["second_moment"][b]
+                assert _plancherel_gap(phi, second_moment) == plancherel_check(phi, space)
                 assert classical_clark_ocone_check(phi, space) == co_gap
                 for k in range(n):
-                    assert check_intertwining(phi, k, space) == site_gaps[k]
+                    assert check_intertwining(phi, k, space) == full_site_gaps[k]
 
 
 def _keeps_bit(phi, k):
@@ -603,7 +675,7 @@ class TestBlocks:
         space = build_space(n)
         corpus = mixed_corpus(n, count, seed=61 + n)
         calls = count_realizations(monkeypatch)
-        gaps = bridge._bridge_gaps(corpus, space)
+        table = bridge._swept(corpus, space, range(n))
         blocks = [step, step, 1] if n > 4 else [count]
         # Per block: phi, its mean part and n gradients, and the conditioning
         # at each site below the block's highest one; from there on it is
@@ -614,16 +686,17 @@ class TestBlocks:
             for start, b in zip(starts, blocks)
         ]
         assert [b for b, _ in calls] == [b for b, r in zip(blocks, realized) for _ in range(r)]
-        assert gaps == [bridge.bridge_gaps(phi, space) for phi in corpus]
+        assert_same_rows(table, swept_alone(corpus, space, range(n)), slice(None))
         for k in range(n):
-            assert bridge._intertwining_gaps(corpus, k, space) == [
-                check_intertwining(phi, k, space) for phi in corpus
-            ]
-        for phi, (co_gap, twine_gap, plancherel_gap) in zip(corpus, gaps):
-            full_co_gap, site_gaps = full_space_sweep(phi, space)
-            assert co_gap == full_co_gap == classical_clark_ocone_check(phi, space)
-            assert twine_gap == max(max(g) for g in site_gaps)
-            assert plancherel_gap == plancherel_check(phi, space)
+            at_k = bridge._swept(corpus, space, (k,))
+            for b, phi in enumerate(corpus):
+                assert site_gaps(at_k, b) == [check_intertwining(phi, k, space)]
+        for b, phi in enumerate(corpus):
+            full_co_gap, full_site_gaps = full_space_sweep(phi, space)
+            assert table["clark_ocone"][b] == full_co_gap == classical_clark_ocone_check(phi, space)
+            assert site_gaps(table, b) == full_site_gaps
+            second_moment = table["second_moment"][b]
+            assert bridge._plancherel_gap(phi, second_moment) == plancherel_check(phi, space)
 
     def test_block_values_are_each_members_evaluation(self):
         import fockcalc.bridge as bridge
@@ -650,19 +723,20 @@ class TestBlocks:
 
         space = build_space(6)
         corpus = mixed_corpus(6, 10, seed=63)
-        clean = bridge._bridge_gaps(corpus, space)
+        clean = bridge._swept(corpus, space, range(6))
         correct = getattr(bridge, name)
 
         def faulty(phi, k):
             return fault(phi, k) if phi is corpus[3] else correct(phi, k)
 
         monkeypatch.setattr(bridge, name, faulty)
-        alone = bridge.bridge_gaps(corpus[3], space)
+        alone = bridge._swept([corpus[3]], space, range(6))
         calls = count_realizations(monkeypatch)
-        gaps = bridge._bridge_gaps(corpus, space)
-        assert gaps[:3] == clean[:3] and gaps[4:] == clean[4:]
-        assert gaps[3] == alone
-        assert max(alone) > 1e-10
+        table = bridge._swept(corpus, space, range(6))
+        assert_same_rows(table, clean, [0, 1, 2, 4, 5, 6, 7, 8, 9])
+        assert_same_rows(table, swept_alone(corpus, space, range(6)), 3)
+        gaps = ("clark_ocone", "mean", "gradient", "conditioning")
+        assert max(table[name][3].max() for name in gaps) > 1e-10
         assert calls.count((10, 64)) > 1
 
 
@@ -799,14 +873,14 @@ class TestFiniteValuesPastTheRange:
         # Every subset of {0..3} at 3e153: the all-plus path's value, 4.8e154,
         # squares past the range, but the second moment and the squared norm
         # are both 1.44e308.
-        from fockcalc.bridge import bridge_gaps
+        from fockcalc.bridge import _plancherel_gap, _swept
 
         phi = F(*[(s, 3e153) for r in range(5) for s in itertools.combinations(range(4), r)])
         space = build_space(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gap = plancherel_check(phi, space)
-            assert bridge_gaps(phi, space)[2] == gap
+            assert _plancherel_gap(phi, _swept([phi], space, range(4))["second_moment"][0]) == gap
         assert gap <= 4 * 1.44e308 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [1, 3, 8, 12])
@@ -839,17 +913,37 @@ class TestNonFiniteGaps:
     PHI = F(([], 1e308), ([0], 1e308), ([1], -1e308))
 
     def test_every_sweep_check_raises_a_typed_error(self):
-        from fockcalc.bridge import bridge_gaps
+        from fockcalc.bridge import _swept
 
         space = build_space(2)
         checks = [lambda: classical_clark_ocone_check(self.PHI, space),
-                  lambda: bridge_gaps(self.PHI, space)]
+                  lambda: _swept([ZERO, self.PHI], space, range(2))]
         checks += [lambda k=k: check_intertwining(self.PHI, k, space) for k in range(2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for check in checks:
                 with pytest.raises(NonFiniteResultError, match="pathwise gap is not finite"):
                     check()
+
+
+class TestNonFiniteValues:
+    """A path value past the double range makes ``evaluate`` raise, naming the path."""
+
+    # Both terms add +1e308 exactly on the paths whose coordinate 0 is +1.
+    PHI = F(([], 1e308), ([0], 1e308))
+
+    @pytest.mark.parametrize(
+        "space, first", [(build_space(2), 1), (build_space(2, "sampled", M=8, seed=15), 5)]
+    )
+    def test_evaluate_and_the_checks_on_it_raise_a_typed_error(self, space, first):
+        message = f"the realized value at path index {first} is not a finite number"
+        checks = [lambda: evaluate(self.PHI, space), lambda: plancherel_check(self.PHI, space)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in checks:
+                with pytest.raises(NonFiniteResultError) as info:
+                    check()
+                assert str(info.value) == message
 
 
 class TestMonteCarlo:

@@ -636,9 +636,18 @@ class TestSiteCap:
         assert (code, out) == (2, "")
         assert err == f"error: subset[0]: site {_MAX_SITE + 1} exceeds the site cap {_MAX_SITE}\n"
 
-    def test_dense_tables_of_a_site_at_the_cap_are_refused(self, capsys, tmp_path):
+    def test_dense_tables_of_a_site_at_the_cap_are_refused(self, capsys, tmp_path, monkeypatch):
         # Both tables hold a row per site up to the top one (decompose: one
-        # per site and level), far past their cap of 2**20 rows.
+        # per site and distinct level), far past their cap of 2**20 rows.
+        # The row count is known from the documents and the levels, so no
+        # operator runs.
+        import fockcalc.cli as cli
+
+        def must_not_run(*args):
+            raise AssertionError("an operator ran before the row cap was checked")
+
+        monkeypatch.setattr(cli, "decompose", must_not_run)
+        monkeypatch.setattr(cli, "cov_identity", must_not_run)
         far = tmp_path / "far.json"
         far.write_text(json.dumps({"terms": [
             {"set": [_MAX_SITE], "coef": [1, 0]}, {"set": [0, _MAX_SITE], "coef": [1, 2]},
@@ -646,6 +655,9 @@ class TestSiteCap:
         rows = _MAX_SITE + 1
         for argv, table in (
             (["decompose", str(far)], f"decompose residual table has {3 * rows}"),
+            # -0.0 and 0.0 are one level, as in decompose's own table.
+            (["decompose", str(far), "--q", "0", "--q", "-0.0"],
+             f"decompose residual table has {rows}"),
             (["cov", str(far), str(far)], f"cov per_k table has {rows}"),
         ):
             code, out, err = run_cli(capsys, *argv)
