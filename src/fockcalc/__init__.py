@@ -89,7 +89,6 @@ from .serialization import (
     decomposition_to_obj,
     functional_to_obj,
     parse_document,
-    parse_functional,
     serialize_functional,
 )
 from .suite_names import SUITE_NAMES

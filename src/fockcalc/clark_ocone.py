@@ -14,8 +14,8 @@ across a grid of dual levels; ``reconstruct_check`` compares the stochastic
 integral form and the two pipelines term by term, taking a norm only where
 terms differ, its integrand route read from the predictable sequence it
 integrates.
-``verify_convergence_window`` walks the partial sums once, scoring a probe
-only when a site term changes it.
+``verify_convergence_window`` walks the partial sums once, scoring a mask's
+excess only when a site term changes it.
 """
 
 from __future__ import annotations
@@ -202,26 +202,24 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
     excess of any partial-sum coefficient magnitude over the corresponding
     source magnitude (0 when the uniform envelope holds).
 
-    Probing phi's support plus the empty set covers the whole lattice: every
-    partial sum draws its coefficients verbatim from phi, so all functionals
-    involved vanish identically off that finite window.
+    Both are scored on phi's support together with every mask the running
+    sum holds, which covers the whole lattice: off those masks the centered
+    functional and every partial sum vanish.  A site term that holds a mask
+    outside phi's support is scored there.
     """
     centered = _centered(phi)._terms
     source = phi._terms
-    # Probe masks: phi's support plus the empty set (mask 0).
-    probes = list(source)
-    if 0 not in source:
-        probes.append(0)
     excess = 0.0
     # The running partial sum: a coefficient changes only where a site term
-    # holds its mask, so each probe is scored there (an unreached one scores <= 0).
+    # holds its mask, so each mask's excess is scored there.
     running: Dict[int, complex] = {}
     for n in phi.sites():
         for m, c in co_term(phi, n)._terms.items():
             running[m] = value = running.get(m, 0j) + c
-            if m in source or m == 0:
-                excess = max(excess, abs(value) - abs(source.get(m, 0j)))
-    return max(abs(running.get(m, 0j) - centered.get(m, 0j)) for m in probes), excess
+            excess = max(excess, abs(value) - abs(source.get(m, 0j)))
+    probes = source.keys() | running.keys()
+    gap = max((abs(running.get(m, 0j) - centered.get(m, 0j)) for m in probes), default=0.0)
+    return gap, excess
 
 
 def reconstruct_check(phi: FockFunctional) -> float:

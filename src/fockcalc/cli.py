@@ -38,7 +38,7 @@ from .operators import apply_pipeline
 from .serialization import (
     _require_table_rows,
     functional_to_obj,
-    parse_functional,
+    parse_document,
     parse_subset,
     report_to_json,
     to_json,
@@ -59,7 +59,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_functional(path: str) -> FockFunctional:
-    return parse_functional(_read_text(path))
+    return parse_document(_read_text(path))
 
 
 def _emit(payload, out: Optional[str]) -> None:

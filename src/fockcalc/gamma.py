@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -136,16 +136,15 @@ EMPTY_SET = SubsetIndex(())
 
 @dataclass(frozen=True)
 class GammaCursor:
-    """Bounds for exhaustive subset enumeration.
+    """The window of exhaustive subset enumeration.
 
-    ``max_index`` is an exclusive upper bound on the elements (subsets of
-    {0, ..., max_index - 1}); ``max_cardinality`` optionally caps the subset
-    size.  Enumeration order is ascending by bit-mask value, so the empty set
-    comes first, then {0}, {1}, {0,1}, {2}, ...
+    ``max_index`` is an exclusive upper bound on the elements: the window
+    holds every subset of {0, ..., max_index - 1}, at most ``GAMMA_HARD_CAP``
+    elements wide.  Enumeration order is ascending by bit-mask value, so the
+    empty set comes first, then {0}, {1}, {0,1}, {2}, ...
     """
 
     max_index: int
-    max_cardinality: Optional[int] = None
 
     def __post_init__(self):
         if self.max_index < 0:
@@ -154,20 +153,14 @@ class GammaCursor:
             raise CapExceededError(
                 f"max_index {self.max_index} exceeds the hard cap {GAMMA_HARD_CAP}"
             )
-        if self.max_cardinality is not None and self.max_cardinality < 0:
-            raise ValueError("max_cardinality must be >= 0 when given")
 
 
 def enumerate_gamma(cursor: GammaCursor) -> Iterator[SubsetIndex]:
-    """Yield every subset within the cursor bounds exactly once.
+    """Yield each of the 2**max_index subsets of the cursor's window once.
 
-    Order is ascending bit-mask value.  Without a cardinality cap the count is
-    2**max_index.
+    Order is ascending bit-mask value.
     """
-    cap = cursor.max_cardinality
     for mask in range(1 << cursor.max_index):
-        if cap is not None and mask.bit_count() > cap:
-            continue
         yield SubsetIndex.from_mask(mask)
 
 

@@ -2,11 +2,10 @@
 
 Functional schema::
 
-    {"terms": [{"set": [0, 2], "coef": [3.0, 0.0]}],
-     "envelope": {"C": 1.0, "p": 0.0}}
+    {"terms": [{"set": [0, 2], "coef": [3.0, 0.0]}]}
 
 ``set`` must be sorted strictly ascending with nonnegative entries; ``coef``
-is [re, im]; ``envelope`` is optional.  Serialization emits terms in
+is [re, im]; any other key is refused.  Serialization emits terms in
 ascending bit-mask order with repr-exact floats, so parse(serialize(phi))
 reproduces phi bit for bit.
 
@@ -25,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from .clark_ocone import DecompositionReport, ResidualTable
 from .covariance import CovarianceReport, SiteTable
 from .errors import CapExceededError, NegativeIndexError, NonFiniteResultError, SchemaError
-from .functional import FockFunctional, GrowthEnvelope, make_functional
+from .functional import FockFunctional, make_functional
 from .gamma import _MAX_SITE, SubsetIndex
 
 
@@ -76,49 +75,29 @@ def _parse_term(raw: Any, where: str) -> Tuple[SubsetIndex, complex]:
     return sigma, complex(re, im)
 
 
-def parse_document(text: str) -> Tuple[FockFunctional, Optional[GrowthEnvelope]]:
-    """Parse a functional document, returning the optional envelope too."""
+def parse_document(text: str) -> FockFunctional:
+    """Parse a functional document."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected an object")
-    unknown = set(raw) - {"terms", "envelope"}
+    unknown = set(raw) - {"terms"}
     if unknown:
         raise SchemaError(f"top level: unknown keys {sorted(unknown)}")
     if "terms" not in raw or not isinstance(raw["terms"], list):
         raise SchemaError("top level: 'terms' must be a list")
-    pairs = [_parse_term(t, f"terms[{i}]") for i, t in enumerate(raw["terms"])]
-    phi = make_functional(pairs)
-    envelope = None
-    if "envelope" in raw:
-        env = raw["envelope"]
-        if not isinstance(env, dict) or set(env) != {"C", "p"}:
-            raise SchemaError("envelope: expected an object with keys C and p")
-        envelope = GrowthEnvelope(
-            C=_number(env["C"], "envelope.C"), p=_number(env["p"], "envelope.p")
-        )
-    return phi, envelope
+    return make_functional([_parse_term(t, f"terms[{i}]") for i, t in enumerate(raw["terms"])])
 
 
-def parse_functional(text: str) -> FockFunctional:
-    """Parse the functional part of a document (envelope ignored if present)."""
-    return parse_document(text)[0]
-
-
-def functional_to_obj(
-    phi: FockFunctional, envelope: Optional[GrowthEnvelope] = None
-) -> Dict[str, Any]:
-    obj: Dict[str, Any] = {
+def functional_to_obj(phi: FockFunctional) -> Dict[str, Any]:
+    return {
         "terms": [
             {"set": list(sigma.elements), "coef": [coef.real, coef.imag]}
             for sigma, coef in phi.items()
         ]
     }
-    if envelope is not None:
-        obj["envelope"] = {"C": envelope.C, "p": envelope.p}
-    return obj
 
 
 def _non_finite_field(value: Any, where: str) -> Optional[str]:
@@ -151,10 +130,8 @@ def to_json(payload: Any, indent: Optional[int] = None) -> str:
         ) from None
 
 
-def serialize_functional(
-    phi: FockFunctional, envelope: Optional[GrowthEnvelope] = None, indent: Optional[int] = None
-) -> str:
-    return to_json(functional_to_obj(phi, envelope), indent=indent)
+def serialize_functional(phi: FockFunctional, indent: Optional[int] = None) -> str:
+    return to_json(functional_to_obj(phi), indent=indent)
 
 
 def _residual_row(n: Any, q: float, residual: float) -> Dict[str, Any]:

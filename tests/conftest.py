@@ -43,3 +43,19 @@ def plant(monkeypatch):
                 monkeypatch.setattr(module, name, replacement)
 
     return swap
+
+
+@pytest.fixture(scope="session")
+def within_norm_bounds():
+    """within_norm_bounds(report) holds when each ratio of a NormBoundReport
+    is at most its ceiling, with a relative slack of 1e-12 for float rounding."""
+
+    def holds(rep):
+        slack = 1.0 + 1e-12
+        return (
+            rep.annihilate_ratio <= rep.annihilate_bound * slack
+            and rep.create_ratio <= rep.create_bound * slack
+            and rep.cond_expect_ratio <= slack
+        )
+
+    return holds

@@ -25,19 +25,20 @@ from fockcalc.suite import SuiteConfig, run_suite
 
 
 def _reference_convergence_window(phi):
+    # Each partial sum is scored at every mask it holds; the terminal one at
+    # those masks and at phi's.
     centered = functional.linear_combine(1.0, phi, -1.0, operators.expect(phi))
-    probes = list(phi._terms)
-    if 0 not in phi._terms:
-        probes.append(0)
     source = phi._terms
     excess = 0.0
     running = FockFunctional({})
     for n in phi.sites():
         running = functional.linear_combine(1.0, running, 1.0, clark.co_term(phi, n))
-        for m in probes:
-            excess = max(excess, abs(running._terms.get(m, 0j)) - abs(source.get(m, 0j)))
+        for m, c in running._terms.items():
+            excess = max(excess, abs(c) - abs(source.get(m, 0j)))
     terminal = running._terms
-    return max(abs(terminal.get(m, 0j) - centered._terms.get(m, 0j)) for m in probes), excess
+    probes = set(source) | set(terminal)
+    gap = max((abs(terminal.get(m, 0j) - centered._terms.get(m, 0j)) for m in probes), default=0.0)
+    return gap, excess
 
 
 def _reference_reconstruct_check(phi):
@@ -100,6 +101,17 @@ def _moving_one(original):
     return co_term
 
 
+def _adding_one(original):
+    def co_term(phi, k):
+        # co_term with the set {3}, outside every site-2 term, added to site 2's.
+        terms = dict(original(phi, k)._terms)
+        if k == 2:
+            terms[1 << 3] = 0.5
+        return FockFunctional._of_masks(terms)
+
+    return co_term
+
+
 def _one_level_late(phi, k):
     # cond_expect that keeps one level more than asked.
     return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m < 1 << (k + 2)})
@@ -116,11 +128,12 @@ def test_checks_match_their_references():
 
 
 class TestPlantedFaults:
-    @pytest.fixture(params=["doubling", "moving", "late"])
+    @pytest.fixture(params=["doubling", "moving", "adding", "late"])
     def fault(self, request, plant):
         owner, name, replacement = {
             "doubling": (clark, "co_term", _doubling_one(clark.co_term)),
             "moving": (clark, "co_term", _moving_one(clark.co_term)),
+            "adding": (clark, "co_term", _adding_one(clark.co_term)),
             "late": (operators, "cond_expect", _one_level_late),
         }[request.param]
         plant(owner, name, replacement)
@@ -131,3 +144,12 @@ class TestPlantedFaults:
     def test_clark_record_fails(self, fault):
         report = run_suite(SuiteConfig(suite="clark", trials=40))
         assert [(c["check"], c["pass"]) for c in report["checks"]] == [("clark", False)]
+
+
+def test_window_sees_a_term_at_a_new_mask(plant):
+    # Site 2's term gains {3}, a mask outside phi's support: the terminal
+    # partial sum is off by the added coefficient there.
+    phi = make_functional([(SubsetIndex([0]), 1.0), (SubsetIndex([1, 2]), 2.0)])
+    assert verify_convergence_window(phi) == (0.0, 0.0)
+    plant(clark, "co_term", _adding_one(clark.co_term))
+    assert verify_convergence_window(phi) == (0.5, 0.5)

@@ -220,8 +220,8 @@ class TestCovCommand:
                 {"set": [2], "coef": [1e-150, 0]},
             ]}))
         assert fockcalc.cov_p(
-            fockcalc.parse_functional(doc.read_text()),
-            fockcalc.parse_functional(other.read_text()), 0.0,
+            fockcalc.parse_document(doc.read_text()),
+            fockcalc.parse_document(other.read_text()), 0.0,
         ) == complex(1e-300, 0)
         code, out, err = run_cli(capsys, "cov", str(doc), str(other))
         assert (code, out) == (2, "")
@@ -548,7 +548,7 @@ class TestBridgeCommand:
             "--mode", "sampled", "--paths", "5",
         )
         assert (code, err) == (0, "")
-        values = evaluate(parse_document(text)[0], build_space(3, "sampled", M=5, seed=0)).values
+        values = evaluate(parse_document(text), build_space(3, "sampled", M=5, seed=0)).values
         # Exactly, in units of the smallest subnormal.
         units = [(Fraction(v.real) * 2**1074, Fraction(v.imag) * 2**1074) for v in values]
         mean = [sum(part) / 5 for part in zip(*units)]

@@ -456,6 +456,82 @@ class TestScaledSum:
         assert (s, shift) == (2.0 ** 959, 10**300 - 960)
 
 
+def _check_rounded_once(parts):
+    # _scaled_sum at any range, and _join where the sum is a normal double,
+    # against the Fraction sum rounded once; _join's imaginary parts negated.
+    exact = sum((Fraction(mant) * Fraction(2) ** e for mant, e in parts), Fraction(0))
+    s, shift = _scaled_sum(parts)
+    assert Fraction(s) * Fraction(2) ** shift == _rounded(exact)
+    if exact == 0 or Fraction(2) ** -1022 <= abs(exact) < Fraction(2) ** 1024:
+        joined = _join([(complex(mant, -mant), e) for mant, e in parts])
+        assert (joined.real, joined.imag) == (float(exact), float(-exact))
+
+
+class TestStickyBit:
+    """Sums whose total is wider than 64 bits, with parts more than 4096 bits
+    below it that decide a tie: only their sign may reach the rounding."""
+
+    @pytest.mark.parametrize(
+        "parts, rounded",
+        [
+            # 2**200 + 2**147 is a tie on an even mantissa, over 64 bits wide.
+            ([(1.0, 200), (1.0, 147), (1.0, -5000)], 2.0**200 + 2.0**148),
+            ([(1.0, 200), (1.0, 147), (-1.0, -5000)], 2.0**200),
+            ([(1.0, 200), (1.0, 147), (1.0, -5000), (-1.0, -5000)], 2.0**200),
+            # The same tie on an odd mantissa, with a pair that cancels inside it.
+            ([(1 + 2.0**-52, 200), (1.0, 147), (0.5, 120), (-0.5, 120), (-1.0, -5000)],
+             (1 + 2.0**-52) * 2.0**200),
+            ([(1 + 2.0**-52, 200), (1.0, 147), (0.5, 120), (-0.5, 120)],
+             (1 + 2.0**-51) * 2.0**200),
+            # Far parts that cancel to one unit of their own last place.
+            ([(1.0, 200), (1.0, 147), (1.0, -5000), (-(1 - 2.0**-53), -5000)],
+             2.0**200 + 2.0**148),
+            ([(1 + 2.0**-52, 200), (1.0, 147), (-1.0, -5000), (1 - 2.0**-53, -5000)],
+             (1 + 2.0**-52) * 2.0**200),
+            # A remainder 2**-3096 just inside the run, outweighed by the far
+            # parts just outside it, which sum to 1.5 times its size.
+            ([(1.0, 1000), (1.0, 947), (1.0, -3096), (-0.75, -3096), (-0.75, -3096)], 2.0**1000),
+            ([(1.0, 1000), (1.0, 947), (-1.0, -3096), (0.75, -3096), (0.75, -3096)],
+             2.0**1000 + 2.0**948),
+            # A narrow total, 53 bits: the far part only keeps it where it is.
+            ([(1 + 2.0**-52, 0), (1.0, -5000)], 1 + 2.0**-52),
+            ([(1 + 2.0**-52, 0), (-1.0, -5000)], 1 + 2.0**-52),
+            # Leading parts cancel; the sum left lies thousands of bits lower.
+            ([(1.0, 3000), (-1.0, 3000), (0.75, 0), (1.0, -5000)], 0.75),
+            ([(1.0, 3000), (-1.0, 3000), (1.0, 0), (1.0, -53), (-1.0, -5000)], 1.0),
+        ],
+    )
+    def test_far_parts_break_ties(self, parts, rounded):
+        _check_rounded_once(parts)
+        assert _join([(complex(mant), e) for mant, e in parts]).real == rounded
+
+    @pytest.mark.parametrize("tail", [[(1.0, -200)], [(-1.0, -200)], [(1.0, -200), (-1.0, -200)]])
+    def test_far_parts_near_the_remainder(self, tail):
+        # A total 4000 bits wide whose low bits cancel: the parts below the
+        # rounding position read as one sticky bit, far beyond a double.
+        _check_rounded_once([(1.0, 4000), (1.0, 3947), (1.0, 0), (-1.0, 0)] + tail)
+        _check_rounded_once([(1.0, 4000), (1.0, 3947), (1.0, 5)] + tail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2**52, 2**53 - 1),
+        st.integers(-1000, 900),
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(12, 200),
+        st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.75, -1.5]), st.integers(4200, 6000)),
+                 max_size=3),
+        st.integers(0, 3),
+    )
+    def test_ties_rounded_once(self, n, order, side, gap, tail, cancelled):
+        # A 53-bit head, a half unit of its last place, a pair that cancels
+        # ``gap`` bits below that, and parts more than 4096 bits below the head,
+        # some of them cancelled by negated copies.
+        tail = [(mant, order - depth) for mant, depth in tail]
+        parts = [(math.ldexp(n, -52), order), (side, order - 53),
+                 (1.0, order - 53 - gap), (-1.0, order - 53 - gap)]
+        _check_rounded_once(parts + tail + [(-mant, e) for mant, e in tail[:cancelled]])
+
+
 class TestJoinBelowTheNormalRange:
     """A pairing's scaled parts, summed into the subnormal range, round once."""
 

@@ -108,11 +108,6 @@ class TestEnumeration:
         got = [s.elements for s in enumerate_gamma(GammaCursor(2))]
         assert got == [(), (0,), (1,), (0, 1)]
 
-    def test_cardinality_cap(self):
-        got = list(enumerate_gamma(GammaCursor(4, max_cardinality=1)))
-        assert len(got) == 5  # the empty set plus four singletons
-        assert all(len(s) <= 1 for s in got)
-
     @pytest.mark.parametrize("n", [0, 1, 3, 6, 8])
     def test_complete_and_distinct(self, n):
         seen = list(enumerate_gamma(GammaCursor(n)))
@@ -201,8 +196,6 @@ class TestSeriesBounds:
             (lambda: gamma_weight_sum(1, -1), ValueError, "max_index must be >= 0, got -1"),
             (lambda: SubsetIndex.from_mask(-1), NegativeIndexError, "bit-mask must be nonnegative"),
             (lambda: GammaCursor(-1), ValueError, "max_index must be >= 0, got -1"),
-            (lambda: GammaCursor(3, max_cardinality=-1), ValueError,
-             "max_cardinality must be >= 0 when given"),
         ],
     )
     def test_argument_below_its_bound_raises(self, call, error, message):

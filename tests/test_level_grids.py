@@ -28,7 +28,6 @@ from fockcalc.covariance import (
 )
 from fockcalc.functional import _complex_sum, inner_dual, linear_combine, norm_dual, norm_parts
 from fockcalc.operators import (
-    NORM_BOUND_SLACK,
     NormBoundReport,
     _norm_bounds,
     annihilate,
@@ -74,17 +73,12 @@ def _reference_norm_bounds(phi, k, p):
     ann = ratio(annihilate(phi, k))
     cre = ratio(create(phi, k))
     cnd = ratio(cond_expect(phi, k))
-    ann_bound = (1.0 + k) ** p
-    cre_bound = (1.0 + k) ** (-p)
     return NormBoundReport(
         annihilate_ratio=ann,
-        annihilate_bound=ann_bound,
-        annihilate_ok=ann <= ann_bound * (1.0 + NORM_BOUND_SLACK),
+        annihilate_bound=(1.0 + k) ** p,
         create_ratio=cre,
-        create_bound=cre_bound,
-        create_ok=cre <= cre_bound * (1.0 + NORM_BOUND_SLACK),
+        create_bound=(1.0 + k) ** (-p),
         cond_expect_ratio=cnd,
-        cond_expect_ok=cnd <= 1.0 + NORM_BOUND_SLACK,
     )
 
 

@@ -126,53 +126,53 @@ class TestCAR:
 class TestNormBounds:
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
-    def test_annihilation_witness_is_tight(self, k, p):
+    def test_annihilation_witness_is_tight(self, within_norm_bounds, k, p):
         report = verify_norm_bounds(basis_element(SubsetIndex([k])), k, p)
         assert report.annihilate_ratio == pytest.approx(report.annihilate_bound, rel=1e-12)
-        assert report.all_ok
+        assert within_norm_bounds(report)
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
-    def test_creation_witness_is_tight(self, k, p):
+    def test_creation_witness_is_tight(self, within_norm_bounds, k, p):
         report = verify_norm_bounds(basis_element(SubsetIndex([])), k, p)
         assert report.create_ratio == pytest.approx(report.create_bound, rel=1e-12)
-        assert report.all_ok
+        assert within_norm_bounds(report)
 
-    def test_level_zero_bounds_are_unit(self):
+    def test_level_zero_bounds_are_unit(self, within_norm_bounds):
         for phi in random_functionals(10, seed=13, support_max=6, max_terms=10):
             report = verify_norm_bounds(phi, 3, 0.0)
             assert report.annihilate_bound == report.create_bound == 1.0
-            assert report.all_ok
+            assert within_norm_bounds(report)
 
-    def test_random_corpus_respects_all_bounds(self):
+    def test_random_corpus_respects_all_bounds(self, within_norm_bounds):
         for phi in random_functionals(25, seed=14, support_max=8, max_terms=16):
             for k in range(9):
                 for p in (0.0, 1.0, 2.0):
-                    assert verify_norm_bounds(phi, k, p).all_ok
+                    assert within_norm_bounds(verify_norm_bounds(phi, k, p))
 
-    def test_zero_functional_ratios_are_zero(self):
+    def test_zero_functional_ratios_are_zero(self, within_norm_bounds):
         report = verify_norm_bounds(ZERO, 2, 1.0)
         assert report.annihilate_ratio == report.create_ratio == 0.0
-        assert report.all_ok
+        assert within_norm_bounds(report)
 
 
 class TestNormBoundsBeyondRange:
     @pytest.mark.parametrize("size", [40, 41])
-    def test_underflowing_norms_give_real_ratios(self, size):
+    def test_underflowing_norms_give_real_ratios(self, within_norm_bounds, size):
         # Every dual norm here underflows to 0.0; the ratios must not read 0/0.
         phi = basis_element(SubsetIndex(range(size)))
         assert norm_dual(phi, 12.0) == 0.0
         rep = verify_norm_bounds(phi, 3, 12.0)
         assert rep.annihilate_ratio == pytest.approx(4.0**12, rel=1e-12)
         assert rep.create_ratio == 0.0 and rep.cond_expect_ratio == 0.0
-        assert rep.all_ok
+        assert within_norm_bounds(rep)
 
-    def test_overflowing_norm_ratio(self):
+    def test_overflowing_norm_ratio(self, within_norm_bounds):
         phi = make_functional([(SubsetIndex([0]), 1e300), (SubsetIndex([]), 1e300)])
         rep = verify_norm_bounds(phi, 0, 0.0)
         assert rep.annihilate_ratio == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert rep.cond_expect_ratio == pytest.approx(1.0, rel=1e-15)
-        assert rep.all_ok
+        assert within_norm_bounds(rep)
 
 
 class TestCommutation:

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from fockcalc import (
     DuplicateKeyError,
-    GrowthEnvelope,
     NegativeIndexError,
     NonFiniteResultError,
     SchemaError,
@@ -21,7 +20,6 @@ from fockcalc import (
     decomposition_to_obj,
     make_functional,
     parse_document,
-    parse_functional,
     random_functionals,
     serialize_functional,
 )
@@ -34,49 +32,49 @@ def F(*pairs):
 
 class TestParsing:
     def test_schema_example(self):
-        phi = parse_functional('{"terms":[{"set":[0,2],"coef":[3,0]}]}')
+        phi = parse_document('{"terms":[{"set":[0,2],"coef":[3,0]}]}')
         assert phi == F(([0, 2], 3))
 
     def test_empty_terms_is_zero(self):
-        assert parse_functional('{"terms":[]}') == ZERO
+        assert parse_document('{"terms":[]}') == ZERO
 
     def test_unsorted_set_rejected(self):
         with pytest.raises(SchemaError):
-            parse_functional('{"terms":[{"set":[2,0],"coef":[1,0]}]}')
+            parse_document('{"terms":[{"set":[2,0],"coef":[1,0]}]}')
 
     def test_repeated_element_rejected(self):
         with pytest.raises(SchemaError):
-            parse_functional('{"terms":[{"set":[1,1],"coef":[1,0]}]}')
+            parse_document('{"terms":[{"set":[1,1],"coef":[1,0]}]}')
 
     def test_negative_index_rejected(self):
         with pytest.raises(NegativeIndexError):
-            parse_functional('{"terms":[{"set":[-1],"coef":[1,0]}]}')
+            parse_document('{"terms":[{"set":[-1],"coef":[1,0]}]}')
 
     def test_duplicate_set_rejected(self):
         with pytest.raises(DuplicateKeyError):
-            parse_functional(
+            parse_document(
                 '{"terms":[{"set":[1],"coef":[1,0]},{"set":[1],"coef":[2,0]}]}'
             )
 
     def test_bad_json_reports_position(self):
         with pytest.raises(SchemaError, match="line 1"):
-            parse_functional("{nope}")
+            parse_document("{nope}")
 
     def test_field_diagnostics_name_the_term(self):
         with pytest.raises(SchemaError, match=r"terms\[1\]"):
-            parse_functional(
+            parse_document(
                 '{"terms":[{"set":[0],"coef":[1,0]},{"set":[1],"coef":[1]}]}'
             )
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SchemaError):
-            parse_functional('{"terms":[],"extra":1}')
+            parse_document('{"terms":[],"extra":1}')
         with pytest.raises(SchemaError):
-            parse_functional('{"terms":[{"set":[],"coef":[1,0],"tag":"x"}]}')
+            parse_document('{"terms":[{"set":[],"coef":[1,0],"tag":"x"}]}')
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(SchemaError):
-            parse_functional('{"terms":[{"set":[0],"coef":[true,0]}]}')
+            parse_document('{"terms":[{"set":[0],"coef":[true,0]}]}')
 
     @pytest.mark.parametrize(
         "text",
@@ -84,23 +82,11 @@ class TestParsing:
             '{"terms":[{"set":[0],"coef":[NaN,0]}]}',
             '{"terms":[{"set":[0],"coef":[0,-Infinity]}]}',
             '{"terms":[{"set":[0],"coef":[1%s,0]}]}' % ("0" * 400),
-            '{"terms":[],"envelope":{"C":Infinity,"p":0}}',
         ],
     )
     def test_non_finite_numbers_rejected(self, text):
         with pytest.raises(SchemaError, match="finite"):
             parse_document(text)
-
-    def test_envelope_parsed(self):
-        phi, env = parse_document(
-            '{"terms":[{"set":[0],"coef":[1,0]}],"envelope":{"C":2.5,"p":1.0}}'
-        )
-        assert env == GrowthEnvelope(C=2.5, p=1.0)
-        assert env.covers(phi)
-
-    def test_envelope_shape_enforced(self):
-        with pytest.raises(SchemaError):
-            parse_document('{"terms":[],"envelope":{"C":1}}')
 
     @pytest.mark.parametrize(
         "text, message",
@@ -112,6 +98,7 @@ class TestParsing:
             ('{"terms":[{"set":[0]}]}', "terms[0]: needs both 'set' and 'coef'"),
             ("[]", "top level: expected an object"),
             ('{"terms":{}}', "top level: 'terms' must be a list"),
+            ('{"terms":[],"envelope":{"C":2.5,"p":1.0}}', "top level: unknown keys ['envelope']"),
         ],
     )
     def test_schema_error_names_its_field(self, text, message):
@@ -130,13 +117,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             serialize_functional(F(([0], complex(float("inf"), 0.0))))
 
-    def test_envelope_included_when_given(self):
-        text = serialize_functional(F(([0], 1)), GrowthEnvelope(1.0, 0.0))
-        assert json.loads(text)["envelope"] == {"C": 1.0, "p": 0.0}
-
     def test_round_trip_on_random_corpus(self):
         for phi in random_functionals(50, seed=60, support_max=10, max_terms=20):
-            assert parse_functional(serialize_functional(phi)) == phi
+            assert parse_document(serialize_functional(phi)) == phi
 
     @given(
         st.dictionaries(
@@ -152,7 +135,7 @@ class TestSerialization:
         phi = make_functional(
             [(SubsetIndex(s), complex(re, im)) for s, (re, im) in raw.items()]
         )
-        assert parse_functional(serialize_functional(phi)) == phi
+        assert parse_document(serialize_functional(phi)) == phi
 
 
 class TestReportSerializers:
