@@ -10,12 +10,13 @@ equivalent pipelines produce that term:
 Both are pure coefficient selections, so for finitely supported functionals
 the series terminates exactly at the largest support index and the identity
 holds with zero residual.  ``decompose`` reports the partial-sum residuals
-across a grid of dual levels; ``reconstruct_check`` compares the stochastic
-integral form and the two pipelines term by term, taking a norm only where
-terms differ, its integrand route read from the predictable sequence it
-integrates.
+across a grid of dual levels, each row's levels read from one norm table;
+``reconstruct_check`` compares the stochastic integral form and the two
+pipelines term by term, taking a norm only where terms differ, its integrand
+route read from the predictable sequence it integrates.
 ``verify_convergence_window`` walks the partial sums once, scoring a mask's
-excess only when a site term changes it.
+excess only when a site term changes it.  A clark trial builds each site term
+once, in ``decompose``: the two checks' private bodies read those terms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import PredictabilityViolatedError
-from .functional import ZERO, FockFunctional, _residual, linear_combine, norm_dual, sum_functionals
+from .functional import (
+    ZERO, FockFunctional, _norm_table, _residual, _weighted_norm, linear_combine, sum_functionals
+)
 from .operators import annihilate, cond_expect, create, expect
 
 DEFAULT_Q_PROBE = (0.0, 1.0, 2.0)
@@ -139,7 +142,8 @@ def decompose(
     for n in sites:
         if n in terms:
             remainder = linear_combine(1.0, remainder, -1.0, terms[n])
-        rows.append(tuple(norm_dual(remainder, q) for q in probe.values()))
+        table = _norm_table(remainder)
+        rows.append(tuple(_weighted_norm(remainder, table, -q) for q in probe.values()))
     return DecompositionReport(
         mean=mean,
         terms=terms,
@@ -207,14 +211,19 @@ def verify_convergence_window(phi: FockFunctional) -> Tuple[float, float]:
     functional and every partial sum vanish.  A site term that holds a mask
     outside phi's support is scored there.
     """
+    return _window(phi, {n: co_term(phi, n) for n in phi.sites()})
+
+
+def _window(phi: FockFunctional, terms: Dict[int, FockFunctional]) -> Tuple[float, float]:
+    # ``verify_convergence_window`` from phi's site terms, keyed by ascending site.
     centered = _centered(phi)._terms
     source = phi._terms
     excess = 0.0
     # The running partial sum: a coefficient changes only where a site term
     # holds its mask, so each mask's excess is scored there.
     running: Dict[int, complex] = {}
-    for n in phi.sites():
-        for m, c in co_term(phi, n)._terms.items():
+    for term in terms.values():
+        for m, c in term._terms.items():
             running[m] = value = running.get(m, 0j) + c
             excess = max(excess, abs(value) - abs(source.get(m, 0j)))
     probes = source.keys() | running.keys()
@@ -231,10 +240,15 @@ def reconstruct_check(phi: FockFunctional) -> float:
     each gap is 0.0; where terms differ it is the level-0 dual norm of the
     difference (``functional._residual``).  Returns the larger of the two.
     """
+    return _reconstruct_gap(phi, {k: co_term(phi, k) for k in phi.sites()})
+
+
+def _reconstruct_gap(phi: FockFunctional, terms: Dict[int, FockFunctional]) -> float:
+    # ``reconstruct_check`` given phi's site terms; the predictable route is built here.
     u = predictable_sequence(phi)
     residual = _residual(_centered(phi), integrate(u))
     form_gap = 0.0
     for k in phi.sites():
-        # u_k is cond_expect(annihilate(phi, k), k - 1); a zero one is not stored.
-        form_gap = max(form_gap, _residual(co_term(phi, k), create(u.terms.get(k, ZERO), k)))
+        # u_k is cond_expect(annihilate(phi, k), k - 1); a zero term or u_k is not stored.
+        form_gap = max(form_gap, _residual(terms.get(k, ZERO), create(u.terms.get(k, ZERO), k)))
     return max(residual, form_gap)

@@ -25,6 +25,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -355,6 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bridge.add_argument("--out", help="write report JSON here instead of stdout")
     p_bridge.set_defaults(func=_cmd_bridge)
 
+    # argparse would take "-1e-3", "-1." or "-inf" for an option, not a value.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
     return parser
 
 

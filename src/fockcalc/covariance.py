@@ -10,19 +10,20 @@ support set is a singleton.
 
 ``cov_identity`` and ``var_bound`` are one-level calls of grid forms that
 take a sequence of dual levels.  The work that does not depend on the level
-(the centered functionals, the shared-site terms, the recombined images)
-runs once per call; each level then costs only its norms and pairings.
+(the centered functionals, the shared-site terms, the recombined images and
+their norm tables) runs once per call; each level costs only its norm steps
+and pairings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Optional
 
 from .clark_ocone import _centered, co_term
 from .errors import NonFiniteResultError
-from .functional import FockFunctional, _complex_sum, inner_dual, norm_dual
+from .functional import FockFunctional, _complex_sum, _norm_table, _weighted_norm, inner_dual
 from .operators import annihilate, create
 
 
@@ -41,12 +42,13 @@ def var_p(phi: FockFunctional, p: float) -> float:
 
     Raises NonFiniteResultError where the norm or its square overflows a double.
     """
-    return _variance(_centered(phi), p)
+    centered = _centered(phi)
+    return _variance(centered, _norm_table(centered), p)
 
 
-def _variance(centered: FockFunctional, p: float) -> float:
+def _variance(centered: FockFunctional, table: Optional[list], p: float) -> float:
     try:
-        return norm_dual(centered, p) ** 2
+        return _weighted_norm(centered, table, -p) ** 2
     except OverflowError:
         raise NonFiniteResultError("the variance overflows a double") from None
 
@@ -151,10 +153,11 @@ def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
 
 def _var_bounds(phi: FockFunctional, levels: Iterable[float]) -> Iterator[tuple[float, float]]:
     # ``var_bound`` at each level in turn; the centered functional and the
-    # per-site images are built once, before the first level.
+    # per-site images, and their norm tables, are built before the first level.
     centered = _centered(phi)
-    images = [create(annihilate(phi, k), k) for k in phi.sites()]
+    table = _norm_table(centered)
+    images = [(f, _norm_table(f)) for f in (create(annihilate(phi, k), k) for k in phi.sites())]
     for p in levels:
-        lhs = _variance(centered, p)
-        squares = [norm_dual(image, p) ** 2 for image in images]
+        lhs = _variance(centered, table, p)
+        squares = [_weighted_norm(image, image_table, -p) ** 2 for image, image_table in images]
         yield lhs, _complex_sum(squares).real

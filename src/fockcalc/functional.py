@@ -24,7 +24,9 @@ Range rule, fixed here once for the norms, the pairings and the per-site
 covariance sum: the plain double formula wherever every bit survives (a
 norm's sum of squares is a normal finite double; every pairing term's
 magnitude is, and so is their sum), else one exact sum of the terms kept
-as mantissa times power of two, rounded once at the end.
+as mantissa times power of two, rounded once at the end.  A norm reads its
+terms' weights and squares from a table built once (``_norm_table``); each
+level's ``_norm_step`` takes their fsum, or where it overflows the exact sum.
 
 Gap rule, fixed here once for the exact identities (operator relations and
 the Clark-Ocone decomposition, whose sides select the same coefficients):
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DuplicateKeyError,
@@ -77,14 +79,14 @@ class FockFunctional:
 
     def __init__(self, terms: Dict[SubsetIndex, complex]):
         coefs = {s.mask: _finite(s, c) for s, c in terms.items()}
-        object.__setattr__(self, "_terms", {m: c for m, c in coefs.items() if c != 0})
+        _set_terms(self, {m: c for m, c in coefs.items() if c != 0})
 
     @classmethod
     def _of_masks(cls, terms: Dict[int, complex]) -> "FockFunctional":
         # Takes ownership of a mask-keyed map of nonzero complex coefficients,
         # as the operators produce by selecting and re-keying existing terms.
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
+        _set_terms(self, terms)
         return self
 
     def __setattr__(self, name, value):
@@ -173,6 +175,7 @@ def basis_element(sigma: SubsetIndex) -> FockFunctional:
     return FockFunctional._of_masks({sigma.mask: 1.0 + 0j})
 
 
+_set_terms = FockFunctional._terms.__set__  # the slot's own setter, skipping __setattr__
 ZERO = FockFunctional._of_masks({})
 
 
@@ -332,22 +335,21 @@ def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
                      if (d := eta._terms.get(m)) is not None], 2.0 * p)
 
 
-def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
-    """(m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e.
-
-    ``frexp`` of the plain root where the fsum of squares is a normal finite
-    double; elsewhere the root of the squared terms' scaled sum, so ``m`` is
-    finite and nonzero for every nonzero functional even where the norm
-    itself overflows or underflows.  (0.0, 0) for the zero functional.
-    ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
-    Raises NonFiniteResultError where exponent * log2(weight) leaves the
-    double range above, or below for every term.
-    """
+def _norm_table(phi: FockFunctional) -> Optional[List[Tuple[float, float]]]:
+    # The level-free half of ``norm_parts``: (weight, |coef| ** 2) per term,
+    # or None where a weight or a square overflows.
     try:
-        total = math.fsum(
-            mask_weight(m) ** (2.0 * exponent) * abs(c) ** 2 for m, c in phi._terms.items()
-        )
+        return [(mask_weight(m), abs(c) ** 2) for m, c in phi._terms.items()]
     except (OverflowError, WeightOverflowError):
+        return None
+
+
+def _norm_step(phi: FockFunctional, table: Optional[list], exponent: float) -> Tuple[float, int]:
+    # ``norm_parts(phi, exponent)`` from phi's ``_norm_table``: the same products.
+    try:
+        total = math.inf if table is None else math.fsum(
+            [w ** (2.0 * exponent) * a for w, a in table])
+    except OverflowError:
         total = math.inf
     if _MIN_NORMAL <= total < math.inf:
         return math.frexp(math.sqrt(total))
@@ -362,8 +364,22 @@ def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
     return math.sqrt(math.ldexp(total, shift & 1)), shift // 2
 
 
-def _weighted_norm(phi: FockFunctional, exponent: float) -> float:
-    mant, exp2 = norm_parts(phi, exponent)
+def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
+    """(m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e.
+
+    ``frexp`` of the plain root where the fsum of squares is a normal finite
+    double; elsewhere the root of the squared terms' scaled sum, so ``m`` is
+    finite and nonzero for every nonzero functional even where the norm
+    itself overflows or underflows.  (0.0, 0) for the zero functional.
+    ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
+    Raises NonFiniteResultError where exponent * log2(weight) leaves the
+    double range above, or below for every term.
+    """
+    return _norm_step(phi, _norm_table(phi), exponent)
+
+
+def _weighted_norm(phi: FockFunctional, table: Optional[list], exponent: float) -> float:
+    mant, exp2 = _norm_step(phi, table, exponent)
     try:
         return math.ldexp(mant, exp2)
     except OverflowError:
@@ -380,12 +396,12 @@ def norm_p(xi: FockFunctional, p: float) -> float:
     docstring states: a norm beyond the double range raises
     NonFiniteResultError, and one below the smallest subnormal rounds to 0.0.
     """
-    return _weighted_norm(xi, p)
+    return _weighted_norm(xi, _norm_table(xi), p)
 
 
 def norm_dual(phi: FockFunctional, p: float) -> float:
     """Dual-chain norm sqrt(sum(weight**(-2p) * |coef|**2)), ranged as ``norm_p``."""
-    return _weighted_norm(phi, -p)
+    return _weighted_norm(phi, _norm_table(phi), -p)
 
 
 def _residual(a: FockFunctional, b: FockFunctional) -> float:

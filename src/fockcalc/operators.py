@@ -19,9 +19,9 @@ an identity term by term and take the level-0 dual norm of their difference
 only where the terms differ (``functional._residual``).
 
 ``verify_norm_bounds`` is a one-site, one-level call of a grid form over
-sites and dual levels.  The work that does not depend on the level (the
-three images at a site) and phi's own norm at each level run once per call;
-each (site, level) pair then costs only the images' norms.
+sites and dual levels.  phi's norm table is built once per call, the three
+images at a site and their tables once per site, and phi's own norm once per
+level; each (site, level) pair then costs only the images' norm steps.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadTagError, CapExceededError, NegativeIndexError
-from .functional import FockFunctional, _residual, linear_combine, norm_parts
+from .functional import FockFunctional, _norm_step, _norm_table, _residual, linear_combine
 from .gamma import _MAX_SITE
 
 
@@ -116,32 +116,32 @@ def _norm_bounds(
     # ``verify_norm_bounds`` at each site, and at each level within a site.
     # phi's norm at a level and the images at a site are built on first use,
     # in the order of the single-level call, so each is built once and an
-    # error raises at the same site, level and step.
+    # error raises at the same site, level and step; every level reads them
+    # through their norm tables.
+    table = _norm_table(phi)
     bases: list[tuple[float, int]] = []
     for k in sites:
         images = None
         for i, p in enumerate(levels):
             if i == len(bases):
-                bases.append(norm_parts(phi, -p))
+                bases.append(_norm_step(phi, table, -p))
             if images is None:
-                images = annihilate(phi, k), create(phi, k), cond_expect(phi, k)
-            ann, cre, cnd = (_norm_ratio(image, p, bases[i]) for image in images)
+                images = [(f, _norm_table(f)) for f in
+                          (annihilate(phi, k), create(phi, k), cond_expect(phi, k))]
+            # An image's terms are some of phi's, so phi is nonzero where it is.
+            base_mant, base_exp2 = bases[i]
+            ratios = [0.0, 0.0, 0.0]
+            for j, (image, image_table) in enumerate(images):
+                if image:
+                    mant, exp2 = _norm_step(image, image_table, -p)
+                    ratios[j] = math.ldexp(mant / base_mant, exp2 - base_exp2)
             yield NormBoundReport(
-                annihilate_ratio=ann,
+                annihilate_ratio=ratios[0],
                 annihilate_bound=(1.0 + k) ** p,
-                create_ratio=cre,
+                create_ratio=ratios[1],
                 create_bound=(1.0 + k) ** (-p),
-                cond_expect_ratio=cnd,
+                cond_expect_ratio=ratios[2],
             )
-
-
-def _norm_ratio(image: FockFunctional, p: float, base: tuple[float, int]) -> float:
-    # ||image|| / ||phi|| at level p, from phi's norm parts ``base``.  The
-    # image's terms are some of phi's, so phi is nonzero where it is.
-    if not image:
-        return 0.0
-    mant, exp2 = norm_parts(image, -p)
-    return math.ldexp(mant / base[0], exp2 - base[1])
 
 
 def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:

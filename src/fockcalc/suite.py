@@ -22,7 +22,7 @@ from .bridge import (
     build_space,
     check_orthonormality,
 )
-from .clark_ocone import decompose, reconstruct_check, verify_convergence_window
+from .clark_ocone import _reconstruct_gap, _window, decompose
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
 from .covariance import _cov_identities, _var_bounds, var_bound, var_p
 from .errors import ConfigError
@@ -193,9 +193,11 @@ def _commutation_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
 
 
 def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
+    # decompose builds each site term once; both decomposition routes and the
+    # convergence window read those terms.
     scale = _scale(phi)
-    top = reconstruct_check(phi) / scale
     report = decompose(phi, tuple(float(q) for q in cfg.p_grid))
+    top = _reconstruct_gap(phi, report.terms) / scale
     # The reconstruction must reproduce phi coefficient for coefficient.
     top = max(top, _residual(report.reconstruction(), phi) / scale)
     # The residuals must not grow with n and must end at zero.  The n of one
@@ -206,7 +208,7 @@ def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
             top = max(top, (b - a) / scale)
     for r in rows[-1] if rows else ():
         top = max(top, r / scale)
-    pointwise, envelope_excess = verify_convergence_window(phi)
+    pointwise, envelope_excess = _window(phi, report.terms)
     return max(top, pointwise / scale, envelope_excess / scale)
 
 

@@ -1018,6 +1018,52 @@ class TestIntegerOptions:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+class TestNegativeLevels:
+    """A level option takes every negative number that float() reads, written
+    apart from the option as well as joined to it by "="."""
+
+    COMMANDS = [
+        (["norm", "PHI"], "--p"),
+        (["norm", "PHI", "--dual"], "--p"),
+        (["decompose", "PHI"], "--q"),
+        (["cov", "PHI", "PHI"], "--p"),
+        (["verify", "--suite", "car", "--trials", "2"], "--p"),
+    ]
+
+    @staticmethod
+    def _run(capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        if argv[0] == "verify":
+            out = json.loads(out)
+            out.pop("created")
+        return code, out, err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5e-1", "-1E-1", "-1e-1", "-1.", "-.5",
+                                       "-1_0e-2", "-1e+0"])
+    @pytest.mark.parametrize("command, option", COMMANDS)
+    def test_apart_reads_as_joined(self, capsys, phi_file, command, option, value):
+        argv = [phi_file if arg == "PHI" else arg for arg in command]
+        apart = self._run(capsys, argv + [option, value])
+        assert apart == self._run(capsys, argv + [f"{option}={value}"])
+        assert apart[0] == 0 and apart[2] == ""
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-INF"])
+    @pytest.mark.parametrize("command, option", COMMANDS)
+    def test_non_finite_keeps_its_message(self, capsys, phi_file, command, option, value):
+        argv = [phi_file if arg == "PHI" else arg for arg in command]
+        code, out, err = run_cli(capsys, *argv, option, value)
+        assert (code, out) == (2, "")
+        assert run_cli(capsys, *argv, f"{option}={value}") == (code, out, err)
+        if command[0] != "verify":  # verify's config names the value it refuses
+            assert err == f"error: {option} must be a finite number, got {float(value)!r}\n"
+
+    def test_an_option_is_still_an_option(self, capsys, phi_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", phi_file, "--p", "--dual"])
+        assert exc.value.code == 2
+        assert "argument --p: expected one argument" in capsys.readouterr().err
+
+
 class TestParserReuse:
     """``main`` reuses one parser; no call may leak options into the next."""
 

@@ -1,9 +1,10 @@
 """The level-grid forms of the covariance and norm-bound checks.
 
 Each grid form must equal its identity's per-level body, kept here as the
-reference, at every level and step; the suites must build the level-free
-pieces once per trial; and an operator fault must still reach the bounds
-record through images built once.
+reference, at every level and step; so must the norm's table step, read at
+every level from one table; the suites must build the level-free pieces once
+per trial, and a clark trial each site term once; and an operator or norm
+fault must still reach the bounds record through images built once.
 """
 
 import json
@@ -12,7 +13,9 @@ from functools import partial
 
 import pytest
 
+import fockcalc.clark_ocone as clark_ocone
 import fockcalc.cli
+import fockcalc.functional as functional
 import fockcalc.operators as operators
 from fockcalc import FockFunctional, SubsetIndex, make_functional, random_functionals
 from fockcalc.clark_ocone import co_term
@@ -26,7 +29,20 @@ from fockcalc.covariance import (
     var_bound,
     var_p,
 )
-from fockcalc.functional import _complex_sum, inner_dual, linear_combine, norm_dual, norm_parts
+from fockcalc.errors import NonFiniteResultError, WeightOverflowError
+from fockcalc.functional import (
+    _MIN_NORMAL,
+    _binary_split,
+    _complex_sum,
+    _norm_step,
+    _norm_table,
+    _scaled_sum,
+    _weight_power,
+    inner_dual,
+    linear_combine,
+    norm_dual,
+    norm_parts,
+)
 from fockcalc.operators import (
     NormBoundReport,
     _norm_bounds,
@@ -35,7 +51,7 @@ from fockcalc.operators import (
     create,
     verify_norm_bounds,
 )
-from fockcalc.suite import SuiteConfig, _bounds_gap, _covariance_gap, run_suite
+from fockcalc.suite import SuiteConfig, _bounds_gap, _clark_gap, _covariance_gap, run_suite
 
 
 def F(*pairs):
@@ -80,6 +96,27 @@ def _reference_norm_bounds(phi, k, p):
         create_bound=(1.0 + k) ** (-p),
         cond_expect_ratio=cnd,
     )
+
+
+def _reference_norm_parts(phi, exponent):
+    # ``norm_parts`` in one piece: weights and squares read again at each call.
+    try:
+        total = math.fsum(
+            functional.mask_weight(m) ** (2.0 * exponent) * abs(c) ** 2
+            for m, c in phi._terms.items()
+        )
+    except (OverflowError, WeightOverflowError):
+        total = math.inf
+    if _MIN_NORMAL <= total < math.inf:
+        return math.frexp(math.sqrt(total))
+    parts = []
+    for m, c in phi._terms.items():
+        (c_mant, c_exp), (w_mant, w_exp) = _binary_split(c), _weight_power(m, exponent)
+        parts.append(((abs(c_mant) * w_mant) ** 2, 2 * (c_exp + w_exp)))
+    total, shift = _scaled_sum(parts)
+    if phi and not total:
+        raise NonFiniteResultError("every weight power lies below the double range")
+    return math.sqrt(math.ldexp(total, shift & 1)), shift // 2
 
 
 def _outcome(call):
@@ -171,6 +208,51 @@ class TestGridsMatchTheirReferences:
                     )
 
 
+def _bits(outcome):
+    # A norm_parts outcome with its mantissa as hex, so equal means bit for bit.
+    return outcome if isinstance(outcome, type) else (outcome[0].hex(), outcome[1])
+
+
+class TestNormStep:
+    """One table read at every level gives norm_parts' parts, bit for bit, or
+    raises the same type at the same level."""
+
+    EXPONENTS = sorted({s * p for p in LEVELS for s in (1.0, -1.0)})
+
+    @staticmethod
+    def _functionals():
+        for phi in CORPUS:
+            yield phi
+            for k in SITES:
+                yield from (annihilate(phi, k), create(phi, k), cond_expect(phi, k))
+        yield from EXTREME
+
+    def test_step_matches_norm_parts(self):
+        paths = set()
+        for phi in self._functionals():
+            table = _norm_table(phi)
+            for exponent in self.EXPONENTS:
+                step = _bits(_outcome(partial(_norm_step, phi, table, exponent)))
+                assert step == _bits(_outcome(partial(norm_parts, phi, exponent)))
+                assert step == _bits(_outcome(partial(_reference_norm_parts, phi, exponent)))
+                paths.add(table is None)
+        assert paths == {False, True}  # the overflowing tables are read too
+
+
+def test_site_terms_are_built_once_per_clark_trial(plant):
+    calls = []
+
+    def counted(phi, k):
+        calls.append(k)
+        return co_term(phi, k)
+
+    plant(clark_ocone, "co_term", counted)
+    for phi in random_functionals(10, seed=63, support_max=10, max_terms=24):
+        calls.clear()
+        _clark_gap(SuiteConfig(), phi)
+        assert calls == phi.sites()
+
+
 def test_images_are_built_once_per_trial(plant):
     counts = {"annihilate": 0, "create": 0}
 
@@ -213,16 +295,24 @@ def _keeping_held_terms(original):
     return create
 
 
-class TestPlantedBoundsFaults:
-    """An operator fault fails the bounds record, through the images built once per trial."""
+def _stretched_step(phi, table, exponent):
+    # The norm's table step at 1.5 times its exponent.
+    return _norm_step(phi, table, 1.5 * exponent)
 
-    @pytest.fixture(params=["annihilate", "create"])
+
+class TestPlantedBoundsFaults:
+    """An operator or norm-step fault fails the bounds record, through the
+    images and tables built once per trial."""
+
+    @pytest.fixture(params=["annihilate", "create", "_norm_step"])
     def fault(self, request, plant):
+        owner = functional if request.param == "_norm_step" else operators
         replacement = {
             "annihilate": _doubling,
             "create": _keeping_held_terms(operators.create),
+            "_norm_step": _stretched_step,
         }[request.param]
-        plant(operators, request.param, replacement)
+        plant(owner, request.param, replacement)
 
     def test_bounds_record_fails(self, fault):
         cfg = SuiteConfig(suite="bounds", trials=40)
