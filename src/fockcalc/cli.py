@@ -81,10 +81,11 @@ def _at_least(value: int, least: int, option: str) -> None:
         raise ConfigError(f"{option} must be >= {least}, got {value}")
 
 
-def _finite_level(value: Optional[float], option: str) -> None:
+def _finite_level(option: str, *levels: Optional[float]) -> None:
     # A non-finite level would print nan or a limit, or fail far from its cause.
-    if value is not None and not math.isfinite(value):
-        raise FockCalcError(f"{option} must be a finite number, got {value!r}")
+    for level in levels:
+        if level is not None and not math.isfinite(level):
+            raise FockCalcError(f"{option} must be a finite number, got {level!r}")
 
 
 @contextlib.contextmanager
@@ -100,7 +101,7 @@ def _named_levels(option: str, *levels: Optional[float]):
 
 
 def _cmd_lambda(args) -> int:
-    _finite_level(args.p, "--p")
+    _finite_level("--p", args.p)
     if args.n is not None and not args.sum:
         raise FockCalcError("lambda --n applies only with --sum")
     if args.p is not None and args.subset is not None:
@@ -138,7 +139,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    _finite_level(args.p, "--p")
+    _finite_level("--p", args.p)
     phi = _load_functional(args.file)
     level = args.p if args.p is not None else 0.0
     with _named_levels("--p", args.p):
@@ -155,8 +156,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    for q in args.q or ():
-        _finite_level(q, "--q")
+    _finite_level("--q", *(args.q or ()))
     phi = _load_functional(args.file)
     levels = args.q or DEFAULT_Q_PROBE
     # The table holds a row per distinct level and per site up to the top one.
@@ -169,7 +169,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    _finite_level(args.p, "--p")
+    _finite_level("--p", args.p)
     phi = _load_functional(args.file)
     psi = _load_functional(args.other)
     _require_table_rows("cov per_k", max(phi.support_max, psi.support_max) + 1)
@@ -213,6 +213,7 @@ def _cmd_verify(args) -> int:
     # Only the options given are passed, so the defaults live in SuiteConfig.
     names = ("suite", "trials", "seed", "support_max", "max_terms", "tolerance", "horizon")
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    _finite_level("--p", *(args.p or ()))
     if args.p:
         given["p_grid"] = tuple(args.p)
     report = run_suite(_suite_config(**given))

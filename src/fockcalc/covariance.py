@@ -8,11 +8,11 @@ measures both routes and their gap.  The variance is bounded above by the
 un-truncated recombination norms, with equality exactly when every nonempty
 support set is a singleton.
 
-``cov_identity`` and ``var_bound`` are one-level calls of grid forms that
-take a sequence of dual levels.  The work that does not depend on the level
-(the centered functionals, the shared-site terms, the recombined images and
-their norm tables) runs once per call; each level costs only its norm steps
-and pairings.
+``cov_identity`` and ``var_bound`` are one-level calls of grid forms over
+dual levels that read a member's centered functional and site images
+create(annihilate(phi, k), k), built once per call or once per covariance
+trial for both.  Site terms and norm tables are built once too; each level
+pairs only the site terms sharing a mask, as disjoint ones pair to 0j.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional
 
-from .clark_ocone import _centered, co_term
+from .clark_ocone import _centered
 from .errors import NonFiniteResultError
 from .functional import FockFunctional, _complex_sum, _norm_table, _weighted_norm, inner_dual
-from .operators import annihilate, create
+from .operators import annihilate, cond_expect, create
 
 
 def cov_p(phi: FockFunctional, psi: FockFunctional, p: float) -> complex:
@@ -105,25 +105,38 @@ def cov_identity(phi: FockFunctional, psi: FockFunctional, p: float) -> Covarian
     a per-site pairing lies beyond the double range; where only a pairing
     does, the error's ``site`` names the first such site.
     """
-    return next(_cov_identities(phi, psi, (p,)))
+    shared = sorted(set(phi.sites()).intersection(psi.sites()))
+    top = max(phi.support_max, psi.support_max)
+    return next(_cov_identities(_parts(phi, shared), _parts(psi, shared), top, (p,)))
+
+
+def _parts(phi: FockFunctional, sites: Iterable[int]) -> tuple:
+    # phi's centered part and images at ``sites``; a loop is cheaper than a comprehension
+    # on the empty site lists of ``cov_identity``.
+    images = {}
+    for k in sites:
+        images[k] = create(annihilate(phi, k), k)
+    return _centered(phi), images
 
 
 def _cov_identities(
-    phi: FockFunctional, psi: FockFunctional, levels: Iterable[float]
+    phi_parts: tuple, psi_parts: tuple, top: int, levels: Iterable[float]
 ) -> Iterator[CovarianceReport]:
-    # ``cov_identity`` at each level in turn.  The centered pair and the
-    # shared-site terms are built once, before the first level; building them
-    # cannot raise, so an error raises at the level and step of the
-    # single-level call.
-    centered = _centered(phi), _centered(psi)
-    top = max(phi.support_max, psi.support_max)
-    terms = [
-        (k, co_term(phi, k), co_term(psi, k))
-        for k in sorted(set(phi.sites()).intersection(psi.sites()))
-    ]
+    # ``cov_identity`` at each level in turn.  Site k's term is cond_expect of
+    # its image, as in ``co_term``; where two terms share no mask the entry is
+    # inner_dual's 0j.  Terms are built before the first level and cannot
+    # raise, so an error raises at the level and step of the single-level call.
+    (phi_centered, phi_images), (psi_centered, psi_images) = phi_parts, psi_parts
+    zeros, terms = {}, []
+    for k in phi_images:
+        if k in psi_images:
+            zeros[k] = 0j
+            a, b = cond_expect(phi_images[k], k), cond_expect(psi_images[k], k)
+            if not a._terms.keys().isdisjoint(b._terms):
+                terms.append((k, a, b))
     for p in levels:
-        direct = inner_dual(*centered, p)
-        shared: Dict[int, complex] = {}
+        direct = inner_dual(phi_centered, psi_centered, p)
+        shared = dict(zeros)
         for k, a, b in terms:
             try:
                 shared[k] = inner_dual(a, b, p)
@@ -148,15 +161,15 @@ def var_bound(phi: FockFunctional, p: float) -> tuple[float, float]:
     where the variance or the ceiling lies beyond the double range.  A
     variance above its ceiling is returned as it is, for the caller to score.
     """
-    return next(_var_bounds(phi, (p,)))
+    return next(_var_bounds(_parts(phi, phi.sites()), (p,)))
 
 
-def _var_bounds(phi: FockFunctional, levels: Iterable[float]) -> Iterator[tuple[float, float]]:
-    # ``var_bound`` at each level in turn; the centered functional and the
-    # per-site images, and their norm tables, are built before the first level.
-    centered = _centered(phi)
+def _var_bounds(parts: tuple, levels: Iterable[float]) -> Iterator[tuple[float, float]]:
+    # ``var_bound`` at each level in turn, from phi's parts at its occupied
+    # sites; the norm tables are built before the first level.
+    centered, images = parts
     table = _norm_table(centered)
-    images = [(f, _norm_table(f)) for f in (create(annihilate(phi, k), k) for k in phi.sites())]
+    images = [(f, _norm_table(f)) for f in images.values()]
     for p in levels:
         lhs = _variance(centered, table, p)
         squares = [_weighted_norm(image, image_table, -p) ** 2 for image, image_table in images]

@@ -19,9 +19,10 @@ an identity term by term and take the level-0 dual norm of their difference
 only where the terms differ (``functional._residual``).
 
 ``verify_norm_bounds`` is a one-site, one-level call of a grid form over
-sites and dual levels.  phi's norm table is built once per call, the three
-images at a site and their tables once per site, and phi's own norm once per
-level; each (site, level) pair then costs only the images' norm steps.
+sites and dual levels that yields plain tuples of the report's fields.  phi's
+norm table is built once per call, the three images at a site and their
+tables once per site, and phi's own norm once per level; each (site, level)
+pair then costs only the images' norm steps.
 """
 
 from __future__ import annotations
@@ -107,17 +108,16 @@ def verify_norm_bounds(phi: FockFunctional, k: int, p: float) -> NormBoundReport
     suite scores each ratio's relative excess.  Basis witnesses make the first
     two ceilings tight: {k} for annihilation, the constant for creation.
     """
-    return next(_norm_bounds(phi, (k,), (p,)))
+    return NormBoundReport(*next(_norm_bounds(phi, (k,), (p,))))
 
 
 def _norm_bounds(
     phi: FockFunctional, sites: Iterable[int], levels: Sequence[float]
-) -> Iterator[NormBoundReport]:
-    # ``verify_norm_bounds`` at each site, and at each level within a site.
-    # phi's norm at a level and the images at a site are built on first use,
-    # in the order of the single-level call, so each is built once and an
-    # error raises at the same site, level and step; every level reads them
-    # through their norm tables.
+) -> Iterator[tuple[float, float, float, float, float]]:
+    # ``verify_norm_bounds`` at each site, and at each level within a site, as
+    # tuples of the report's fields.  phi's norm at a level and the images at
+    # a site are built on first use, in the order of the single-level call, so
+    # each is built once and an error raises at the same site, level and step.
     table = _norm_table(phi)
     bases: list[tuple[float, int]] = []
     for k in sites:
@@ -135,13 +135,7 @@ def _norm_bounds(
                 if image:
                     mant, exp2 = _norm_step(image, image_table, -p)
                     ratios[j] = math.ldexp(mant / base_mant, exp2 - base_exp2)
-            yield NormBoundReport(
-                annihilate_ratio=ratios[0],
-                annihilate_bound=(1.0 + k) ** p,
-                create_ratio=ratios[1],
-                create_bound=(1.0 + k) ** (-p),
-                cond_expect_ratio=ratios[2],
-            )
+            yield ratios[0], (1.0 + k) ** p, ratios[1], (1.0 + k) ** (-p), ratios[2]
 
 
 def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .bridge import (
 )
 from .clark_ocone import _reconstruct_gap, _window, decompose
 from .corpus import SUPPORT_MAX_LIMIT, random_functionals
-from .covariance import _cov_identities, _var_bounds, var_bound, var_p
+from .covariance import _cov_identities, _parts, _var_bounds, var_bound, var_p
 from .errors import ConfigError
 from .functional import (
     FockFunctional,
@@ -82,6 +82,10 @@ class SuiteConfig:
                 f"tolerance must be a finite number >= 0, got {self.tolerance}"
             )
         for p in self.p_grid:
+            # Compared, not math.isfinite: an int past the double range is
+            # refused below as too large.
+            if not -math.inf < p < math.inf:
+                raise ConfigError(f"p must be a finite number, got {p!r}")
             _require_ceiling_in_range(p, self.support_max)
             for suite in ("clark", "covariance"):
                 if self.suite in (suite, "all"):
@@ -158,12 +162,11 @@ def _car_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
 
 def _bounds_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
     excess = -1.0
-    for rep in _norm_bounds(phi, range(cfg.support_max + 1), cfg.p_grid):
+    for ann, ann_bound, cre, cre_bound, cnd in _norm_bounds(
+        phi, range(cfg.support_max + 1), cfg.p_grid
+    ):
         excess = max(
-            excess,
-            (rep.annihilate_ratio - rep.annihilate_bound) / rep.annihilate_bound,
-            (rep.create_ratio - rep.create_bound) / rep.create_bound,
-            rep.cond_expect_ratio - 1.0,
+            excess, (ann - ann_bound) / ann_bound, (cre - cre_bound) / cre_bound, cnd - 1.0
         )
     return excess
 
@@ -214,9 +217,14 @@ def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
 
 def _covariance_gap(cfg: SuiteConfig, pair: Tuple[FockFunctional, FockFunctional]) -> float:
     top = 0.0
-    # zip steps the three grids together, level by level, in the order of
-    # the single-level calls.
-    levels = zip(_cov_identities(*pair, cfg.p_grid), *(_var_bounds(f, cfg.p_grid) for f in pair))
+    # Each member's parts are built once and read by all three grids; zip
+    # steps the grids together, level by level, in the order of the
+    # single-level calls.
+    parts = [_parts(f, f.sites()) for f in pair]
+    site_top = max(f.support_max for f in pair)
+    levels = zip(
+        _cov_identities(*parts, site_top, cfg.p_grid), *(_var_bounds(x, cfg.p_grid) for x in parts)
+    )
     for rep, *bounds in levels:
         top = max(top, rep.gap / (1.0 + abs(rep.lhs)))
         for lhs, rhs in bounds:

@@ -393,6 +393,17 @@ class TestVerifyCommand:
             SuiteConfig(suite="nope")
         assert str(info.value) == f"unknown suite 'nope'; choose from {SUITE_NAMES}"
 
+    @pytest.mark.parametrize("support_max", [0, 10])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected_by_the_config(self, value, support_max):
+        # A level with no magnitude is refused as non-finite, before the range checks.
+        from fockcalc import ConfigError
+        from fockcalc.suite import SuiteConfig
+
+        with pytest.raises(ConfigError) as info:
+            SuiteConfig(p_grid=(0.0, value), support_max=support_max)
+        assert str(info.value) == f"p must be a finite number, got {value!r}"
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_is_the_concatenation_of_its_parts(self, seed):
         from fockcalc.suite import SUITE_NAMES, SuiteConfig, run_suite
@@ -418,7 +429,7 @@ class TestVerifyCommand:
          ("--max-terms", "0", ">= 1"),
          ("--tolerance", "nan", ">= 0"), ("--tolerance", "inf", ">= 0"),
          ("--tolerance", "-1", ">= 0"),
-         ("--p", "1000", "296.002"), ("--p", "-1000", "296.002"), ("--p", "nan", "296.002"),
+         ("--p", "1000", "296.002"), ("--p", "-1000", "296.002"), ("--p", "nan", "a finite number"),
          ("--trials", "0", ">= 1"), ("--horizon", "0", "1..16"), ("--horizon", "17", "1..16")],
     )
     def test_option_out_of_range_names_option_and_limit(self, capsys, option, value, limit):
@@ -470,7 +481,7 @@ class TestVerifyCommand:
             "--support-max", "0",
         )
         assert code == 2
-        assert err.startswith("error: --p must be finite ") and "got inf" in err
+        assert err == "error: --p must be a finite number, got inf\n"
 
     def test_repeat_runs_identical_modulo_timestamp(self, capsys):
         reports = []
@@ -701,6 +712,8 @@ class TestExitCodes:
             (["norm", "PHI"], "--p"),
             (["decompose", "PHI", "--q", "1"], "--q"),
             (["cov", "PHI", "PHI"], "--p"),
+            (["verify", "--suite", "car", "--trials", "2", "--p", "1"], "--p"),
+            (["verify", "--suite", "bounds", "--support-max", "0"], "--p"),
         ],
     )
     def test_non_finite_level_names_its_option(
@@ -708,11 +721,12 @@ class TestExitCodes:
     ):
         import fockcalc.cli as cli
 
-        # The level is rejected before any functional is read.
-        def unread(path):
-            raise AssertionError("functional read before the level check")
+        # The level is rejected before any functional is read or config built.
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the level check")
 
         monkeypatch.setattr(cli, "_load_functional", unread)
+        monkeypatch.setattr(cli, "_suite_config", unread)
         argv = [phi_file if arg == "PHI" else arg for arg in command]
         code, out, err = run_cli(capsys, *argv, f"{option}={value}")
         assert code == 2
@@ -1054,8 +1068,7 @@ class TestNegativeLevels:
         code, out, err = run_cli(capsys, *argv, option, value)
         assert (code, out) == (2, "")
         assert run_cli(capsys, *argv, f"{option}={value}") == (code, out, err)
-        if command[0] != "verify":  # verify's config names the value it refuses
-            assert err == f"error: {option} must be a finite number, got {float(value)!r}\n"
+        assert err == f"error: {option} must be a finite number, got {float(value)!r}\n"
 
     def test_an_option_is_still_an_option(self, capsys, phi_file):
         with pytest.raises(SystemExit) as exc:

@@ -171,6 +171,20 @@ def _keeps_bit(phi, k):
     return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m >> k & 1})
 
 
+def _scaled_create(phi, k):
+    # create with every coefficient times 1.5.
+    bit = 1 << k
+    return FockFunctional._of_masks(
+        {m | bit: 1.5 * c for m, c in phi._terms.items() if not m & bit}
+    )
+
+
+def _keeping_next_level(phi, k):
+    # cond_expect that also keeps the terms whose support set peaks at k + 1.
+    limit = 1 << (k + 2)
+    return FockFunctional._of_masks({m: c for m, c in phi._terms.items() if m < limit})
+
+
 def _conjugating(original):
     def linear_combine(a, phi, b, psi):
         conj = FockFunctional._of_masks({m: c.conjugate() for m, c in psi._terms.items()})
@@ -180,9 +194,15 @@ def _conjugating(original):
 
 
 class TestPlantedFaults:
-    """A violated identity is a failed check with exit 1, never an internal error."""
+    """A violated identity is a failed check with exit 1, never an internal error;
+    the trials fail on their own, not only the equality witnesses."""
 
-    @pytest.fixture(params=["centered", "annihilate", "linear_combine"])
+    #: Failing trials among the 500 pairs of the default seed-0 run, per fault.
+    FAILED_TRIALS = {
+        "centered": 9, "annihilate": 500, "linear_combine": 9, "create": 46, "cond_expect": 29,
+    }
+
+    @pytest.fixture(params=["centered", "annihilate", "linear_combine", "create", "cond_expect"])
     def fault(self, request, monkeypatch):
         import fockcalc.covariance as covariance
         import fockcalc.functional as functional
@@ -194,16 +214,35 @@ class TestPlantedFaults:
             "linear_combine": (
                 functional, "linear_combine", _conjugating(functional.linear_combine)
             ),
+            "create": (operators, "create", _scaled_create),
+            "cond_expect": (operators, "cond_expect", _keeping_next_level),
         }[request.param]
         original = getattr(owner, name)
         # Every fockcalc namespace that binds the name gets the fault.
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "fockcalc" and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, replacement)
+        return request.param
+
+    @staticmethod
+    def _trial_gaps(cfg):
+        pool = random_functionals(
+            2 * cfg.trials, cfg.seed, support_max=cfg.support_max, max_terms=cfg.max_terms
+        )
+        return [fockcalc.suite._covariance_gap(cfg, pair) for pair in zip(pool[::2], pool[1::2])]
 
     def test_covariance_record_fails(self, fault):
-        report = fockcalc.suite.run_suite(fockcalc.suite.SuiteConfig(suite="covariance", trials=40))
+        cfg = fockcalc.suite.SuiteConfig(suite="covariance", trials=40)
+        report = fockcalc.suite.run_suite(cfg)
         assert [(c["check"], c["pass"]) for c in report["checks"]] == [("covariance", False)]
+        assert max(self._trial_gaps(cfg)) > cfg.tolerance
+
+    def test_default_run_flags_as_many_trials(self, fault):
+        # The counts are those of pairing the co_term terms at every shared
+        # site; pairing only the site terms that share a mask loses none.
+        cfg = fockcalc.suite.SuiteConfig(suite="covariance")
+        failed = sum(gap > cfg.tolerance for gap in self._trial_gaps(cfg))
+        assert failed == self.FAILED_TRIALS[fault]
 
     @pytest.mark.parametrize("suite, records", [("covariance", 1), ("all", 9)])
     def test_verify_exits_1_with_every_record(self, capsys, fault, suite, records):

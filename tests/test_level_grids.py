@@ -1,10 +1,11 @@
 """The level-grid forms of the covariance and norm-bound checks.
 
 Each grid form must equal its identity's per-level body, kept here as the
-reference, at every level and step; so must the norm's table step, read at
-every level from one table; the suites must build the level-free pieces once
-per trial, and a clark trial each site term once; and an operator or norm
-fault must still reach the bounds record through images built once.
+reference, at every level and step, and each suite trial the gap built from
+the one-level calls; so must the norm's table step, read at every level from
+one table; the suites must build the level-free pieces once per trial, and a
+clark trial each site term once; and an operator or norm fault must still
+reach the bounds record through images built once.
 """
 
 import json
@@ -23,6 +24,7 @@ from fockcalc.covariance import (
     CovarianceReport,
     SiteTable,
     _cov_identities,
+    _parts,
     _var_bounds,
     cov_identity,
     cov_p,
@@ -75,6 +77,33 @@ def _reference_var_bound(phi, p):
     lhs = var_p(phi, p)
     squares = [norm_dual(create(annihilate(phi, k), k), p) ** 2 for k in phi.sites()]
     return lhs, _complex_sum(squares).real
+
+
+def _reference_covariance_gap(cfg, pair):
+    # The covariance trial from one-level calls, in the order the suite scores them.
+    top = 0.0
+    for p in cfg.p_grid:
+        rep = cov_identity(*pair, p)
+        top = max(top, rep.gap / (1.0 + abs(rep.lhs)))
+        for f in pair:
+            lhs, rhs = var_bound(f, p)
+            top = max(top, (lhs - rhs) / (1.0 + rhs))
+    return top
+
+
+def _reference_bounds_gap(cfg, phi):
+    # The bounds trial from one-level calls, in the order the suite scores them.
+    excess = -1.0
+    for k in range(cfg.support_max + 1):
+        for p in cfg.p_grid:
+            rep = verify_norm_bounds(phi, k, p)
+            excess = max(
+                excess,
+                (rep.annihilate_ratio - rep.annihilate_bound) / rep.annihilate_bound,
+                (rep.create_ratio - rep.create_bound) / rep.create_bound,
+                rep.cond_expect_ratio - 1.0,
+            )
+    return excess
 
 
 def _reference_norm_bounds(phi, k, p):
@@ -173,21 +202,27 @@ class TestGridsMatchTheirReferences:
     def test_cov_identities(self):
         raised = 0
         for phi, psi in PAIRS:
-            run = _grid_run(_cov_identities(phi, psi, LEVELS))
-            assert run == _reference_run(
+            reference = _reference_run(
                 [partial(_reference_cov_identity, phi, psi, p) for p in LEVELS]
             )
+            top = max(phi.support_max, psi.support_max)
+            shared = sorted(set(phi.sites()).intersection(psi.sites()))
+            # Parts at every occupied site, as a covariance trial builds them,
+            # and at the shared sites only, as ``cov_identity`` does.
+            for sites in (phi.sites(), psi.sites()), (shared, shared):
+                parts = [_parts(f, f_sites) for f, f_sites in zip((phi, psi), sites)]
+                assert _grid_run(_cov_identities(*parts, top, LEVELS)) == reference
             for p in LEVELS:
                 assert _outcome(partial(cov_identity, phi, psi, p)) == _outcome(
                     partial(_reference_cov_identity, phi, psi, p)
                 )
-            raised += isinstance(run[-1], type)
+            raised += isinstance(reference[-1], type)
         assert raised  # the overflowing inputs raise
 
     def test_var_bounds(self):
         raised = 0
         for phi in SINGLES:
-            run = _grid_run(_var_bounds(phi, LEVELS))
+            run = _grid_run(_var_bounds(_parts(phi, phi.sites()), LEVELS))
             assert run == _reference_run([partial(_reference_var_bound, phi, p) for p in LEVELS])
             for p in LEVELS:
                 assert _outcome(partial(var_bound, phi, p)) == _outcome(
@@ -198,7 +233,11 @@ class TestGridsMatchTheirReferences:
 
     def test_norm_bounds(self):
         for phi in SINGLES:
-            assert _grid_run(_norm_bounds(phi, SITES, LEVELS)) == _reference_run(
+            run = _grid_run(_norm_bounds(phi, SITES, LEVELS))
+            # The grid yields plain tuples of the report's fields.
+            assert all(type(row) is tuple for row in run if not isinstance(row, type))
+            rows = [row if isinstance(row, type) else NormBoundReport(*row) for row in run]
+            assert rows == _reference_run(
                 [partial(_reference_norm_bounds, phi, k, p) for k in SITES for p in LEVELS]
             )
             for k in SITES:
@@ -206,6 +245,35 @@ class TestGridsMatchTheirReferences:
                     assert _outcome(partial(verify_norm_bounds, phi, k, p)) == _outcome(
                         partial(_reference_norm_bounds, phi, k, p)
                     )
+
+
+def _gap_bits(outcome):
+    # A trial gap as hex, so equal means bit for bit, or the type it raised.
+    return outcome if isinstance(outcome, type) else outcome.hex()
+
+
+#: The seed-61 corpus paired as drawn: the members share few support sets.
+DRAWN_PAIRS = list(zip(CORPUS[::2], CORPUS[1::2]))
+
+
+class TestTrialsMatchOneLevelCalls:
+    """A suite trial's gap equals the gap scored from the one-level calls, bit
+    for bit, or raises the same type."""
+
+    CFG = SuiteConfig(p_grid=LEVELS)
+
+    def test_covariance_gap(self):
+        outcomes = []
+        for pair in DRAWN_PAIRS + PAIRS:
+            gap = _gap_bits(_outcome(partial(_covariance_gap, self.CFG, pair)))
+            assert gap == _gap_bits(_outcome(partial(_reference_covariance_gap, self.CFG, pair)))
+            outcomes.append(isinstance(gap, type))
+        assert set(outcomes) == {False, True}  # the overflowing pairs raise
+
+    def test_bounds_gap(self):
+        for phi in SINGLES:
+            gap = _gap_bits(_outcome(partial(_bounds_gap, self.CFG, phi)))
+            assert gap == _gap_bits(_outcome(partial(_reference_bounds_gap, self.CFG, phi)))
 
 
 def _bits(outcome):
@@ -253,20 +321,26 @@ def test_site_terms_are_built_once_per_clark_trial(plant):
         assert calls == phi.sites()
 
 
-def test_images_are_built_once_per_trial(plant):
-    counts = {"annihilate": 0, "create": 0}
+def _count_calls(plant, owners):
+    # Plant a counting wrapper of each owners[name].name; returns the counts.
+    counts = dict.fromkeys(owners, 0)
 
     def counting(name):
-        original = getattr(operators, name)
+        original = getattr(owners[name], name)
 
-        def counted(phi, k):
+        def counted(*args):
             counts[name] += 1
-            return original(phi, k)
+            return original(*args)
 
         return counted
 
-    for name in counts:
-        plant(operators, name, counting(name))
+    for name, owner in owners.items():
+        plant(owner, name, counting(name))
+    return counts
+
+
+def test_images_are_built_once_per_trial(plant):
+    counts = _count_calls(plant, {"annihilate": operators, "create": operators})
 
     def calls(gap, trial, p_grid):
         counts.update(dict.fromkeys(counts, 0))
@@ -278,6 +352,35 @@ def test_images_are_built_once_per_trial(plant):
         one_level = calls(gap, trial, (0.0,))
         assert min(one_level.values()) > 0
         assert calls(gap, trial, (0.0, 1.0, 2.0)) == one_level
+
+
+def test_covariance_trial_counts(plant):
+    # A covariance trial builds each member's images once, one per occupied
+    # site, and no co_term; at each of the three default levels it pairs the
+    # centered members, and the site terms only where they share a mask.
+    # ``cov_identity`` builds images at the shared sites only.
+    expected = []
+    for phi, psi in DRAWN_PAIRS + PAIRS[:15]:
+        shared = sorted(set(phi.sites()).intersection(psi.sites()))
+        sharing = [k for k in shared if co_term(phi, k)._terms.keys() & co_term(psi, k)._terms]
+        expected.append((phi, psi, shared, sharing))
+    # Both kinds of shared site occur: terms with and without a common mask.
+    assert any(sharing for *_, sharing in expected)
+    assert any(len(shared) > len(sharing) for *_, shared, sharing in expected)
+    counts = _count_calls(plant, {
+        "annihilate": operators, "create": operators, "co_term": clark_ocone,
+        "inner_dual": functional,
+    })
+    for phi, psi, shared, sharing in expected:
+        counts.update(dict.fromkeys(counts, 0))
+        _covariance_gap(SuiteConfig(), (phi, psi))
+        occupied = len(phi.sites()) + len(psi.sites())
+        assert counts == {"annihilate": occupied, "create": occupied, "co_term": 0,
+                          "inner_dual": 3 + 3 * len(sharing)}
+        counts.update(dict.fromkeys(counts, 0))
+        cov_identity(phi, psi, 1.0)
+        assert counts == {"annihilate": 2 * len(shared), "create": 2 * len(shared),
+                          "co_term": 0, "inner_dual": 1 + len(sharing)}
 
 
 def _doubling(phi, k):
