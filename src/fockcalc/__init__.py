@@ -8,7 +8,8 @@ operator algebra, the Clark-Ocone decomposition with its covariance
 identities, and an exhaustive Rademacher path space that independently
 re-derives every identity pathwise at desk scale.
 
-The coefficient layers load with the package.  The path oracle, the random
+The coefficient layers load with the package, without numpy and without
+``dataclasses``: their records are named tuples.  The path oracle, the random
 corpus and the verification suites need numpy, so their names load on first
 use: ``fockcalc.evaluate`` imports ``fockcalc.bridge`` when it is first read.
 """

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import PredictabilityViolatedError
 from .functional import (
@@ -91,8 +90,7 @@ class ResidualTable(Mapping):
         return ((range(a, b), row) for a, b, row in zip(self._sites, stops, self._rows))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Mean part, per-site terms, and partial-sum residuals of a functional.
 
     ``termination_index`` is the largest support index (-1 when only the
@@ -152,21 +150,27 @@ def decompose(
     )
 
 
-@dataclass(frozen=True)
-class PredictableSequence:
+class PredictableSequence(
+    NamedTuple("PredictableSequence", [("terms", Dict[int, FockFunctional])])
+):
     """Per-site functionals u_k measurable strictly before their site.
 
     Invariant: every support set of u_k has max <= k - 1, i.e. u_k survives
-    cond_expect(. , k - 1) unchanged.  Zero entries are not stored.
+    cond_expect(. , k - 1) unchanged.  Zero entries are not stored, and
+    ``len`` counts the stored entries.
     """
 
-    terms: Dict[int, FockFunctional]
+    __slots__ = ()
+    # ``_replace`` runs the checks too, and skips namedtuple's length check,
+    # which would read the entry count below.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        for k, u in self.terms.items():
+    def __new__(cls, terms: Dict[int, FockFunctional]):
+        for k, u in terms.items():
             if k < 0:
                 raise ValueError(f"site index must be >= 0, got {k}")
             _require_predictable(k, u)
+        return super().__new__(cls, terms)
 
     def __len__(self) -> int:
         return len(self.terms)

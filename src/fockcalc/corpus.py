@@ -25,11 +25,11 @@ def random_functional(
     n_terms = int(rng.integers(1, max_terms + 1))
     population = 1 << (support_max + 1)
     n_terms = min(n_terms, population)
-    masks = rng.choice(population, size=n_terms, replace=False)
-    coefs = rng.uniform(-1.0, 1.0, size=(n_terms, 2))
+    masks = rng.choice(population, size=n_terms, replace=False).tolist()
+    coefs = rng.uniform(-1.0, 1.0, size=(n_terms, 2)).tolist()
     # The masks are distinct, so they key the coefficient map directly.
     return FockFunctional._of_masks(
-        {int(m): z for m, c in zip(masks, coefs) if (z := complex(c[0], c[1]))}
+        {m: z for m, (re, im) in zip(masks, coefs) if (z := complex(re, im))}
     )
 
 

@@ -18,8 +18,7 @@ pairs only the site terms sharing a mask, as disjoint ones pair to 0j.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional
 
 from .clark_ocone import _centered
 from .errors import NonFiniteResultError
@@ -78,8 +77,7 @@ class SiteTable(Mapping):
         return len(self._range)
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
+class CovarianceReport(NamedTuple):
     """Direct covariance, its per-site series form, and the measured gap.
 
     ``per_site`` maps every site 0..top to its pairing and stores only the

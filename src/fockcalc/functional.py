@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DuplicateKeyError,
@@ -53,6 +52,7 @@ from .errors import (
 from .gamma import (
     GammaCursor,
     SubsetIndex,
+    _bits,
     enumerate_gamma,
     gamma_weight_sum_limit,
     lambda_weight,
@@ -117,7 +117,7 @@ class FockFunctional:
         union = 0
         for m in self._terms:
             union |= m
-        return list(SubsetIndex.from_mask(union).elements)
+        return _bits(union)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -210,7 +210,7 @@ def _weight_power(m: int, exponent: float) -> Tuple[float, int]:
     # (mant, e) with weight(m) ** exponent == mant * 2**e and mant in [1, 2),
     # through exponent * log2(weight); a weight of 1 is (1.0, 0) at any exponent.
     # A power below every double (exponent * log2(weight) is -inf) is (0.0, 0).
-    log2_weight = math.fsum(math.log2(k + 1) for k in SubsetIndex.from_mask(m).elements)
+    log2_weight = math.fsum(math.log2(k + 1) for k in _bits(m))
     w_log = exponent * log2_weight if log2_weight else 0.0
     if w_log == -math.inf:
         return 0.0, 0
@@ -434,16 +434,18 @@ def dual_pair(phi: FockFunctional, xi: FockFunctional) -> complex:
                      if (d := phi._terms.get(m)) is not None], 0.0)
 
 
-@dataclass(frozen=True)
-class GrowthEnvelope:
+class GrowthEnvelope(NamedTuple("GrowthEnvelope", [("C", float), ("p", float)])):
     """Certificate that every coefficient obeys |coef| <= C * weight**p."""
 
-    C: float
-    p: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
-    def __post_init__(self):
-        if self.C < 0 or self.p < 0:
+    def __new__(cls, C: float, p: float):
+        if math.isnan(C) or math.isnan(p):
+            raise ValueError(f"envelope constants must be numbers, got C={C}, p={p}")
+        if C < 0 or p < 0:
             raise ValueError("envelope constants must be nonnegative")
+        return super().__new__(cls, C, p)
 
     def covers(self, phi: FockFunctional) -> bool:
         """Whether the bound holds on every support set of ``phi``.
@@ -476,10 +478,11 @@ def dual_norm_bound(env: GrowthEnvelope, q: float) -> float:
     C * sqrt(sum over ALL subsets of weight**(-2(q-p))), which converges
     precisely when q > p + 1/2.  The series is evaluated by the certified
     upper machinery in ``gamma_weight_sum_limit``, so the ceiling genuinely
-    dominates every truncation.  Raises NonFiniteResultError where the
+    dominates every truncation.  Raises ExponentTooSmallError unless
+    q > p + 1/2, so also for a NaN q, and NonFiniteResultError where the
     ceiling overflows a double, as it does for q just above p + 1/2.
     """
-    if q <= env.p + 0.5:
+    if not q > env.p + 0.5:
         raise ExponentTooSmallError(
             f"need q > p + 1/2 for the bound series; got q={q}, p={env.p}"
         )
@@ -491,8 +494,7 @@ def dual_norm_bound(env: GrowthEnvelope, q: float) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class StrongConvergenceDiagnostic:
+class StrongConvergenceDiagnostic(NamedTuple):
     """Window-level evidence for the two strong-convergence conditions.
 
     ``pointwise_gaps[n]`` is the max over the probed subsets of the distance

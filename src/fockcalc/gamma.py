@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List, NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -48,6 +47,16 @@ WEIGHT_CACHE_SIZE = 1 << 14
 #: Largest site a parsed subset or operator tag may name: a subset is a mask
 #: with one bit per site, so a site costs its index over 8 in bytes.
 _MAX_SITE = 1 << 27
+
+
+def _bits(mask: int) -> List[int]:
+    # The set bits of a nonnegative mask, ascending: isolate the lowest, record it, clear it.
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 class SubsetIndex:
@@ -78,14 +87,7 @@ class SubsetIndex:
         """Build the subset whose members are the set bits of ``mask``."""
         if mask < 0:
             raise NegativeIndexError("bit-mask must be nonnegative")
-        # Walk only the set bits: isolate the lowest, record it, clear it.
-        bits = []
-        m = mask
-        while m:
-            low = m & -m
-            bits.append(low.bit_length() - 1)
-            m ^= low
-        elems = tuple(bits)
+        elems = tuple(_bits(mask))
         self = object.__new__(cls)
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_mask", mask)
@@ -134,8 +136,7 @@ class SubsetIndex:
 EMPTY_SET = SubsetIndex(())
 
 
-@dataclass(frozen=True)
-class GammaCursor:
+class GammaCursor(NamedTuple("GammaCursor", [("max_index", int)])):
     """The window of exhaustive subset enumeration.
 
     ``max_index`` is an exclusive upper bound on the elements: the window
@@ -144,15 +145,15 @@ class GammaCursor:
     empty set comes first, then {0}, {1}, {0,1}, {2}, ...
     """
 
-    max_index: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
-    def __post_init__(self):
-        if self.max_index < 0:
-            raise ValueError(f"max_index must be >= 0, got {self.max_index}")
-        if self.max_index > GAMMA_HARD_CAP:
-            raise CapExceededError(
-                f"max_index {self.max_index} exceeds the hard cap {GAMMA_HARD_CAP}"
-            )
+    def __new__(cls, max_index: int):
+        if max_index < 0:
+            raise ValueError(f"max_index must be >= 0, got {max_index}")
+        if max_index > GAMMA_HARD_CAP:
+            raise CapExceededError(f"max_index {max_index} exceeds the hard cap {GAMMA_HARD_CAP}")
+        return super().__new__(cls, max_index)
 
 
 def enumerate_gamma(cursor: GammaCursor) -> Iterator[SubsetIndex]:
@@ -175,11 +176,8 @@ def mask_weight(mask: int) -> float:
     if mask < 0:
         raise NegativeIndexError("bit-mask must be nonnegative")
     w = 1.0
-    m = mask
-    while m:
-        low = m & -m
-        w *= float(low.bit_length())
-        m ^= low
+    for k in _bits(mask):
+        w *= float(k + 1)
     if math.isinf(w):
         raise WeightOverflowError(
             f"weight of {SubsetIndex.from_mask(mask)!r} overflows a double"
@@ -203,7 +201,7 @@ def gamma_weight_sum(p: float, max_index: int) -> float:
     prod_{k=1..max_index} (1 + k**-p), evaluated in max_index steps; the
     tests enumerate the 2**max_index subsets as the independent check.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     GammaCursor(max_index)  # the window's bounds, checked as enumeration checks them
     return math.prod((1.0 + float(k) ** -p for k in range(1, max_index + 1)), start=1.0)
@@ -214,10 +212,13 @@ def _series_exp(p: float, diverges: str, overflows: str, logs: bool) -> float:
 
     The first ``SERIES_CUTOFF`` terms are summed and the rest covered by the
     integral tail SERIES_CUTOFF**(1-p)/(p-1), which bounds both kinds of term
-    (log1p(x) <= x).  Requires p > 1, else raises DivergentSeriesError saying
-    ``diverges``; raises NonFiniteResultError saying ``overflows`` where the
-    result overflows a double, which happens for p just above 1.
+    (log1p(x) <= x).  Raises ValueError on a NaN p.  Requires p > 1, else
+    raises DivergentSeriesError saying ``diverges``; raises NonFiniteResultError
+    saying ``overflows`` where the result overflows a double, which happens for
+    p just above 1.
     """
+    if math.isnan(p):
+        raise ValueError(f"p must be a number, got {p}")
     import numpy as np
 
     if p <= 1:

@@ -19,17 +19,19 @@ an identity term by term and take the level-0 dual norm of their difference
 only where the terms differ (``functional._residual``).
 
 ``verify_norm_bounds`` is a one-site, one-level call of a grid form over
-sites and dual levels that yields plain tuples of the report's fields.  phi's
-norm table is built once per call, the three images at a site and their
-tables once per site, and phi's own norm once per level; each (site, level)
+sites and dual levels that yields one ``NormBoundReport`` per (site, level)
+pair.  phi's norm table is built once per call, the three images at a site
+and their tables once per site, and phi's own norm once per level; each
 pair then costs only the images' norm steps.
+
+``parse_pipeline`` reads a pipeline into (operator, site) steps, the
+operators being the functions above, which ``apply_pipeline`` calls in turn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BadTagError, CapExceededError, NegativeIndexError
 from .functional import FockFunctional, _norm_step, _norm_table, _residual, linear_combine
@@ -85,8 +87,7 @@ def verify_car(phi: FockFunctional, k: int) -> float:
     return _residual(recombined, phi)
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(NamedTuple):
     """Measured operator-norm ratios at one site and dual level.
 
     Each ratio is ||op(phi)|| / ||phi|| in the level-p dual norm (0 when phi
@@ -108,16 +109,16 @@ def verify_norm_bounds(phi: FockFunctional, k: int, p: float) -> NormBoundReport
     suite scores each ratio's relative excess.  Basis witnesses make the first
     two ceilings tight: {k} for annihilation, the constant for creation.
     """
-    return NormBoundReport(*next(_norm_bounds(phi, (k,), (p,))))
+    return next(_norm_bounds(phi, (k,), (p,)))
 
 
 def _norm_bounds(
     phi: FockFunctional, sites: Iterable[int], levels: Sequence[float]
-) -> Iterator[tuple[float, float, float, float, float]]:
-    # ``verify_norm_bounds`` at each site, and at each level within a site, as
-    # tuples of the report's fields.  phi's norm at a level and the images at
-    # a site are built on first use, in the order of the single-level call, so
-    # each is built once and an error raises at the same site, level and step.
+) -> Iterator[NormBoundReport]:
+    # ``verify_norm_bounds`` at each site, and at each level within a site.
+    # phi's norm at a level and the images at a site are built on first use,
+    # in the order of the single-level call, so each is built once and an
+    # error raises at the same site, level and step.
     table = _norm_table(phi)
     bases: list[tuple[float, int]] = []
     for k in sites:
@@ -135,7 +136,7 @@ def _norm_bounds(
                 if image:
                     mant, exp2 = _norm_step(image, image_table, -p)
                     ratios[j] = math.ldexp(mant / base_mant, exp2 - base_exp2)
-            yield ratios[0], (1.0 + k) ** p, ratios[1], (1.0 + k) ** (-p), ratios[2]
+            yield NormBoundReport(ratios[0], (1.0 + k) ** p, ratios[1], (1.0 + k) ** (-p), ratios[2])
 
 
 def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:
@@ -150,44 +151,18 @@ def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:
     return gap1, _residual(cond_expect(gradient, k), cond_expect(gradient, k - 1))
 
 
-@dataclass(frozen=True)
-class OperatorTag:
-    """Parsed pipeline step: one of annihilate/create/condexp/expect.
-
-    ``site`` is unused for expect; condexp admits -1 (the plain mean).
-    """
-
-    kind: str
-    site: int = -1
-
-    _KINDS = ("annihilate", "create", "condexp", "expect")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise BadTagError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("annihilate", "create") and self.site < 0:
-            raise NegativeIndexError(f"{self.kind} needs a site >= 0, got {self.site}")
-        if self.kind == "condexp" and self.site < -1:
-            raise BadTagError(f"condexp level must be >= -1, got {self.site}")
-
-    def apply(self, phi: FockFunctional) -> FockFunctional:
-        if self.kind == "annihilate":
-            return annihilate(phi, self.site)
-        if self.kind == "create":
-            return create(phi, self.site)
-        if self.kind == "condexp":
-            return cond_expect(phi, self.site)
-        return expect(phi)
-
-
-def parse_pipeline(text: str) -> list[OperatorTag]:
+def parse_pipeline(
+    text: str,
+) -> List[Tuple[Callable[[FockFunctional, int], FockFunctional], int]]:
     """Parse a comma-separated pipeline like ``annihilate:2,create:2,expect``.
 
-    Tags apply left to right.  Raises BadTagError on malformed tags,
-    NegativeIndexError on negative shift sites and CapExceededError on sites
-    past the site cap.
+    Returns (operator, site) pairs to apply left to right: annihilate:k is
+    ``(annihilate, k)``, create:k ``(create, k)``, condexp:k ``(cond_expect, k)``
+    with k >= -1 (-1 being the plain mean), and expect ``(cond_expect, -1)``.
+    Raises BadTagError on malformed tags, NegativeIndexError on negative shift
+    sites and CapExceededError on sites past the site cap.
     """
-    tags = []
+    steps = []
     for raw in text.split(","):
         part = raw.strip()
         if not part:
@@ -196,7 +171,7 @@ def parse_pipeline(text: str) -> list[OperatorTag]:
         if name == "expect":
             if sep:
                 raise BadTagError("expect takes no site argument")
-            tags.append(OperatorTag("expect"))
+            steps.append((cond_expect, -1))
             continue
         if not sep:
             raise BadTagError(f"operator {name!r} needs a site, e.g. {name}:0")
@@ -206,13 +181,22 @@ def parse_pipeline(text: str) -> list[OperatorTag]:
             raise BadTagError(f"bad site {arg!r} in {part!r}") from None
         if site > _MAX_SITE:
             raise CapExceededError(f"{name}: site {site} exceeds the site cap {_MAX_SITE}")
-        tags.append(OperatorTag(name, site))
-    return tags
+        if name == "condexp":
+            if site < -1:
+                raise BadTagError(f"condexp level must be >= -1, got {site}")
+            steps.append((cond_expect, site))
+        elif name in ("annihilate", "create"):
+            if site < 0:
+                raise NegativeIndexError(f"{name} needs a site >= 0, got {site}")
+            steps.append((annihilate if name == "annihilate" else create, site))
+        else:
+            raise BadTagError(f"unknown operator kind {name!r}")
+    return steps
 
 
 def apply_pipeline(phi: FockFunctional, pipeline: str) -> FockFunctional:
-    """Apply a parsed tag pipeline left to right."""
+    """Apply a parsed pipeline left to right."""
     out = phi
-    for tag in parse_pipeline(pipeline):
-        out = tag.apply(out)
+    for operator, site in parse_pipeline(pipeline):
+        out = operator(out, site)
     return out

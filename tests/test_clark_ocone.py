@@ -153,6 +153,13 @@ class TestPredictableSequence:
             PredictableSequence({-1: F(([], 1))})
         assert str(info.value) == "site index must be >= 0, got -1"
 
+    def test_length_counts_entries(self):
+        u = PredictableSequence({2: F(([0], 3)), 3: F(([1], 1))})
+        assert (len(u), len(PredictableSequence({}))) == (2, 0)
+        assert u._replace(terms={1: F(([], 1))}).terms == {1: F(([], 1))}
+        with pytest.raises(PredictabilityViolatedError):
+            u._replace(terms={1: F(([3], 1))})
+
 
 class TestIntegrate:
     def test_recovers_centered_functional(self):

@@ -680,7 +680,7 @@ class TestSiteCap:
         from fockcalc.serialization import parse_subset
 
         assert _MAX_SITE > 10**8
-        assert [tag.site for tag in parse_pipeline(f"create:{_MAX_SITE}")] == [_MAX_SITE]
+        assert [site for _, site in parse_pipeline(f"create:{_MAX_SITE}")] == [_MAX_SITE]
         assert parse_subset([_MAX_SITE]).elements == (_MAX_SITE,)
 
 

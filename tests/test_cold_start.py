@@ -1,8 +1,10 @@
-"""The coefficient commands start without numpy, the path oracle or the suites.
+"""The coefficient commands start without numpy, dataclasses, the path oracle or the suites.
 
 Every CLI call is a fresh process, so what ``fockcalc.cli`` imports is paid
 on every call; the numpy-backed modules load only for ``verify`` and
-``bridge``, and the package re-exports their names lazily.
+``bridge``, and the package re-exports their names lazily.  The coefficient
+records are named tuples and a pipeline step is its operator, so neither
+``dataclasses`` nor the ``inspect`` it imports loads.
 """
 
 import importlib
@@ -18,7 +20,10 @@ import fockcalc
 
 PHI_JSON = '{"terms":[{"set":[],"coef":[2,0]},{"set":[0,2],"coef":[3,0]}]}'
 
-NOT_LOADED = ("numpy", "fockcalc.bridge", "fockcalc.suite", "fockcalc.corpus", "datetime")
+NOT_LOADED = (
+    "numpy", "fockcalc.bridge", "fockcalc.suite", "fockcalc.corpus", "datetime",
+    "dataclasses", "inspect",
+)
 
 PROBE = """
 import contextlib, io, json, sys
@@ -27,7 +32,7 @@ phi = sys.argv[1]
 calls = [
     ["norm", phi],
     ["norm", phi, "--dual", "--p", "1"],
-    ["apply", phi, "--pipeline", "annihilate:2,create:2,expect"],
+    ["apply", phi, "--pipeline", "annihilate:2,create:2,condexp:2,expect"],
     ["decompose", phi],
     ["cov", phi, phi, "--p", "1"],
     ["lambda", "[1,3]"],

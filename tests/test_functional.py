@@ -268,6 +268,21 @@ class TestEnvelopes:
             GrowthEnvelope(C=-1, p=0)
         assert str(info.value) == "envelope constants must be nonnegative"
 
+    @pytest.mark.parametrize("C, p", [(math.nan, 0.0), (1.0, math.nan)])
+    def test_nan_constant_rejected(self, C, p):
+        with pytest.raises(ValueError) as info:
+            dual_norm_bound(GrowthEnvelope(C=C, p=p), 1.0)
+        assert str(info.value) == f"envelope constants must be numbers, got C={C}, p={p}"
+
+    def test_record_checks_every_construction(self):
+        env = GrowthEnvelope(C=2.0, p=1.0)
+        assert repr(env) == "GrowthEnvelope(C=2.0, p=1.0)"
+        assert env._replace(C=3.0) == GrowthEnvelope(3.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            env._replace(C=-1.0)
+        with pytest.raises(AttributeError):
+            env.C = 3.0
+
     def test_fitted_envelope_covers(self):
         for phi in random_functionals(20, seed=8, support_max=8, max_terms=12):
             for p in (0.0, 1.0):
@@ -281,6 +296,8 @@ class TestEnvelopes:
             dual_norm_bound(GrowthEnvelope(1.0, 1.0), 1.0)
         with pytest.raises(ExponentTooSmallError):
             dual_norm_bound(GrowthEnvelope(1.0, 0.0), 0.5)
+        with pytest.raises(ExponentTooSmallError, match="got q=nan, p=0.0"):
+            dual_norm_bound(GrowthEnvelope(1.0, 0.0), math.nan)
 
     @pytest.mark.parametrize(
         "env, q", [(GrowthEnvelope(1.0, 0.0), 0.50000001), (GrowthEnvelope(1e308, 0.0), 0.6)]

@@ -196,6 +196,11 @@ class TestSeriesBounds:
             (lambda: gamma_weight_sum(1, -1), ValueError, "max_index must be >= 0, got -1"),
             (lambda: SubsetIndex.from_mask(-1), NegativeIndexError, "bit-mask must be nonnegative"),
             (lambda: GammaCursor(-1), ValueError, "max_index must be >= 0, got -1"),
+            (lambda: GammaCursor(3)._replace(max_index=-1), ValueError,
+             "max_index must be >= 0, got -1"),
+            (lambda: gamma_weight_sum(math.nan, 5), ValueError, "p must be positive, got nan"),
+            (lambda: weight_sum_bound(math.nan), ValueError, "p must be a number, got nan"),
+            (lambda: gamma_weight_sum_limit(math.nan), ValueError, "p must be a number, got nan"),
         ],
     )
     def test_argument_below_its_bound_raises(self, call, error, message):

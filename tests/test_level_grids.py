@@ -234,10 +234,9 @@ class TestGridsMatchTheirReferences:
     def test_norm_bounds(self):
         for phi in SINGLES:
             run = _grid_run(_norm_bounds(phi, SITES, LEVELS))
-            # The grid yields plain tuples of the report's fields.
-            assert all(type(row) is tuple for row in run if not isinstance(row, type))
-            rows = [row if isinstance(row, type) else NormBoundReport(*row) for row in run]
-            assert rows == _reference_run(
+            # The grid yields the reports themselves.
+            assert all(type(row) is NormBoundReport for row in run if not isinstance(row, type))
+            assert run == _reference_run(
                 [partial(_reference_norm_bounds, phi, k, p) for k in SITES for p in LEVELS]
             )
             for k in SITES:

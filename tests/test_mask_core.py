@@ -4,11 +4,15 @@
 norms and pairings work on those integers.  The references here rebuild each
 result term by term from the boundary type's element tuples (a site added
 to or dropped from ``elements``, ``max_element``, ``lambda_weight``) and
-``math.fsum``, and must agree exactly.
+``math.fsum``, and must agree exactly.  The seeded corpus, whose draws are
+read as Python numbers, is pinned against the same draws read as numpy
+scalars.
 """
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
@@ -22,6 +26,7 @@ from fockcalc import (
     make_functional,
     norm_dual,
     norm_p,
+    random_functionals,
 )
 from fockcalc.gamma import WEIGHT_CACHE_SIZE, mask_weight
 
@@ -104,3 +109,37 @@ def test_mask_weight_matches_subset_weight():
             w *= float(k + 1)
         assert mask_weight(sigma.mask) == lambda_weight(sigma) == w
     assert mask_weight.cache_info().maxsize == WEIGHT_CACHE_SIZE
+
+
+def test_sites_match_subset_reference():
+    # Site 0, the highest bit a nonnegative int64 holds, and a mask past any machine word.
+    wide = [make_functional([(SubsetIndex(s), 1.0)]) for s in ([0], [62], [1000], [0, 62, 1000])]
+    wide.append(make_functional([(SubsetIndex([0, 1000]), 1.0), (SubsetIndex([62]), 2.0)]))
+    for phi in random_functionals(200, seed=70, support_max=61, max_terms=8) + wide:
+        union = 0
+        for sigma in phi.support():
+            union |= sigma.mask
+        assert phi.sites() == list(SubsetIndex.from_mask(union).elements)
+    assert wide[-1].sites() == [0, 62, 1000]
+
+
+def _numpy_scalar_corpus(count, seed, support_max, max_terms):
+    # The corpus as drawn before its draws were read with ``tolist``.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    corpus = []
+    for _ in range(count):
+        n_terms = min(int(rng.integers(1, max_terms + 1)), 1 << (support_max + 1))
+        masks = rng.choice(1 << (support_max + 1), size=n_terms, replace=False)
+        coefs = rng.uniform(-1.0, 1.0, size=(n_terms, 2))
+        corpus.append({int(m): z for m, c in zip(masks, coefs) if (z := complex(c[0], c[1]))})
+    return corpus
+
+
+@pytest.mark.parametrize("count, seed, support_max, max_terms", [
+    (200, 0, 10, 24), (50, 7, 61, 5), (1, 3, 0, 1),
+])
+def test_corpus_equals_numpy_scalar_draws(count, seed, support_max, max_terms):
+    got = random_functionals(count, seed, support_max, max_terms)
+    want = _numpy_scalar_corpus(count, seed, support_max, max_terms)
+    assert [list(phi._terms.items()) for phi in got] == [list(terms.items()) for terms in want]
+    assert all(type(m) is int and type(c) is complex for phi in got for m, c in phi._terms.items())

@@ -263,5 +263,9 @@ class TestPipelines:
         assert str(info.value) == message
 
     def test_condexp_allows_mean_level(self):
-        tags = parse_pipeline("condexp:-1")
-        assert tags[0].apply(F(([], 2), ([1], 1))) == F(([], 2))
+        [(operator, site)] = parse_pipeline("condexp:-1")
+        assert operator(F(([], 2), ([1], 1)), site) == F(([], 2))
+
+    def test_steps_are_the_operators(self):
+        steps = parse_pipeline("annihilate:2, create:0,condexp:3,expect")
+        assert steps == [(annihilate, 2), (create, 0), (cond_expect, 3), (cond_expect, -1)]
