@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=float, action="append",
                           help="chain level grid (repeatable; default 0 1 2)")
     p_verify.add_argument("--tolerance", type=float,
-                          help="identity tolerance; 0 invites spurious float-rounding failures")
+                          help="tolerance of bounds, covariance and plancherel (exact records use 0)")
     p_verify.add_argument("--horizon", type=int, help="bridge-suite horizon")
     p_verify.add_argument("--out", help="write report JSON here instead of stdout")
     p_verify.set_defaults(func=_cmd_verify)

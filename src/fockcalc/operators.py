@@ -31,6 +31,7 @@ operators being the functions above, which ``apply_pipeline`` calls in turn.
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BadTagError, CapExceededError, NegativeIndexError
@@ -78,8 +79,8 @@ def verify_car(phi: FockFunctional, k: int) -> float:
     """Gap of create∘annihilate + annihilate∘create = id at site k.
 
     Both sides hold the same terms for every functional, so the gap is 0.0;
-    where they differ it is the level-0 dual norm of their difference, for
-    callers to compare against a scaled tolerance.
+    where they differ it is the level-0 dual norm of their difference, which
+    the car suite scores as it is, at tolerance 0.0.
     """
     recombined = linear_combine(
         1.0, create(annihilate(phi, k), k), 1.0, annihilate(create(phi, k), k)
@@ -144,11 +145,16 @@ def verify_commutation(phi: FockFunctional, k: int) -> tuple[float, float]:
 
     First: conditioning at k commutes with creation at k.  Second:
     conditioning at k after annihilation at k equals conditioning at k-1
-    (level -1 meaning the plain mean).  Both sides of each hold the same terms.
+    (level -1 meaning the plain mean).  Both sides of each hold the same terms,
+    so the commutation suite scores the raw gaps at tolerance 0.0.
     """
     gap1 = _residual(cond_expect(create(phi, k), k), create(cond_expect(phi, k), k))
     gradient = annihilate(phi, k)
     return gap1, _residual(cond_expect(gradient, k), cond_expect(gradient, k - 1))
+
+
+#: Pipeline step kind -> (operator, lowest site); ``expect`` takes no site.
+_STEP_KINDS = {"annihilate": (annihilate, 0), "create": (create, 0), "condexp": (cond_expect, -1)}
 
 
 def parse_pipeline(
@@ -159,8 +165,9 @@ def parse_pipeline(
     Returns (operator, site) pairs to apply left to right: annihilate:k is
     ``(annihilate, k)``, create:k ``(create, k)``, condexp:k ``(cond_expect, k)``
     with k >= -1 (-1 being the plain mean), and expect ``(cond_expect, -1)``.
-    Raises BadTagError on malformed tags, NegativeIndexError on negative shift
-    sites and CapExceededError on sites past the site cap.
+    A site is ASCII ``-?[0-9]+``.  Raises BadTagError on an unknown kind, named
+    first, or a malformed tag, NegativeIndexError on negative shift sites and
+    CapExceededError on sites past the site cap.
     """
     steps = []
     for raw in text.split(","):
@@ -173,24 +180,24 @@ def parse_pipeline(
                 raise BadTagError("expect takes no site argument")
             steps.append((cond_expect, -1))
             continue
+        if name not in _STEP_KINDS:
+            raise BadTagError(f"unknown operator kind {name!r}")
+        operator, lowest = _STEP_KINDS[name]
         if not sep:
             raise BadTagError(f"operator {name!r} needs a site, e.g. {name}:0")
         try:
+            if not re.fullmatch(r"-?[0-9]+", arg):
+                raise ValueError(arg)
             site = int(arg)
         except ValueError:
             raise BadTagError(f"bad site {arg!r} in {part!r}") from None
         if site > _MAX_SITE:
             raise CapExceededError(f"{name}: site {site} exceeds the site cap {_MAX_SITE}")
-        if name == "condexp":
-            if site < -1:
+        if site < lowest:
+            if name == "condexp":
                 raise BadTagError(f"condexp level must be >= -1, got {site}")
-            steps.append((cond_expect, site))
-        elif name in ("annihilate", "create"):
-            if site < 0:
-                raise NegativeIndexError(f"{name} needs a site >= 0, got {site}")
-            steps.append((annihilate if name == "annihilate" else create, site))
-        else:
-            raise BadTagError(f"unknown operator kind {name!r}")
+            raise NegativeIndexError(f"{name} needs a site >= 0, got {site}")
+        steps.append((operator, site))
     return steps
 
 

@@ -1,7 +1,8 @@
 """Seeded verification suites over randomized functional corpora.
 
-Each suite draws a deterministic corpus, measures the worst normalized gap
-of one family of identities, and reports pass/fail against its tolerance.
+Each suite draws a deterministic corpus, measures the worst gap of one
+family of identities, and reports pass/fail against its tolerance: 0.0 for
+the exact records, whose gaps no rounding reaches (see ``SuiteConfig``).
 Trials run in corpus order, one after another or, in the bridge suite, in
 blocks that realize every member's values bit for bit as alone, so a report is
 a pure function of its config (apart from the ``created`` timestamp).
@@ -31,24 +32,29 @@ from .functional import (
     _residual,
     basis_element,
     make_functional,
-    norm_dual,
     norm_p,
 )
 from .gamma import EMPTY_SET, SubsetIndex
 from .operators import _norm_bounds, verify_car, verify_commutation, verify_norm_bounds
 from .suite_names import SUITE_NAMES
 
-#: Tolerance of the pathwise bridge comparisons, looser than the coefficient
-#: identities' because their rounding accumulates across up to 2**horizon paths.
+#: Tolerance of the pathwise bridge comparisons, looser than the rounded
+#: records' because their rounding accumulates across up to 2**horizon paths.
 BRIDGE_TOLERANCE = 1e-10
+
+#: Tolerance of the exact records: car, commutation and clark compare selections
+#: of the same coefficients, and orthonormality sums multiples of 2**-N exactly.
+_EXACT = 0.0
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs for one verification run.
 
-    ``tolerance`` applies to the exact coefficient identities; the pathwise
-    bridge comparisons use the fixed ``BRIDGE_TOLERANCE`` instead.
+    ``tolerance`` scores only the rounded records: bounds, covariance and
+    plancherel.  The exact records (car, commutation, clark and
+    orthonormality) are scored at 0.0, and the pathwise bridge records
+    (clark_ocone_pathwise and intertwining) at ``BRIDGE_TOLERANCE``.
     """
 
     suite: str = "all"
@@ -138,10 +144,6 @@ def _require_dual_level_in_range(p: float, support_max: int, max_terms: int, sui
         )
 
 
-def _scale(phi: FockFunctional) -> float:
-    return 1.0 + norm_dual(phi, 0.0)
-
-
 def _check_record(name: str, max_gap: float, tolerance: float, **extra: Any) -> Dict[str, Any]:
     record: Dict[str, Any] = {"check": name, "max_gap": max_gap, "tolerance": tolerance}
     record.update(extra)
@@ -157,7 +159,7 @@ def _intertwining_record(table: Dict[str, Any], **extra: Any) -> Dict[str, Any]:
 
 
 def _car_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
-    return max(verify_car(phi, k) for k in range(cfg.support_max + 1)) / _scale(phi)
+    return max(verify_car(phi, k) for k in range(cfg.support_max + 1))
 
 
 def _bounds_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
@@ -188,31 +190,20 @@ def _bounds_witness(cfg: SuiteConfig) -> float:
 
 
 def _commutation_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
-    top = 0.0
-    for k in range(cfg.support_max + 1):
-        g1, g2 = verify_commutation(phi, k)
-        top = max(top, g1, g2)
-    return top / _scale(phi)
+    return max(max(verify_commutation(phi, k)) for k in range(cfg.support_max + 1))
 
 
 def _clark_gap(cfg: SuiteConfig, phi: FockFunctional) -> float:
     # decompose builds each site term once; both decomposition routes and the
     # convergence window read those terms.
-    scale = _scale(phi)
     report = decompose(phi, tuple(float(q) for q in cfg.p_grid))
-    top = _reconstruct_gap(phi, report.terms) / scale
-    # The reconstruction must reproduce phi coefficient for coefficient.
-    top = max(top, _residual(report.reconstruction(), phi) / scale)
-    # The residuals must not grow with n and must end at zero.  The n of one
-    # stored run share its row, so only the steps between runs can grow.
+    # The reconstruction must reproduce phi coefficient for coefficient.  The
+    # residuals must not grow with n and must end at zero; the n of one stored
+    # run share its row, so only the steps between runs can grow.
     rows = [row for _, row in report.residual_norms.runs()]
-    for earlier, later in zip(rows, rows[1:]):
-        for a, b in zip(earlier, later):
-            top = max(top, (b - a) / scale)
-    for r in rows[-1] if rows else ():
-        top = max(top, r / scale)
-    pointwise, envelope_excess = _window(phi, report.terms)
-    return max(top, pointwise / scale, envelope_excess / scale)
+    growth = [b - a for earlier, later in zip(rows, rows[1:]) for a, b in zip(earlier, later)]
+    top = max(_reconstruct_gap(phi, report.terms), _residual(report.reconstruction(), phi))
+    return max(top, *growth, *(rows[-1] if rows else ()), *_window(phi, report.terms))
 
 
 def _covariance_gap(cfg: SuiteConfig, pair: Tuple[FockFunctional, FockFunctional]) -> float:
@@ -246,15 +237,16 @@ def _covariance_witness(cfg: SuiteConfig) -> float:
     return max(gap, abs(var_p(pair_set, 0.0) - 1.0))
 
 
-#: Coefficient suite -> (gap of one trial, trial-free witness gap or None).  A
-#: trial is one corpus functional; a covariance trial is a pair drawn from a
-#: pool of 2 * trials.  ``max_gap`` is the worst trial gap or the witness gap.
+#: Coefficient suite -> (gap of one trial, trial-free witness gap or None,
+#: whether the record is exact).  A trial is one corpus functional; a
+#: covariance trial is a pair drawn from a pool of 2 * trials.  ``max_gap`` is
+#: the worst trial gap or the witness gap.
 _GAPS = {
-    "car": (_car_gap, None),
-    "bounds": (_bounds_gap, _bounds_witness),
-    "commutation": (_commutation_gap, None),
-    "clark": (_clark_gap, None),
-    "covariance": (_covariance_gap, _covariance_witness),
+    "car": (_car_gap, None, True),
+    "bounds": (_bounds_gap, _bounds_witness, False),
+    "commutation": (_commutation_gap, None, True),
+    "clark": (_clark_gap, None, True),
+    "covariance": (_covariance_gap, _covariance_witness, False),
 }
 
 
@@ -275,7 +267,7 @@ def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
     )
 
     return [
-        _check_record("orthonormality", ortho_gap, cfg.tolerance, N=n),
+        _check_record("orthonormality", ortho_gap, _EXACT, N=n),
         _check_record("clark_ocone_pathwise", co_gap, BRIDGE_TOLERANCE, N=n, trials=len(corpus)),
         _intertwining_record(table, N=n, trials=len(corpus)),
         _check_record("plancherel", plancherel_gap, cfg.tolerance, N=n, trials=len(corpus)),
@@ -297,7 +289,7 @@ def run_suite(cfg: SuiteConfig) -> Dict[str, Any]:
         if name == "bridge":
             checks.extend(_check_bridge(cfg))
             continue
-        gap, witness = _GAPS[name]
+        gap, witness, exact = _GAPS[name]
         if name == "covariance":
             pool = random_functionals(
                 2 * cfg.trials, cfg.seed, support_max=cfg.support_max, max_terms=cfg.max_terms
@@ -313,7 +305,7 @@ def run_suite(cfg: SuiteConfig) -> Dict[str, Any]:
         if witness is not None:
             extra["witness_gap"] = witness(cfg)
             max_gap = max(max_gap, extra["witness_gap"])
-        checks.append(_check_record(name, max_gap, cfg.tolerance, **extra))
+        checks.append(_check_record(name, max_gap, _EXACT if exact else cfg.tolerance, **extra))
     return {
         "suite": cfg.suite,
         "created": datetime.datetime.now(datetime.timezone.utc)

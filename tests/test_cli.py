@@ -142,9 +142,11 @@ class TestNormCommand:
 
 class TestApplyCommand:
     def test_site_round_trip(self, capsys, phi_file):
-        code, out, _ = run_cli(capsys, "apply", phi_file, "--pipeline", "annihilate:2,create:2")
-        assert code == 0
-        assert json.loads(out) == {"terms": [{"set": [0, 2], "coef": [3.0, 0.0]}]}
+        # Whitespace around a whole step is read.
+        for pipeline in ("annihilate:2,create:2", " annihilate:2 , create:2"):
+            code, out, _ = run_cli(capsys, "apply", phi_file, "--pipeline", pipeline)
+            assert code == 0
+            assert json.loads(out) == {"terms": [{"set": [0, 2], "coef": [3.0, 0.0]}]}
 
     def test_expect(self, capsys, phi_file):
         code, out, _ = run_cli(capsys, "apply", phi_file, "--pipeline", "expect")
@@ -159,8 +161,18 @@ class TestApplyCommand:
         assert json.loads(out) == {"terms": []}
 
     def test_bad_tag_is_usage_error(self, capsys, phi_file):
-        code, _, err = run_cli(capsys, "apply", phi_file, "--pipeline", "explode:3")
-        assert code == 2
+        # The kind is named first, and a site is ASCII -?[0-9]+.
+        for pipeline, message in (
+            ("explode:3", "unknown operator kind 'explode'"),
+            ("explode", "unknown operator kind 'explode'"),
+            ("explode:99999999999", "unknown operator kind 'explode'"),
+            ("create:1_0", "bad site '1_0' in 'create:1_0'"),
+            ("annihilate: 2", "bad site ' 2' in 'annihilate: 2'"),
+            ("condexp:+1", "bad site '+1' in 'condexp:+1'"),
+            ("create:\uff12", "bad site '\uff12' in 'create:\uff12'"),
+        ):
+            code, out, err = run_cli(capsys, "apply", phi_file, "--pipeline", pipeline)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_create_at_far_site(self, capsys, phi_file):
         code, out, _ = run_cli(capsys, "apply", phi_file, "--pipeline", "create:100000000")
@@ -368,6 +380,21 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_tolerance_reaches_only_the_rounded_records(self, capsys):
+        # The exact records are scored at 0.0 whatever --tolerance says, the
+        # pathwise ones at BRIDGE_TOLERANCE; at 0 only the rounded ones fail.
+        exact = {"car": 0.0, "commutation": 0.0, "clark": 0.0, "orthonormality": 0.0}
+        pathwise = {"clark_ocone_pathwise": 1e-10, "intertwining": 1e-10}
+        for tolerance, failing in (("1", []), ("0", ["bounds", "covariance", "plancherel"])):
+            code, out, _ = run_cli(
+                capsys, "verify", "--suite", "all", "--trials", "40", "--tolerance", tolerance
+            )
+            assert code == (1 if failing else 0)
+            checks = json.loads(out)["checks"]
+            rounded = dict.fromkeys(["bounds", "covariance", "plancherel"], float(tolerance))
+            assert {c["check"]: c["tolerance"] for c in checks} == {**exact, **pathwise, **rounded}
+            assert [c["check"] for c in checks if not c["pass"]] == failing
 
     def test_threads_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

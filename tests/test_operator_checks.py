@@ -113,7 +113,11 @@ def test_a_one_ulp_move_reads_a_nonzero_gap(plant):
     assert verify_car(phi, 0) == _reference_car(phi, 0) == math.ulp(1.0)
 
 
-@pytest.mark.parametrize("fault, suite", [("late", "commutation"), ("keeps_bit", "car")])
+@pytest.mark.parametrize(
+    "fault, suite",
+    [("late", "commutation"), ("keeps_bit", "car"),
+     ("nudging", "car"), ("nudging", "commutation"), ("nudging", "clark")],
+)
 def test_records_fail(plant, fault, suite):
     plant(*FAULTS[fault])
     report = run_suite(SuiteConfig(suite=suite, trials=40))

@@ -245,6 +245,14 @@ class TestPipelines:
             parse_pipeline("annihilate:1,,create:1")
         with pytest.raises(NegativeIndexError):
             parse_pipeline("annihilate:-1")
+        # A site is ASCII -?[0-9]+, which int alone would not enforce.
+        for step in ("create:1_0", "annihilate: 2", "condexp:+1", "create:\uff12"):
+            with pytest.raises(BadTagError, match="^bad site "):
+                parse_pipeline(step)
+        # An unknown kind is named before its site is read.
+        for step in ("explode", "explode:1", "explode:99999999999", "explode:x"):
+            with pytest.raises(BadTagError, match="^unknown operator kind 'explode'$"):
+                parse_pipeline(f"expect,{step}")
 
     @pytest.mark.parametrize(
         "call, error, message",
