@@ -90,7 +90,6 @@ from .serialization import (
     decomposition_to_obj,
     functional_to_obj,
     parse_document,
-    serialize_functional,
 )
 from .suite_names import SUITE_NAMES
 

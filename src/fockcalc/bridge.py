@@ -110,7 +110,7 @@ MAX_CODED_HORIZON = 63
 
 #: Largest horizon of the sweeps over every subset or site, which run N times
 #: over all 2**N paths: the orthonormality butterfly and the bridge sweep
-#: (``_require_sweepable``), and so of ``SuiteConfig.horizon``.
+#: (``classical_clark_ocone_check``), and so of ``SuiteConfig.horizon``.
 MAX_ORTHONORMALITY_HORIZON = 16
 
 #: Paths the bridge sweep realizes a block of functionals on at once: the
@@ -551,22 +551,14 @@ def _binary_order(values: np.ndarray) -> tuple[float, float]:
     return math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
 
 
-def _plancherel_gap(phi: FockFunctional, second_moment: float) -> float:
+def _plancherel_gap(second_moment: float, norm: float) -> float:
     try:
-        gap = abs(second_moment - norm_p(phi, 0.0) ** 2)
+        gap = abs(second_moment - norm ** 2)
     except OverflowError:
         gap = math.inf
     if not math.isfinite(gap):
         raise NonFiniteResultError("the second moment or the squared norm overflows a double")
     return gap
-
-
-def _require_sweepable(space: PathSpace) -> None:
-    _require_exhaustive(space)
-    if space.horizon > MAX_ORTHONORMALITY_HORIZON:
-        raise HorizonTooLargeError(
-            f"horizon {space.horizon} exceeds cap {MAX_ORTHONORMALITY_HORIZON}"
-        )
 
 
 def _swept(
@@ -597,8 +589,10 @@ def classical_clark_ocone_check(phi: FockFunctional, space: PathSpace) -> float:
     annihilation — all realized pathwise on the exhaustive ``space``.
     Returns the max path deviation from the direct realization.
     """
-    _require_sweepable(space)
-    return float(_sweep((phi,), space, range(space.horizon))["clark_ocone"][0])
+    if space.horizon > MAX_ORTHONORMALITY_HORIZON and space.mode == "exhaustive":
+        raise HorizonTooLargeError(
+            f"horizon {space.horizon} exceeds cap {MAX_ORTHONORMALITY_HORIZON}")
+    return float(_swept((phi,), space, range(space.horizon))["clark_ocone"][0])
 
 
 def check_intertwining(
@@ -620,7 +614,7 @@ def plancherel_check(phi: FockFunctional, space: PathSpace) -> float:
 
     Raises NonFiniteResultError where either overflows a double.
     """
-    return _plancherel_gap(phi, float(_second_moments(evaluate(phi, space).values)))
+    return _plancherel_gap(float(_second_moments(evaluate(phi, space).values)), norm_p(phi, 0.0))
 
 
 def mc_estimate(obs: PathObservable) -> tuple[complex, float]:

@@ -194,8 +194,8 @@ def predictable_sequence(phi: FockFunctional) -> PredictableSequence:
 def integrate(u: PredictableSequence) -> FockFunctional:
     """Stochastic integral of a predictable sequence: sum of create(u_k, k).
 
-    The constructor already enforced predictability, but it is re-checked on
-    entry so hand-built sequences fail loudly rather than integrate wrongly.
+    The constructor and ``_replace`` enforce predictability; it is re-checked
+    here so an entry changed in ``terms`` after construction fails loudly.
     """
     for k, uk in u.terms.items():
         _require_predictable(k, uk)

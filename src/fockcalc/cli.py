@@ -231,7 +231,7 @@ def _cmd_bridge(args) -> int:
         write_observable_csv,
     )
     from .corpus import random_functionals
-    from .suite import _intertwining_record, run_suite
+    from .suite import _intertwining_record, _require_corpus_in_cap, run_suite
 
     _at_least(args.horizon, 1, "--horizon")
     if args.eval is not None:
@@ -272,9 +272,10 @@ def _cmd_bridge(args) -> int:
             )
         # Single-site intertwining sweep over a fresh corpus on one space.
         space = build_space(args.horizon, "exhaustive")
-        corpus = random_functionals(
-            args.trials, args.seed, support_max=args.horizon - 1
-        )
+        top, max_terms = args.horizon - 1, 24
+        at = f"at --horizon {args.horizon}"
+        _require_corpus_in_cap(args.trials, top, max_terms, at, name="--trials")
+        corpus = random_functionals(args.trials, args.seed, support_max=top, max_terms=max_terms)
         table = _swept(corpus, space, (args.k,))
         record = _intertwining_record(table, N=args.horizon, k=args.k, trials=len(corpus))
         report = {"suite": "bridge", "checks": [record], "pass": record["pass"]}

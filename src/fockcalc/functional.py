@@ -77,9 +77,8 @@ class FockFunctional:
 
     _terms: Dict[int, complex]
 
-    def __init__(self, terms: Dict[SubsetIndex, complex]):
-        coefs = {s.mask: _finite(s, c) for s, c in terms.items()}
-        _set_terms(self, {m: c for m, c in coefs.items() if c != 0})
+    def __init__(self, *args, **kwargs):  # the builders below skip it
+        raise TypeError("build a FockFunctional with make_functional or basis_element")
 
     @classmethod
     def _of_masks(cls, terms: Dict[int, complex]) -> "FockFunctional":
@@ -275,7 +274,7 @@ def _rounded(total: int, low: int) -> float:
 def _scaled_sum(parts: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
     # (s, shift) with s * 2**shift the sum of mant * 2**e, rounded once, and
     # s scaled by the sum's own binary order to about 2**960, so it keeps
-    # every bit however far the parts cancel; ``norm_parts`` takes its root.
+    # every bit however far the parts cancel; ``_norm_step`` takes its root.
     total, low = _exact_sum(parts)
     k = 960 - total.bit_length()
     return (_rounded(total, k), low - k) if total else (0.0, 0)
@@ -336,7 +335,7 @@ def inner_p(xi: FockFunctional, eta: FockFunctional, p: float) -> complex:
 
 
 def _norm_table(phi: FockFunctional) -> Optional[List[Tuple[float, float]]]:
-    # The level-free half of ``norm_parts``: (weight, |coef| ** 2) per term,
+    # The level-free half of ``_norm_step``: (weight, |coef| ** 2) per term,
     # or None where a weight or a square overflows.
     try:
         return [(mask_weight(m), abs(c) ** 2) for m, c in phi._terms.items()]
@@ -345,7 +344,11 @@ def _norm_table(phi: FockFunctional) -> Optional[List[Tuple[float, float]]]:
 
 
 def _norm_step(phi: FockFunctional, table: Optional[list], exponent: float) -> Tuple[float, int]:
-    # ``norm_parts(phi, exponent)`` from phi's ``_norm_table``: the same products.
+    # (m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e from
+    # phi's ``_norm_table``; m is finite and nonzero for every nonzero phi, even
+    # where the norm over- or underflows, and (0.0, 0) for ZERO.  Raises
+    # NonFiniteResultError where exponent * log2(weight) leaves the double
+    # range above, or below for every term.
     try:
         total = math.inf if table is None else math.fsum(
             [w ** (2.0 * exponent) * a for w, a in table])
@@ -362,20 +365,6 @@ def _norm_step(phi: FockFunctional, table: Optional[list], exponent: float) -> T
         raise NonFiniteResultError("every weight power lies below the double range")
     # An odd shift moves one factor 2 into the sum, so the root halves it exactly.
     return math.sqrt(math.ldexp(total, shift & 1)), shift // 2
-
-
-def norm_parts(phi: FockFunctional, exponent: float) -> Tuple[float, int]:
-    """(m, e) with sqrt(sum(weight**(2 * exponent) * |coef|**2)) == m * 2**e.
-
-    ``frexp`` of the plain root where the fsum of squares is a normal finite
-    double; elsewhere the root of the squared terms' scaled sum, so ``m`` is
-    finite and nonzero for every nonzero functional even where the norm
-    itself overflows or underflows.  (0.0, 0) for the zero functional.
-    ``norm_p`` is ``exponent = p`` and ``norm_dual`` is ``exponent = -p``.
-    Raises NonFiniteResultError where exponent * log2(weight) leaves the
-    double range above, or below for every term.
-    """
-    return _norm_step(phi, _norm_table(phi), exponent)
 
 
 def _weighted_norm(phi: FockFunctional, table: Optional[list], exponent: float) -> float:

@@ -6,8 +6,8 @@ Functional schema::
 
 ``set`` must be sorted strictly ascending with nonnegative entries; ``coef``
 is [re, im]; any other key is refused.  Serialization emits terms in
-ascending bit-mask order with repr-exact floats, so parse(serialize(phi))
-reproduces phi bit for bit.
+ascending bit-mask order with repr-exact floats, so
+``parse_document(to_json(functional_to_obj(phi)))`` reproduces phi bit for bit.
 
 Writer rule: the standard library's ``json.dumps`` writes every document.
 The one exception is a report's residual or per-site table, whose rows are
@@ -128,10 +128,6 @@ def to_json(payload: Any, indent: Optional[int] = None) -> str:
         raise NonFiniteResultError(
             f"output field {field} is not a finite number"
         ) from None
-
-
-def serialize_functional(phi: FockFunctional, indent: Optional[int] = None) -> str:
-    return to_json(functional_to_obj(phi), indent=indent)
 
 
 def _residual_row(n: Any, q: float, residual: float) -> Dict[str, Any]:

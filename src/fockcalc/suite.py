@@ -96,6 +96,28 @@ class SuiteConfig:
             for suite in ("clark", "covariance"):
                 if self.suite in (suite, "all"):
                     _require_dual_level_in_range(p, self.support_max, self.max_terms, suite)
+        # Covariance's pool of two per trial covers the other coefficient suites' corpus.
+        if self.suite != "bridge":
+            at = f"at support_max {self.support_max} and max_terms {self.max_terms}"
+            pool = 2 if self.suite in ("covariance", "all") else 1
+            _require_corpus_in_cap(self.trials, self.support_max, self.max_terms, at, pool)
+        if self.suite in ("bridge", "all"):
+            at = f"for the bridge suite at horizon {self.horizon} and max_terms {self.max_terms}"
+            _require_corpus_in_cap(self.trials, self.horizon - 1, self.max_terms, at)
+
+
+def _require_corpus_in_cap(
+    trials: int, support_max: int, max_terms: int, where: str, pool: int = 1, name: str = "trials"
+) -> None:
+    # pool * trials functionals of up to min(max_terms, 2**(support_max + 1)) terms each
+    # hold at most 2**22 in all: 174,762 of the default shape draw in 4 s, peaking at 260 MB.
+    terms = pool * min(max_terms, 1 << (support_max + 1))
+    if trials * terms > 1 << 22:
+        raise ConfigError(
+            f"{name} must be at most {(1 << 22) // terms} {where} (a corpus of {pool} * "
+            f"trials functionals of up to {terms // pool} terms each must hold at most "
+            f"2 ** 22 terms), got {trials}"
+        )
 
 
 def _require_ceiling_in_range(p: float, support_max: int) -> None:
@@ -253,16 +275,14 @@ _GAPS = {
 def _check_bridge(cfg: SuiteConfig) -> List[Dict[str, Any]]:
     n = cfg.horizon
     space = build_space(n, "exhaustive")
-    corpus = random_functionals(
-        cfg.trials, cfg.seed, support_max=n - 1, max_terms=cfg.max_terms
-    )
+    corpus = random_functionals(cfg.trials, cfg.seed, support_max=n - 1, max_terms=cfg.max_terms)
 
     ortho_gap = check_orthonormality(n)
 
     table = _swept(corpus, space, range(n))
     co_gap = float(table["clark_ocone"].max())
     plancherel_gap = max(
-        _plancherel_gap(phi, second_moment) / (1.0 + norm_p(phi, 0.0) ** 2)
+        _plancherel_gap(second_moment, norm := norm_p(phi, 0.0)) / (1.0 + norm ** 2)
         for phi, second_moment in zip(corpus, table["second_moment"].tolist())
     )
 

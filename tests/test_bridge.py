@@ -456,8 +456,8 @@ class TestSharedSweep:
         for b, phi in enumerate(corpus):
             assert table["clark_ocone"][b] == classical_clark_ocone_check(phi, space)
             assert site_gaps(table, b) == [check_intertwining(phi, k, space) for k in range(6)]
-            second_moment = table["second_moment"][b]
-            assert _plancherel_gap(phi, second_moment) == plancherel_check(phi, space)
+            gap = _plancherel_gap(table["second_moment"][b], norm_p(phi, 0.0))
+            assert gap == plancherel_check(phi, space)
 
     def test_sweeps_need_the_exhaustive_space_and_its_sites(self):
         from fockcalc.bridge import _swept
@@ -468,6 +468,9 @@ class TestSharedSweep:
             _swept([MIXED], build_space(3), (0, 3))
         with pytest.raises(HorizonTooLargeError):
             classical_clark_ocone_check(MIXED, build_space(17))
+        # The space's mode is checked before its horizon.
+        with pytest.raises(RequiresExhaustiveError):
+            classical_clark_ocone_check(MIXED, build_space(17, "sampled", M=10, seed=1))
 
 
 def site_gaps(table, b):
@@ -571,7 +574,8 @@ class TestReducedPathSweep:
                 assert table["clark_ocone"][b] == co_gap
                 assert site_gaps(table, b) == full_site_gaps
                 second_moment = table["second_moment"][b]
-                assert _plancherel_gap(phi, second_moment) == plancherel_check(phi, space)
+                gap = _plancherel_gap(second_moment, norm_p(phi, 0.0))
+                assert gap == plancherel_check(phi, space)
                 assert classical_clark_ocone_check(phi, space) == co_gap
                 for k in range(n):
                     assert check_intertwining(phi, k, space) == full_site_gaps[k]
@@ -695,8 +699,8 @@ class TestBlocks:
             full_co_gap, full_site_gaps = full_space_sweep(phi, space)
             assert table["clark_ocone"][b] == full_co_gap == classical_clark_ocone_check(phi, space)
             assert site_gaps(table, b) == full_site_gaps
-            second_moment = table["second_moment"][b]
-            assert bridge._plancherel_gap(phi, second_moment) == plancherel_check(phi, space)
+            gap = bridge._plancherel_gap(table["second_moment"][b], norm_p(phi, 0.0))
+            assert gap == plancherel_check(phi, space)
 
     def test_block_values_are_each_members_evaluation(self):
         import fockcalc.bridge as bridge
@@ -880,7 +884,8 @@ class TestFiniteValuesPastTheRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gap = plancherel_check(phi, space)
-            assert _plancherel_gap(phi, _swept([phi], space, range(4))["second_moment"][0]) == gap
+            second_moment = _swept([phi], space, range(4))["second_moment"][0]
+            assert _plancherel_gap(second_moment, norm_p(phi, 0.0)) == gap
         assert gap <= 4 * 1.44e308 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [1, 3, 8, 12])

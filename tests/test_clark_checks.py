@@ -30,7 +30,7 @@ def _reference_convergence_window(phi):
     centered = functional.linear_combine(1.0, phi, -1.0, operators.expect(phi))
     source = phi._terms
     excess = 0.0
-    running = FockFunctional({})
+    running = ZERO
     for n in phi.sites():
         running = functional.linear_combine(1.0, running, 1.0, clark.co_term(phi, n))
         for m, c in running._terms.items():

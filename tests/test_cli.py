@@ -649,6 +649,67 @@ class TestBridgeCommand:
         assert not csv_path.exists()
 
 
+class TestCorpusCap:
+    """A corpus that may hold more than 2**22 terms, counting min(max_terms,
+    2**(support_max + 1)) per functional, is refused before any draw."""
+
+    @pytest.fixture()
+    def draws(self, plant):
+        # Records each corpus size asked for and returns the constant 1 instead
+        # of drawing anything.
+        import fockcalc.corpus as corpus
+        import fockcalc.suite  # noqa: F401  (its binding is planted too)
+
+        calls = []
+
+        def record(count, seed, **shape):
+            calls.append(count)
+            return [fockcalc.basis_element(fockcalc.SubsetIndex([]))]
+
+        plant(corpus, "random_functionals", record)
+        return calls
+
+    @pytest.mark.parametrize(
+        "suite, most, support_max, horizon, where",
+        [("car", 2**18, 3, 8, "at support_max 3 and max_terms 24 (a corpus of 1 *"),
+         ("covariance", 2**17, 3, 8, "at support_max 3 and max_terms 24 (a corpus of 2 *"),
+         ("all", 2**17, 3, 8, "at support_max 3 and max_terms 24 (a corpus of 2 *"),
+         ("bridge", 2**18, 10, 4, "for the bridge suite at horizon 4 and max_terms 24"),
+         ("all", 174762, 0, 8, "for the bridge suite at horizon 8 and max_terms 24")],
+    )
+    def test_config_at_the_cap_is_accepted(self, suite, most, support_max, horizon, where):
+        from fockcalc import ConfigError
+        from fockcalc.suite import SuiteConfig
+
+        shape = dict(suite=suite, support_max=support_max, horizon=horizon)
+        assert SuiteConfig(trials=most, **shape).trials == most
+        with pytest.raises(ConfigError) as info:
+            SuiteConfig(trials=most + 1, **shape)
+        assert str(info.value).startswith(f"trials must be at most {most} {where}")
+
+    @pytest.mark.parametrize(
+        "argv, most",
+        [(["verify", "--suite", "car", "--trials", "100000000", "--support-max", "3"], 2**18),
+         (["verify", "--suite", "car", "--support-max", "61", "--max-terms", "100000000"], 0),
+         (["bridge", "--k", "0", "--horizon", "4", "--trials", "100000000"], 2**18),
+         (["bridge", "--k", "0", "--horizon", "8", "--trials", "174763"], 174762)],
+    )
+    def test_oversized_corpus_exits_2_before_the_draw(self, capsys, draws, argv, most):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, draws) == (2, "", [])
+        assert err.startswith(f"error: --trials must be at most {most} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "car", "--trials", str(2**18), "--support-max", "3"],
+         ["bridge", "--k", "0", "--horizon", "4", "--trials", str(2**18)]],
+    )
+    def test_corpus_at_the_cap_is_drawn(self, capsys, draws, argv):
+        code, _, _ = run_cli(capsys, *argv)
+        assert (code, draws) == (0, [2**18])
+
+
 class TestSiteCap:
     """A site past the cap is refused where it is parsed, before any mask is built."""
 

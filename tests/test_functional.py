@@ -66,8 +66,12 @@ class TestConstruction:
         with pytest.raises(NonFiniteCoefficientError, match=r"subset \[1\]") as exc:
             make_functional([(SubsetIndex([]), 1.0), (SubsetIndex([1]), coef)])
         assert isinstance(exc.value, ValueError)
-        with pytest.raises(NonFiniteCoefficientError, match=r"subset \[0, 2\]"):
-            FockFunctional({S02: coef})
+
+    @pytest.mark.parametrize("args", [(), ({},), ({S02: 1.0},)])
+    def test_built_only_by_the_builders(self, args):
+        # make_functional and basis_element are the one way in.
+        with pytest.raises(TypeError, match="make_functional or basis_element"):
+            FockFunctional(*args)
 
     def test_support_max(self):
         assert F(([], 2), ([0, 2], 3)).support_max == 2

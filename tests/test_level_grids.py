@@ -43,7 +43,6 @@ from fockcalc.functional import (
     inner_dual,
     linear_combine,
     norm_dual,
-    norm_parts,
 )
 from fockcalc.operators import (
     NormBoundReport,
@@ -107,12 +106,12 @@ def _reference_bounds_gap(cfg, phi):
 
 
 def _reference_norm_bounds(phi, k, p):
-    base_mant, base_exp2 = norm_parts(phi, -p)
+    base_mant, base_exp2 = _reference_norm_parts(phi, -p)
 
     def ratio(image):
         if not image:
             return 0.0
-        mant, exp2 = norm_parts(image, -p)
+        mant, exp2 = _reference_norm_parts(image, -p)
         return math.ldexp(mant / base_mant, exp2 - base_exp2)
 
     ann = ratio(annihilate(phi, k))
@@ -128,7 +127,7 @@ def _reference_norm_bounds(phi, k, p):
 
 
 def _reference_norm_parts(phi, exponent):
-    # ``norm_parts`` in one piece: weights and squares read again at each call.
+    # ``_norm_step`` in one piece: weights and squares read again at each call.
     try:
         total = math.fsum(
             functional.mask_weight(m) ** (2.0 * exponent) * abs(c) ** 2
@@ -276,13 +275,13 @@ class TestTrialsMatchOneLevelCalls:
 
 
 def _bits(outcome):
-    # A norm_parts outcome with its mantissa as hex, so equal means bit for bit.
+    # A (mant, exp2) outcome with its mantissa as hex, so equal means bit for bit.
     return outcome if isinstance(outcome, type) else (outcome[0].hex(), outcome[1])
 
 
 class TestNormStep:
-    """One table read at every level gives norm_parts' parts, bit for bit, or
-    raises the same type at the same level."""
+    """One table read at every level gives the one-piece reference's parts, bit
+    for bit, or raises the same type at the same level."""
 
     EXPONENTS = sorted({s * p for p in LEVELS for s in (1.0, -1.0)})
 
@@ -294,13 +293,12 @@ class TestNormStep:
                 yield from (annihilate(phi, k), create(phi, k), cond_expect(phi, k))
         yield from EXTREME
 
-    def test_step_matches_norm_parts(self):
+    def test_step_matches_the_one_piece_reference(self):
         paths = set()
         for phi in self._functionals():
             table = _norm_table(phi)
             for exponent in self.EXPONENTS:
                 step = _bits(_outcome(partial(_norm_step, phi, table, exponent)))
-                assert step == _bits(_outcome(partial(norm_parts, phi, exponent)))
                 assert step == _bits(_outcome(partial(_reference_norm_parts, phi, exponent)))
                 paths.add(table is None)
         assert paths == {False, True}  # the overflowing tables are read too

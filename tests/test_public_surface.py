@@ -35,7 +35,7 @@ PUBLIC_NAMES = {
     "path_expectation", "plancherel_check", "write_observable_csv",
     # JSON, corpus and suites
     "covariance_to_obj", "decomposition_to_obj", "functional_to_obj", "parse_document",
-    "serialize_functional", "random_functionals",
+    "random_functionals",
     "SUITE_NAMES", "SuiteConfig", "run_suite",
 }
 
@@ -47,4 +47,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(fockcalc, name), types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 83
+    assert len(PUBLIC_NAMES) == 82

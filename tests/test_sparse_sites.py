@@ -9,9 +9,9 @@ skipped site must contribute an exact zero or leave a running value unchanged.
 from hypothesis import given, settings, strategies as st
 
 from fockcalc import (
-    FockFunctional,
     PredictableSequence,
     SubsetIndex,
+    ZERO,
     annihilate,
     co_term,
     cond_expect,
@@ -82,7 +82,7 @@ def dense_convergence_window(phi):
     sites = range(phi.support_max + 1)
     terminal = sum_functionals(co_term(phi, k) for k in sites)
     pointwise = max(abs(terminal.coefficient(s) - centered.coefficient(s)) for s in probes)
-    running = FockFunctional({})
+    running = ZERO
     excess = 0.0
     for n in sites:
         running = linear_combine(1.0, running, 1.0, co_term(phi, n))

@@ -44,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from fockcalc import (  # noqa: E402
     SubsetIndex, cli, linear_combine, make_functional, random_functionals
 )
-from fockcalc.serialization import serialize_functional  # noqa: E402
+from fockcalc.serialization import functional_to_obj, to_json  # noqa: E402
 from fockcalc.suite_names import SUITE_NAMES  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -94,7 +94,7 @@ def main() -> None:
                 paths = []
                 for i, phi in enumerate(document_pair(shape, seed)):
                     paths.append(str(Path(work) / f"{shape}-{seed}-{i}.json"))
-                    Path(paths[-1]).write_text(serialize_functional(phi))
+                    Path(paths[-1]).write_text(to_json(functional_to_obj(phi)))
                 for argv in (["cov", *paths, "--p", "1"], ["decompose", paths[1]]):
                     print(f"{argv[0]}-{shape}", seed, report_digest(argv), flush=True)
 
